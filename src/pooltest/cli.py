@@ -311,8 +311,8 @@ def _verify_identities(checks: _Checks) -> None:
 
     worst = 0.0
     for pp in (0.05, 0.10):
-        a = _genfunc.noisy_direct_exponent(l, r, pp, 0.0, sigma_step=0.01).value
-        b = _genfunc.noiseless_direct_exponent(l, r, pp, sigma_step=0.01).value
+        a = _genfunc.noisy_direct_exponent(l, r, pp, 0.0).value
+        b = _genfunc.noiseless_direct_exponent(l, r, pp).value
         worst = max(worst, abs(a - b))
     checks.record(
         "noisy direct exponent reduces to noiseless at q=0",

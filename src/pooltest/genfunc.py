@@ -9,7 +9,11 @@ exact big integers (or rationals) whenever the inputs are exact.
 The direct-part margins minimize log-domain objectives of the form
 "weighted log enumerator minus linear term".  Each such objective is a sum
 of log-sum-exp functions of u = log2(z), hence convex in u, so bracketed
-golden-section search is reliable.
+golden-section search is reliable.  The direct exponents maximize such an
+infimum over an outcome-weight fraction sigma; the objective is affine in
+sigma, so by minimax each exponent is one convex 1-D minimization of the
+pointwise max over the two endpoint weights, with the branches' crossing
+at the fixed point z* = 2^(1/r) - 1 checked as an extra candidate.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import binary_entropy, entropy
+from .bounds import binary_entropy, entropy, fixed_point_z
 from .ensemble import SystemParams, TestFunction
 from .errors import ConfigurationError, InputError, ReducedAlphabetError
 
@@ -27,7 +31,6 @@ _LN2 = math.log(2)
 _PHI = (math.sqrt(5) + 1) / 2
 
 Z_SEARCH_TOL = 1e-10       # width, in log2(z), of the final 1-D bracket
-SIGMA_REFINE_TOL = 1e-9
 COORDINATE_SWEEP_TOL = 1e-8
 MAX_SWEEPS = 200
 
@@ -415,65 +418,32 @@ class Infimum:
     bounded: bool
 
 
-def _weighted_infimum(
-    fire: Polynomial, quiet: Polynomial, sigma: float, lp: float
-) -> Infimum:
-    """inf over z > 0 of sigma*log2 fire(z) + (1-sigma)*log2 quiet(z) - lp*log2 z.
-
-    The asymptotic slopes in u = log2 z are read off the polynomials' lowest
-    and highest exponents; a strictly one-signed slope pair means the infimum
-    escapes to a boundary (finite limit when the escaping slope is exactly
-    zero, unbounded otherwise).
-    """
-    ford, fdeg = fire.order, fire.degree
-    qord, qdeg = quiet.order, quiet.degree
-    slope_left = sigma * ford + (1 - sigma) * qord - lp
-    slope_right = sigma * fdeg + (1 - sigma) * qdeg - lp
-    if slope_left > 0 or slope_right < 0:
-        return Infimum(-math.inf, None, False)
-    fire_terms = _log_terms(fire)
-    quiet_terms = _log_terms(quiet)
-    if slope_left == 0:
-        value = sigma * math.log2(fire.coeff(ford)) + (1 - sigma) * math.log2(
-            quiet.coeff(qord)
-        )
-        return Infimum(value, None, True)
-    if slope_right == 0:
-        value = sigma * math.log2(fire.coeff(fdeg)) + (1 - sigma) * math.log2(
-            quiet.coeff(qdeg)
-        )
-        return Infimum(value, None, True)
-
-    def objective(u: float) -> float:
-        val = -lp * u
-        if sigma != 0:
-            val += sigma * _lse2(fire_terms, u)
-        if sigma != 1:
-            val += (1 - sigma) * _lse2(quiet_terms, u)
-        return val
-
-    def derivative(u: float) -> float:
-        val = -lp
-        if sigma != 0:
-            val += sigma * _lse2_slope(fire_terms, u)
-        if sigma != 1:
-            val += (1 - sigma) * _lse2_slope(quiet_terms, u)
-        return val
-
-    u_star, val = _bracket_and_minimize(objective, derivative, Z_SEARCH_TOL)
-    return Infimum(val, 2.0**u_star, True)
-
-
 def exponent_infimum(sigma: float, l: int, r: int, p: float) -> Infimum:
     """inf over z > 0 of sigma*log2((1+z)^r - 1) - l*p*log2(z).
 
     Unbounded below (flagged sentinel) whenever sigma falls outside
-    [l*p/r, l*p]; in particular at sigma = 0 for any p > 0.
+    [l*p/r, l*p]; in particular at sigma = 0 for any p > 0.  At either end
+    of that window the slope in u = log2 z levels off toward a boundary and
+    the infimum is the limit there.
     """
     _check_exponent_args(l, r, p)
     if not 0 <= sigma <= l / r:
         raise InputError(f"sigma={sigma} outside [0, l/r]")
-    return _weighted_infimum(or_pool_poly(r), Polynomial([1]), sigma, l * p)
+    lp = l * p
+    # slopes in u: sigma - lp as z -> 0, sigma*r - lp as z -> inf
+    if sigma > lp or sigma * r < lp:
+        return Infimum(-math.inf, None, False)
+    if sigma == lp:
+        return Infimum(sigma * math.log2(r), None, True)
+    if sigma * r == lp:
+        return Infimum(0.0, None, True)
+    terms = _log_terms(or_pool_poly(r))
+    u_star, val = _bracket_and_minimize(
+        lambda u: sigma * _lse2(terms, u) - lp * u,
+        lambda u: sigma * _lse2_slope(terms, u) - lp,
+        Z_SEARCH_TOL,
+    )
+    return Infimum(val, 2.0**u_star, True)
 
 
 def _check_exponent_args(l: int, r: int, p: float) -> None:
@@ -483,95 +453,105 @@ def _check_exponent_args(l: int, r: int, p: float) -> None:
         raise InputError(f"p={p} must lie strictly inside (0, 1)")
 
 
-def _sigma_window(
-    fire: Polynomial, quiet: Polynomial, lp: float, sigma_max: float
-) -> tuple[float, float]:
-    """The closed sigma interval on which the weighted infimum is finite."""
-    lo, hi = 0.0, sigma_max
-    # left constraint: sigma*ford + (1-sigma)*qord <= lp
-    a, b = quiet.order, fire.order - quiet.order
-    if b > 0:
-        hi = min(hi, (lp - a) / b)
-    elif b < 0:
-        lo = max(lo, (lp - a) / b)
-    elif a > lp:
-        return (1.0, 0.0)
-    # right constraint: sigma*fdeg + (1-sigma)*qdeg >= lp
-    a, b = quiet.degree, fire.degree - quiet.degree
-    if b > 0:
-        lo = max(lo, (lp - a) / b)
-    elif b < 0:
-        hi = min(hi, (lp - a) / b)
-    elif a < lp:
-        return (1.0, 0.0)
-    return (lo, hi)
-
-
 @dataclass(frozen=True)
 class DirectExponent:
-    """A maximized error exponent and the outcome-weight fraction achieving it."""
+    """A maximized error exponent, the outcome-weight fraction sigma and the
+    argument z (inf when the infimum is the limit z -> inf) at its saddle
+    point, and whether z is the fixed-point kink 2^(1/r) - 1."""
 
     value: float
     sigma: float
+    z: float
+    at_kink: bool
 
 
-def _max_over_sigma(
-    fire: Polynomial,
-    quiet: Polynomial,
-    lp: float,
-    sigma_max: float,
-    sigma_step: float,
-) -> tuple[float, float]:
-    """Maximize the weighted infimum over sigma by grid scan plus one local
-    golden-section refinement.  The value is concave in sigma (an infimum of
-    affine functions), so the refinement is safe."""
-    lo, hi = _sigma_window(fire, quiet, lp, sigma_max)
-    if lo > hi:
+def _mixed_exponent(
+    fire: Polynomial, quiet: Polynomial, l: int, r: int, p: float
+) -> tuple[float, float, float, bool]:
+    """max over sigma in [0, l/r] of inf over z > 0 of
+    sigma*log2 fire(z) + (1-sigma)*log2 quiet(z) - l*p*log2 z,
+    as (value, sigma*, z*, at_kink).
+
+    The objective is affine in sigma and convex in u = log2 z, so by Sion's
+    minimax theorem the max and inf swap, and the max over sigma sits at an
+    endpoint: the value is inf over u of Q + max(0, (l/r)(F - Q)) - l*p*u,
+    with F, Q the log2 fire and quiet enumerators at z = 2^u.  fire - quiet
+    is a multiple of pool - 1, so the branches cross at z* = 2^(1/r) - 1,
+    where golden section stops up to ~1e-11 above a kink minimum; z* is
+    therefore kept as a candidate.  sigma* balances the subgradient at u*:
+    the active endpoint off the kink, (l*p - Q') / (F' - Q') clipped on it.
+    """
+    ratio, lp = l / r, l * p
+    # quiet has a nonzero constant term, so the objective rises as z -> 0;
+    # as z -> inf the steepest branch governs it
+    lq, lf = math.log2(quiet.coeffs[-1]), math.log2(fire.coeffs[-1])
+    slope, limit, sigma = max(
+        (quiet.degree + s * (fire.degree - quiet.degree) - lp, lq + s * (lf - lq), s)
+        for s in (0.0, ratio)
+    )
+    if slope < 0:
         raise InputError("the exponent is unbounded for every outcome weight")
+    if slope == 0:
+        # convex and leveling off: the infimum is the limit at z -> inf
+        return limit, sigma, math.inf, False
+    fire_terms, quiet_terms = _log_terms(fire), _log_terms(quiet)
 
-    def phi(sigma: float) -> float:
-        return _weighted_infimum(fire, quiet, sigma, lp).value
+    def objective(u: float) -> float:
+        f, q = _lse2(fire_terms, u), _lse2(quiet_terms, u)
+        return q + max(0.0, ratio * (f - q)) - lp * u
 
-    candidates = {lo, hi, 0.5 * (lo + hi)}
-    steps = int(sigma_max / sigma_step)
-    for i in range(steps + 1):
-        s = min(i * sigma_step, sigma_max)
-        if lo <= s <= hi:
-            candidates.add(s)
-    best_sigma = max(sorted(candidates), key=phi)
-    a = max(lo, best_sigma - sigma_step)
-    b = min(hi, best_sigma + sigma_step)
-    sigma_star, neg_val = golden_section_min(lambda s: -phi(s), a, b, SIGMA_REFINE_TOL)
-    if -neg_val >= phi(best_sigma):
-        return -neg_val, sigma_star
-    return phi(best_sigma), best_sigma
+    def right_deriv(u: float) -> float:
+        # subgradient of a max of two smooth convex pieces: steepest active slope
+        gap = ratio * (_lse2(fire_terms, u) - _lse2(quiet_terms, u))
+        q_slope = _lse2_slope(quiet_terms, u)
+        slopes = [q_slope] if gap <= 1e-9 else []
+        if gap >= -1e-9:
+            slopes.append(q_slope + ratio * (_lse2_slope(fire_terms, u) - q_slope))
+        return max(slopes) - lp
+
+    u_star, val = _bracket_and_minimize(objective, right_deriv, Z_SEARCH_TOL)
+    u_kink = math.log2(fixed_point_z(r))
+    kink_val = objective(u_kink)
+    if kink_val <= val:
+        f_slope = _lse2_slope(fire_terms, u_kink)
+        q_slope = _lse2_slope(quiet_terms, u_kink)
+        sigma = 0.0  # fire == quiet (q = 1/2): no sigma dependence at all
+        if f_slope != q_slope:
+            sigma = min(max((lp - q_slope) / (f_slope - q_slope), 0.0), ratio)
+        return kink_val, sigma, 2.0**u_kink, True
+    fire_active = _lse2(fire_terms, u_star) > _lse2(quiet_terms, u_star)
+    return val, ratio if fire_active else 0.0, 2.0**u_star, False
 
 
 def noiseless_direct_exponent(
-    l: int, r: int, p: float, sigma_step: float = 1e-3
+    l: int, r: int, p: float, sigma_step: float | None = None
 ) -> DirectExponent:
     """Worst-case growth rate of the expected number of confusable typical
-    inputs under noiseless OR tests; negative means decoding succeeds."""
+    inputs under noiseless OR tests; negative means decoding succeeds.
+
+    sigma_step is deprecated and has no effect: the maximization over the
+    outcome weight is exact (see _mixed_exponent)."""
     _check_exponent_args(l, r, p)
-    phi, sigma = _max_over_sigma(
-        or_pool_poly(r), Polynomial([1]), l * p, l / r, sigma_step
-    )
-    return DirectExponent(-(l - 1) * binary_entropy(p) + phi, sigma)
+    phi, sigma, z, at_kink = _mixed_exponent(or_pool_poly(r), Polynomial([1]), l, r, p)
+    return DirectExponent(-(l - 1) * binary_entropy(p) + phi, sigma, z, at_kink)
 
 
 def noisy_direct_exponent(
-    l: int, r: int, p: float, q: float, sigma_step: float = 1e-3
+    l: int, r: int, p: float, q: float, sigma_step: float | None = None
 ) -> DirectExponent:
-    """Direct-part exponent with test outcomes flipped at rate q."""
+    """Direct-part exponent with test outcomes flipped at rate q.
+
+    sigma_step is deprecated and has no effect, as for
+    noiseless_direct_exponent."""
     _check_exponent_args(l, r, p)
     if not 0 <= q < 1:
         raise InputError(f"q={q} outside [0, 1)")
     pool = or_pool_poly(r)
     fire = pool * (1.0 - q) + q
     quiet = pool * q + (1.0 - q)
-    phi, sigma = _max_over_sigma(fire, quiet, l * p, l / r, sigma_step)
+    phi, sigma, z, at_kink = _mixed_exponent(fire, quiet, l, r, p)
     value = -(l - 1) * binary_entropy(p) + (l / r) * binary_entropy(q) + phi
-    return DirectExponent(value, sigma)
+    return DirectExponent(value, sigma, z, at_kink)
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,79 @@ class TestDirectExponent:
         assert noiseless_direct_exponent(3, 6, 0.05, sigma_step=0.01).value < 0
         assert noisy_direct_exponent(3, 6, 0.05, 0.01, sigma_step=0.01).value < 0
 
+    @pytest.mark.parametrize("p", [1e-9, 1e-6, 1e-3, 0.1])
+    def test_equals_closed_form_below_crossover(self, p):
+        # the optimum sits at the fixed point however narrow the weight window
+        direct = noiseless_direct_exponent(3, 6, p)
+        assert abs(direct.value - achievable_margin(3, 6, p)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.06, 0.27])
+    def test_minimax_saddle_point(self, p):
+        # max over sigma of the inner infimum, attained at sigma*: no sigma in
+        # the window does better, and the sigma*-weighted objective is
+        # nowhere below the exponent
+        l, r = 3, 6
+        lp, base = l * p, -(l - 1) * binary_entropy(p)
+        direct = noiseless_direct_exponent(l, r, p)
+        lo, hi = lp / r, min(lp, l / r)
+        for i in range(20):
+            sigma = lo + (hi - lo) * i / 19
+            inf = exponent_infimum(sigma, l, r, p)
+            assert direct.value >= base + inf.value - 1e-12
+        u0 = math.log2(fixed_point_z(r))
+        for i in range(50):
+            z = 2 ** (u0 - 3 + 6 * i / 49)
+            value = direct.sigma * math.log2((1 + z) ** r - 1) - lp * math.log2(z)
+            assert direct.value <= base + value + 1e-12
+
+    @pytest.mark.parametrize("l,r,p,q", [(3, 6, 0.27, 0.1), (3, 6, 0.06, 0.05)])
+    def test_noisy_matches_dense_scan_of_collapsed_objective(self, l, r, p, q):
+        def objective(u):
+            pool = (1 + 2**u) ** r - 1
+            fire = math.log2(pool * (1 - q) + q)
+            quiet = math.log2(pool * q + (1 - q))
+            return quiet + max(0.0, (l / r) * (fire - quiet)) - l * p * u
+
+        direct = noisy_direct_exponent(l, r, p, q)
+        base = -(l - 1) * binary_entropy(p) + (l / r) * binary_entropy(q)
+        lo, hi = math.log2(direct.z) - 2.0, math.log2(direct.z) + 2.0
+        steps = 100_000
+        grid_best = base + min(
+            objective(lo + (hi - lo) * i / steps) for i in range(steps + 1)
+        )
+        assert abs(direct.value - grid_best) <= 1e-9
+        assert direct.value <= grid_best + 1e-12
+
+    @pytest.mark.parametrize("q", [0.0, 0.1])
+    def test_optimum_at_kink_only_below_crossover(self, q):
+        below = noisy_direct_exponent(3, 6, 0.06, q)
+        assert below.at_kink
+        assert below.z == pytest.approx(fixed_point_z(6), rel=1e-15)
+        assert 0 < below.sigma < 0.5
+        past = noisy_direct_exponent(3, 6, 0.27, q)
+        assert not past.at_kink
+        assert past.z > fixed_point_z(6)
+        assert past.sigma == 0.5
+
+    def test_noisy_zero_noise_is_identical_past_crossover(self):
+        a = noiseless_direct_exponent(3, 6, 0.27)
+        b = noisy_direct_exponent(3, 6, 0.27, 0.0)
+        assert not a.at_kink
+        assert abs(a.value - b.value) <= 1e-12
+
+    def test_level_boundary_gives_the_limit(self):
+        # r = l*p: both branches level off as z -> inf, so the infimum is the
+        # limit of the sigma = l/r branch, log2(q * ((1-q)/q)^(l/r))
+        d = noisy_direct_exponent(4, 2, 0.5, 0.1)
+        limit = -3 + 2 * binary_entropy(0.1) + math.log2(0.1 * 9**2)
+        assert d.z == math.inf and d.sigma == 2.0
+        assert d.value == pytest.approx(limit, abs=1e-12)
+
+    def test_unbounded_for_every_weight_raises(self):
+        # r < l*p: every branch falls without bound as z -> inf
+        with pytest.raises(InputError):
+            noisy_direct_exponent(6, 3, 0.6, 0.1)
+
 
 class TestBinaryDirectMargin:
     def test_equals_closed_form_at_small_p(self):
