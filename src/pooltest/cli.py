@@ -236,6 +236,16 @@ def _verify_exact(checks: _Checks) -> None:
             else f"mismatch at (w={worst[0]}, s={worst[1]}): {worst[2]} vs {worst[3]}",
         )
 
+    rounded = _genfunc.noisy_ensemble_event_probability(SystemParams(3, 6, 120, q=0.1), 60, 15)
+    exact = _genfunc.noisy_ensemble_event_probability(
+        SystemParams(3, 6, 120, q=Fraction(0.1)), 60, 15
+    )
+    checks.record(
+        "float-q noisy formula is the exact value rounded once (l=3, r=6, n=120, q=0.1)",
+        rounded == float(exact),
+        f"w=60, s=15: {rounded!r} vs {float(exact)!r}",
+    )
+
     for l, r, n in ((1, 2, 4), (2, 4, 4)):
         params = SystemParams(l, r, n)
         f = or_function(r)

@@ -3,8 +3,11 @@ and the optimized exponents that decide when decoding succeeds.
 
 The probability that a fixed input/output pair is consistent over a random
 wiring reduces to one coefficient of a product of per-test enumerator
-polynomials, divided by a count of socket arrangements.  Coefficients are
-exact big integers (or rationals) whenever the inputs are exact.
+polynomials, divided by a count of socket arrangements.  For binary inputs
+that coefficient comes from powers truncated at the target degree, by the
+power-series power recurrence over exact integers; a noise rate q = P/Q
+enters as the integer polynomials Q*fire and Q*quiet.  Results are exact
+Fractions, or that exact value rounded once to a float when q is a float.
 
 The direct-part margins minimize log-domain objectives of the form
 "weighted log enumerator minus linear term".  Each such objective is a sum
@@ -126,21 +129,6 @@ class Polynomial:
             acc = acc * z + c
         return acc
 
-    def clamp_small_negatives(self, tol: float = 1e-12) -> tuple["Polynomial", int]:
-        """Zero out rounding-noise negatives; a materially negative coefficient
-        is an error since these polynomials count weighted arrangements."""
-        clamped = 0
-        out = []
-        for c in self.coeffs:
-            if c < 0:
-                if c < -tol:
-                    raise InputError(f"coefficient {c} is negative beyond tolerance")
-                out.append(0 * c)
-                clamped += 1
-            else:
-                out.append(c)
-        return Polynomial(out), clamped
-
 
 class MultiPolynomial:
     """Sparse multivariate polynomial: exponent tuples mapped to coefficients."""
@@ -251,35 +239,59 @@ def _check_event(params: SystemParams, w: int, s: int) -> None:
         raise InputError(f"output weight {s} outside [0, {params.m}]")
 
 
+def _truncated_power(coeffs: Sequence[int], e: int, top: int) -> list[int]:
+    """Coefficients [z^0 .. z^top] of the integer polynomial `coeffs` raised to
+    the power e, by the power-series power recurrence (J.C.P. Miller; Knuth,
+    TAOCP vol. 2, 4.7): b_0 = a_0^e and
+    k a_0 b_k = sum_{j=1}^{min(k, deg)} ((e+1) j - k) a_j b_{k-j}.
+    The lowest-order factor z^o is split off first so that a_0 != 0; every
+    b_k is an integer, so the division by k a_0 is exact."""
+    order = next(j for j, c in enumerate(coeffs) if c)
+    a = coeffs[order:]
+    out = [0] * min(order * e, top + 1)
+    size = top + 1 - len(out)
+    if size <= 0:
+        return out
+    a0, deg, e1 = a[0], len(a) - 1, e + 1
+    b = [a0**e]
+    for k in range(1, size):
+        acc = 0
+        for j in range(1, min(k, deg) + 1):
+            acc += (e1 * j - k) * a[j] * b[k - j]
+        b.append(acc // (k * a0))
+    return out + b
+
+
 def ensemble_event_probability(params: SystemParams, w: int, s: int) -> Fraction:
     """Probability, over a uniform wiring, that the noiseless OR outcome of a
-    fixed weight-w input equals a fixed weight-s output vector.  Exact."""
+    fixed weight-w input equals a fixed weight-s output vector.  Exact:
+    [z^{lw}] ((1+z)^r - 1)^s / C(nl, lw)."""
     _check_event(params, w, s)
-    l = params.l
-    numer = (or_pool_poly(params.r) ** s).coeff(l * w)
-    denom = math.comb(params.num_sockets, w * l)
-    return Fraction(numer, denom)
+    lw = params.l * w
+    numer = _truncated_power(or_pool_poly(params.r).coeffs, s, lw)[lw]
+    return Fraction(numer, math.comb(params.num_sockets, lw))
 
 
 def noisy_ensemble_event_probability(params: SystemParams, w: int, s: int):
     """Same event with every test outcome flipped independently with
-    probability q.  Exact (a Fraction) when params.q is a Fraction;
-    double precision otherwise."""
+    probability q: [z^{lw}] fire^s quiet^(m-s) / C(nl, lw), with
+    fire = (1-q) pool + q and quiet = q pool + (1-q).  A Fraction q gives the
+    exact Fraction.  Any other q is taken as the exact rational it stores
+    (Fraction(q); for a float, its binary value), and the exact result is
+    rounded once to the nearest float."""
     _check_event(params, w, s)
-    q = params.q
+    q = Fraction(params.q)
+    big_p, big_q = q.numerator, q.denominator
+    # fire and quiet scaled by the denominator Q, so both have integer coefficients
     pool = or_pool_poly(params.r)
-    if isinstance(q, Fraction):
-        fire = pool * (1 - q) + q
-        quiet = pool * q + (1 - q)
-    else:
-        fire = pool * (1.0 - q) + q
-        quiet = pool * q + (1.0 - q)
-    mixed = (fire**s) * (quiet ** (params.m - s))
-    if not isinstance(q, Fraction):
-        mixed, _ = mixed.clamp_small_negatives()
-    numer = mixed.coeff(params.l * w)
-    denom = math.comb(params.num_sockets, w * params.l)
-    if isinstance(numer, Fraction) or isinstance(numer, int):
+    fire = (pool * (big_q - big_p) + big_p).coeffs
+    quiet = (pool * big_p + (big_q - big_p)).coeffs
+    lw = params.l * w
+    fired = _truncated_power(fire, s, lw)
+    quieted = _truncated_power(quiet, params.m - s, lw)
+    numer = sum(fired[k] * quieted[lw - k] for k in range(lw + 1))
+    denom = big_q**params.m * math.comb(params.num_sockets, lw)
+    if isinstance(params.q, Fraction):
         return Fraction(numer, denom)
     return numer / denom
 

@@ -64,14 +64,6 @@ class TestPolynomial:
         assert p.evaluate(3) == 16
         assert p.evaluate(Fraction(1, 2)) == Fraction(9, 4)
 
-    def test_clamp_small_negatives(self):
-        p = Polynomial([1.0, -1e-18, 0.5])
-        clamped, count = p.clamp_small_negatives()
-        assert clamped.coeffs[1] == 0.0
-        assert count == 1
-        with pytest.raises(InputError):
-            Polynomial([1.0, -0.5]).clamp_small_negatives()
-
     def test_or_pool_poly(self):
         # (1+z)^r - 1: binomial coefficients with the constant removed
         assert or_pool_poly(3).coeffs == (0, 3, 3, 1)
@@ -209,6 +201,23 @@ class TestNoisyEventProbability:
         approx = noisy_ensemble_event_probability(SystemParams(3, 6, 12, q=0.1), 2, 3)
         assert isinstance(approx, float)
         assert approx == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("n, w, s", [(720, 360, 90), (1200, 120, 150)])
+    def test_float_q_rounds_the_exact_value_once(self, n, w, s):
+        # at these sizes a double-precision product of the full powers overflows
+        approx = noisy_ensemble_event_probability(SystemParams(3, 6, n, q=0.1), w, s)
+        exact = noisy_ensemble_event_probability(
+            SystemParams(3, 6, n, q=Fraction(0.1)), w, s
+        )
+        assert isinstance(approx, float)
+        assert math.isfinite(approx)
+        assert approx == float(exact)
+
+    @pytest.mark.parametrize("n, w, s", [(12, 2, 3), (720, 360, 90), (1200, 120, 150)])
+    def test_default_float_q_is_the_rounded_noiseless_value(self, n, w, s):
+        value = noisy_ensemble_event_probability(SystemParams(3, 6, n), w, s)
+        assert isinstance(value, float)
+        assert value == float(ensemble_event_probability(SystemParams(3, 6, n), w, s))
 
 
 class TestGeneralEventProbability:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from pooltest import (
     graph_from_json,
     graph_to_json,
     noisy_converse_margin,
+    noisy_ensemble_event_probability,
+    or_pool_poly,
     sample_graph,
     typical_weight_set,
     weight_rate,
@@ -45,6 +48,49 @@ def test_event_probabilities_normalize(params, w):
         for s in range(params.m + 1)
     )
     assert total == Fraction(1)
+
+
+# every system with at most 36 sockets (n*l <= 36 and r | n*l)
+SOCKET_LIMITED_PARAMS = st.sampled_from([
+    SystemParams(l, r, n)
+    for l in range(1, 5)
+    for n in range(1, 36 // l + 1)
+    for r in range(1, n * l + 1)
+    if (n * l) % r == 0
+])
+NOISE_RATES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000),
+)
+
+
+@given(SOCKET_LIMITED_PARAMS)
+@settings(max_examples=50, deadline=None)
+def test_noiseless_extraction_matches_dense_power(params):
+    l, pool = params.l, or_pool_poly(params.r)
+    for s in range(params.m + 1):
+        power = pool**s
+        for w in range(params.n + 1):
+            expected = Fraction(power.coeff(l * w), math.comb(params.num_sockets, l * w))
+            assert ensemble_event_probability(params, w, s) == expected, (params, w, s)
+
+
+@given(SOCKET_LIMITED_PARAMS, NOISE_RATES)
+@settings(max_examples=50, deadline=None)
+def test_noisy_extraction_matches_dense_product(params, q):
+    l, m, pool = params.l, params.m, or_pool_poly(params.r)
+    exact = replace(params, q=q)
+    # a float q is the exact binary rational it stores, rounded once at the end
+    rounded, stored = replace(params, q=float(q)), replace(params, q=Fraction(float(q)))
+    fire, quiet = pool * (1 - q) + q, pool * q + (1 - q)
+    for s in range(m + 1):
+        product = fire**s * quiet ** (m - s)
+        for w in range(params.n + 1):
+            expected = Fraction(product.coeff(l * w)) / math.comb(params.num_sockets, l * w)
+            assert noisy_ensemble_event_probability(exact, w, s) == expected, (q, params, w, s)
+            assert noisy_ensemble_event_probability(rounded, w, s) == float(
+                noisy_ensemble_event_probability(stored, w, s)
+            ), (q, params, w, s)
 
 
 @given(SMALL_PARAMS, st.integers(min_value=0, max_value=2**30))
