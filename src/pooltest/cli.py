@@ -220,17 +220,21 @@ def _verify_exact(checks: _Checks) -> None:
             else f"mismatch at (w={worst[0]}, s={worst[1]}): {worst[2]} vs {worst[3]}",
         )
 
-    for q in (Fraction(1, 4), Fraction(1, 2)):
-        params = SystemParams(1, 2, 2, q=q)
+    for l, r, n, q in (
+        (1, 2, 2, Fraction(1, 4)),
+        (1, 2, 2, Fraction(1, 2)),
+        (2, 4, 4, Fraction(1, 10)),
+    ):
+        params = SystemParams(l, r, n, q=q)
         worst = None
-        for w in range(3):
+        for w in range(n + 1):
             for s in range(params.m + 1):
                 formula = _genfunc.noisy_ensemble_event_probability(params, w, s)
                 counted = enumeration_fraction_noisy(params, w, s)
                 if formula != counted:
                     worst = (w, s, formula, counted)
         checks.record(
-            f"noisy formula vs enumeration (l=1, r=2, n=2, q={q})",
+            f"noisy formula vs enumeration (l={l}, r={r}, n={n}, q={q})",
             worst is None,
             "exact rational match on all (w, s)" if worst is None
             else f"mismatch at (w={worst[0]}, s={worst[1]}): {worst[2]} vs {worst[3]}",

@@ -9,22 +9,34 @@ allowed and contribute multiplicity.
 
 Besides sampling and the forward test maps, this module can enumerate
 the whole ensemble at toy sizes and compute exact event fractions over
-it, which the rest of the package uses as ground truth.
+it, which the rest of the package uses as ground truth.  The event
+oracles do not walk the wirings themselves: the outcome of a fixed input
+depends only on which right sockets each symbol's left sockets land on,
+and every such arrangement is hit by the same number of wirings.  So
+they walk the C(nl, wl) images of the defect sockets (binary inputs) or
+the multinomial arrangements of the symbol classes (general alphabets),
+and give the same exact fractions as a walk over all (nl)! wirings.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError, GuardError, InputError
 
-# enumerate_ensemble walks (n*l)! wirings; 10 sockets = 3628800 graphs is the ceiling
+# enumerate_ensemble walks (n*l)! wirings; 10 sockets = 3628800 graphs is the ceiling.
+# The same count, 10!, is the event oracles' budget of socket arrangements.
 ENUMERATION_SOCKET_LIMIT = 10
+_ARRANGEMENT_BUDGET = math.factorial(ENUMERATION_SOCKET_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -383,35 +395,74 @@ def graph_from_json(text: str) -> PoolingGraph:
 # ---------------------------------------------------------------------------
 
 
+def _check_budget(arrangements: int) -> None:
+    if arrangements > _ARRANGEMENT_BUDGET:
+        raise GuardError(
+            f"enumeration over {arrangements} socket arrangements refused "
+            f"(limit {ENUMERATION_SOCKET_LIMIT}! = {_ARRANGEMENT_BUDGET})"
+        )
+
+
+def _fired_mask_counts(params: SystemParams, w: int, s: int) -> tuple[Counter, int]:
+    """Count the C(nl, wl) right-socket images of the canonical weight-w
+    input's defect sockets by the tests they fire.
+
+    Returns the counts keyed by fired-test bitmask (bit j is test j) and the
+    bitmask of the canonical weight-s outcome.
+    """
+    if not 0 <= w <= params.n:
+        raise InputError(f"weight {w} outside [0, {params.n}]")
+    if not 0 <= s <= params.m:
+        raise InputError(f"outcome weight {s} outside [0, {params.m}]")
+    nl, wl = params.num_sockets, w * params.l
+    _check_budget(math.comb(nl, wl))
+    test_bits = [1 << (k // params.r) for k in range(nl)]
+    masks = Counter(reduce(or_, image, 0) for image in itertools.combinations(test_bits, wl))
+    return masks, (1 << s) - 1
+
+
 def enumeration_fraction_noiseless(params: SystemParams, w: int, s: int) -> Fraction:
     """Exact fraction of wirings with F_G(x) = y for canonical x of weight w,
     y of weight s, under pooled OR tests."""
-    x = weight_vector(params.n, w)
-    y = weight_vector(params.m, s)
-    hits = 0
-    total = 0
-    for graph in enumerate_ensemble(params):
-        total += 1
-        if forward_or(graph, x) == y:
-            hits += 1
-    return Fraction(hits, total)
+    masks, target = _fired_mask_counts(params, w, s)
+    return Fraction(masks[target], math.comb(params.num_sockets, w * params.l))
 
 
 def enumeration_fraction_noisy(params: SystemParams, w: int, s: int) -> Fraction:
     """Exact probability that the flipped outcome F_G(x) xor e equals canonical y,
     averaged over wirings and over e ~ Bernoulli(q)^m, as a rational number."""
+    masks, target = _fired_mask_counts(params, w, s)
+    flips: Counter = Counter()
+    for mask, count in masks.items():
+        flips[(mask ^ target).bit_count()] += count
     q = Fraction(params.q)  # exact for Fraction and for any float's binary value
-    x = weight_vector(params.n, w)
-    y = weight_vector(params.m, s)
-    m = params.m
-    prob = Fraction(0)
-    total = 0
-    for graph in enumerate_ensemble(params):
-        total += 1
-        base = forward_or(graph, x)
-        flips = sum(1 for a, b in zip(base, y) if a != b)
-        prob += q**flips * (1 - q) ** (m - flips)
-    return prob / total
+    big_p, big_q, m = q.numerator, q.denominator, params.m
+    weight = sum(count * big_p**f * (big_q - big_p) ** (m - f) for f, count in flips.items())
+    return Fraction(weight, big_q**m * math.comb(params.num_sockets, w * params.l))
+
+
+def _socket_labellings(sizes: Sequence[int]) -> Iterator[list[int]]:
+    """Yield every labelling of sockets 0..sum(sizes)-1 that uses label i
+    exactly sizes[i] times, once each, as one list mutated in place.
+
+    Each class but the last picks its sockets by one combination over the
+    sockets still free; the last class takes what is left.
+    """
+    last = len(sizes) - 1
+    labels = [last] * sum(sizes)
+
+    def place(i: int, free: list[int]) -> Iterator[list[int]]:
+        if i == last:
+            yield labels
+            return
+        for chosen in itertools.combinations(free, sizes[i]):
+            for k in chosen:
+                labels[k] = i
+            yield from place(i + 1, [k for k in free if labels[k] == last])
+            for k in chosen:
+                labels[k] = last
+
+    return place(0, list(range(len(labels))))
 
 
 def enumeration_fraction_general(
@@ -422,16 +473,26 @@ def enumeration_fraction_general(
 ) -> Fraction:
     """Exact fraction of wirings with F_G(x) = y for canonical representatives
     of the given input/output type-count vectors."""
+    if f.arity != params.r:
+        raise InputError(f"test function arity {f.arity} != r={params.r}")
     if sum(input_counts) != params.n:
         raise InputError(f"input counts must sum to n={params.n}")
     if sum(output_counts) != params.m:
         raise InputError(f"output counts must sum to m={params.m}")
-    x = type_vector_representative(f.input_alphabet, input_counts)
+    type_vector_representative(f.input_alphabet, input_counts)  # checks length and signs
     y = type_vector_representative(f.output_alphabet, output_counts)
-    hits = 0
-    total = 0
-    for graph in enumerate_ensemble(params):
-        total += 1
-        if forward_general(graph, f, x) == y:
-            hits += 1
-    return Fraction(hits, total)
+    sizes = [params.l * c for c in input_counts]
+    arrangements = math.factorial(params.num_sockets)
+    for size in sizes:
+        arrangements //= math.factorial(size)
+    _check_budget(arrangements)
+    r, symbols = params.r, range(f.num_inputs)
+    starts = range(0, params.num_sockets, r)
+    hits = sum(
+        all(
+            f.value_for_type([labels[a : a + r].count(i) for i in symbols]) == b
+            for a, b in zip(starts, y)
+        )
+        for labels in _socket_labellings(sizes)
+    )
+    return Fraction(hits, arrangements)

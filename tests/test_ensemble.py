@@ -1,10 +1,12 @@
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import pooltest.ensemble as ensemble_module
 from pooltest import TestFunction as PoolFunction
 from pooltest import (
     ConfigurationError,
@@ -18,6 +20,7 @@ from pooltest import (
     enumerate_ensemble,
     enumeration_fraction_general,
     enumeration_fraction_noiseless,
+    enumeration_fraction_noisy,
     forward_general,
     forward_or,
     graph_from_json,
@@ -296,3 +299,151 @@ class TestEnumerationFractions:
         params = SystemParams(1, 2, 4)
         with pytest.raises(InputError):
             enumeration_fraction_general(params, or_function(2), (1, 1), (1, 1))
+
+
+# Every system with at most 7 sockets, and four 8-socket systems, among them
+# the two of the exact benchmark.  A brute-force pass over 8! wirings costs
+# about a second per system, so the other 8-socket systems are left out, and
+# of the general cases only (2,4,4) under count_function runs at 8 sockets.
+CROSS_CHECK_SYSTEMS = [
+    (l, r, nl // l)
+    for nl in range(1, 8)
+    for l in range(1, nl + 1)
+    for r in range(1, nl + 1)
+    if nl % l == 0 and nl % r == 0
+] + [(1, 2, 8), (2, 4, 4), (1, 4, 8), (2, 2, 4)]
+
+
+def _ternary_max():
+    # the ternary max test of tests/test_genfunc.py
+    return PoolFunction.from_callable(lambda vals: max(vals), (0, 1, 2), (0, 1, 2), 2)
+
+
+def _wiring_outcomes(params, forward, inputs):
+    """For each input, how many of the (nl)! wirings give each outcome."""
+    tallies = [Counter() for _ in inputs]
+    for graph in enumerate_ensemble(params):
+        for tally, x in zip(tallies, inputs):
+            tally[forward(graph, x)] += 1
+    return tallies
+
+
+class TestOraclesAgainstBruteForce:
+    """The socket-arrangement oracles equal a count over every wiring."""
+
+    @pytest.mark.parametrize("l,r,n", CROSS_CHECK_SYSTEMS)
+    def test_binary_oracles(self, l, r, n):
+        params = SystemParams(l, r, n)
+        m, total = params.m, math.factorial(params.num_sockets)
+        inputs = [weight_vector(n, w) for w in range(n + 1)]
+        for w, tally in enumerate(_wiring_outcomes(params, forward_or, inputs)):
+            for s in range(m + 1):
+                y = weight_vector(m, s)
+                assert enumeration_fraction_noiseless(params, w, s) == Fraction(
+                    tally[y], total
+                ), (w, s)
+                for q in (Fraction(1, 10), Fraction(1, 2)):
+                    expected = Fraction(0)
+                    for out, count in tally.items():
+                        flips = sum(a != b for a, b in zip(out, y))
+                        expected += count * q**flips * (1 - q) ** (m - flips)
+                    noisy = SystemParams(l, r, n, q=q)
+                    assert enumeration_fraction_noisy(noisy, w, s) == expected / total, (
+                        w,
+                        s,
+                        q,
+                    )
+
+    @pytest.mark.parametrize(
+        "l,r,n,f",
+        [
+            pytest.param(l, r, n, count_function(r), id=f"{l}-{r}-{n}-count")
+            for l, r, n in CROSS_CHECK_SYSTEMS
+            if l * n < 8 or (l, r, n) == (2, 4, 4)
+        ]
+        + [
+            pytest.param(l, r, n, _ternary_max(), id=f"{l}-{r}-{n}-ternary-max")
+            for l, r, n in CROSS_CHECK_SYSTEMS
+            if r == 2 and l * n < 8
+        ],
+    )
+    def test_general_oracle(self, l, r, n, f):
+        params = SystemParams(l, r, n)
+        total = math.factorial(params.num_sockets)
+        input_types = list(compositions(n, f.num_inputs))
+        inputs = [type_vector_representative(f.input_alphabet, ic) for ic in input_types]
+        tallies = _wiring_outcomes(params, lambda g, x: forward_general(g, f, x), inputs)
+        for ic, tally in zip(input_types, tallies):
+            for oc in compositions(params.m, f.num_outputs):
+                y = type_vector_representative(f.output_alphabet, oc)
+                assert enumeration_fraction_general(params, f, ic, oc) == Fraction(
+                    tally[y], total
+                ), (ic, oc)
+
+
+SMALL = SystemParams(1, 2, 4)
+SMALL_NOISY = SystemParams(1, 2, 4, q=Fraction(1, 10))
+
+
+class TestOracleRefusals:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: enumeration_fraction_noiseless(SMALL, -1, 0), id="noiseless-w-low"),
+            pytest.param(lambda: enumeration_fraction_noiseless(SMALL, 5, 0), id="noiseless-w-high"),
+            pytest.param(lambda: enumeration_fraction_noiseless(SMALL, 1, -1), id="noiseless-s-low"),
+            pytest.param(lambda: enumeration_fraction_noiseless(SMALL, 1, 3), id="noiseless-s-high"),
+            pytest.param(lambda: enumeration_fraction_noisy(SMALL_NOISY, -1, 0), id="noisy-w-low"),
+            pytest.param(lambda: enumeration_fraction_noisy(SMALL_NOISY, 5, 0), id="noisy-w-high"),
+            pytest.param(lambda: enumeration_fraction_noisy(SMALL_NOISY, 1, -1), id="noisy-s-low"),
+            pytest.param(lambda: enumeration_fraction_noisy(SMALL_NOISY, 1, 3), id="noisy-s-high"),
+            pytest.param(
+                lambda: enumeration_fraction_general(SMALL, or_function(2), (4,), (1, 1)),
+                id="general-input-too-short",
+            ),
+            pytest.param(
+                lambda: enumeration_fraction_general(SMALL, or_function(2), (2, 2, 0), (1, 1)),
+                id="general-input-too-long",
+            ),
+            pytest.param(
+                lambda: enumeration_fraction_general(SMALL, or_function(2), (2, 2), (2,)),
+                id="general-output-too-short",
+            ),
+            pytest.param(
+                lambda: enumeration_fraction_general(SMALL, count_function(2), (2, 2), (1, 1)),
+                id="general-output-wrong-length",
+            ),
+            pytest.param(
+                lambda: enumeration_fraction_general(SMALL, or_function(2), (5, -1), (1, 1)),
+                id="general-input-negative",
+            ),
+            pytest.param(
+                lambda: enumeration_fraction_general(SMALL, or_function(2), (2, 2), (3, -1)),
+                id="general-output-negative",
+            ),
+            pytest.param(
+                lambda: enumeration_fraction_general(SMALL, or_function(4), (2, 2), (1, 1)),
+                id="general-arity-not-r",
+            ),
+        ],
+    )
+    def test_invalid_input_raises_input_error(self, call):
+        with pytest.raises(InputError):
+            call()
+
+    def test_over_budget_refused_before_enumerating(self, monkeypatch):
+        # (3,6,12) at w=6 has C(36,18) ~ 9.1e9 arrangements, above the 10! budget
+        class NoWalk:
+            def __getattr__(self, name):
+                raise AssertionError(f"itertools.{name} used before the guard")
+
+        monkeypatch.setattr(ensemble_module, "itertools", NoWalk())
+        params = SystemParams(3, 6, 12)
+        with pytest.raises(GuardError):
+            enumeration_fraction_noiseless(params, 6, 3)
+        with pytest.raises(GuardError):
+            enumeration_fraction_noisy(SystemParams(3, 6, 12, q=Fraction(1, 10)), 6, 3)
+        with pytest.raises(GuardError):
+            enumeration_fraction_general(
+                params, count_function(6), (6, 6), (6, 0, 0, 0, 0, 0, 0)
+            )

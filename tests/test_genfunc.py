@@ -130,6 +130,28 @@ class TestEventProbabilityOracles:
                 enumeration_fraction_noiseless(params, w, s)
             )
 
+    @pytest.mark.parametrize(
+        "params,weights",
+        [
+            (SystemParams(2, 4, 8), range(9)),
+            (SystemParams(1, 2, 16), range(17)),
+            (SystemParams(3, 6, 12), (1,)),
+        ],
+        ids=["2-4-8", "1-2-16", "3-6-12-w1"],
+    )
+    def test_oracles_past_the_wiring_ceiling(self, params, weights):
+        # 16 and 36 sockets: beyond a walk over every wiring, within the
+        # oracles' budget of socket arrangements (at most C(16, 8) = 12870 here)
+        noisy = SystemParams(params.l, params.r, params.n, q=Fraction(1, 10))
+        for w in weights:
+            for s in range(params.m + 1):
+                assert enumeration_fraction_noiseless(params, w, s) == (
+                    ensemble_event_probability(params, w, s)
+                ), (w, s)
+                assert enumeration_fraction_noisy(noisy, w, s) == (
+                    noisy_ensemble_event_probability(noisy, w, s)
+                ), (w, s)
+
     def test_normalization_over_outcomes(self):
         for params in (SystemParams(3, 6, 12), SystemParams(2, 4, 4)):
             for w in range(params.n + 1):
