@@ -125,6 +125,8 @@ def _parse_pairs(tokens: list[str]) -> list[tuple[int, int]]:
 def cmd_thresholds(args: argparse.Namespace) -> int:
     pairs = _parse_pairs(args.pairs)
     digits = args.precision
+    if digits < 0:
+        raise InputError(f"--precision {digits} is negative")
     records = []
     for l, r in pairs:
         record: dict = {"l": l, "r": r}
@@ -167,7 +169,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             master_seed=args.seed,
             graph_mode=args.graph_mode,
             enumeration_limit=args.enum_limit,
-            workers=args.workers,
         )
     else:
         if args.q is None:
@@ -181,7 +182,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             master_seed=args.seed,
             graph_mode=args.graph_mode,
             enumeration_limit=args.enum_limit,
-            workers=args.workers,
         )
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
@@ -522,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--graph-mode", choices=("fixed", "fresh"), default="fresh")
     s.add_argument("--enum-limit", type=int, default=24,
                    help="refuse exhaustive decoding beyond this many objects")
-    s.add_argument("--workers", type=int, help="worker count (default: POOLTEST_THREADS or 1)")
     s.add_argument("--out", help="output path (default: stdout)")
     s.set_defaults(func=cmd_simulate)
 

@@ -36,8 +36,8 @@ class TypicalSetSpec:
             raise InputError("n must be positive")
         if not 0 <= self.p <= 1:
             raise InputError(f"p={self.p} outside [0, 1]")
-        if self.epsilon < 0:
-            raise InputError("epsilon must be nonnegative")
+        if not self.epsilon >= 0:  # also rejects NaN
+            raise InputError(f"epsilon={self.epsilon} must be nonnegative")
 
     @property
     def entropy(self) -> float:

@@ -535,26 +535,23 @@ def _mixed_exponent(
     return val, ratio if fire_active else 0.0, 2.0**u_star, False
 
 
-def noiseless_direct_exponent(
-    l: int, r: int, p: float, sigma_step: float | None = None
-) -> DirectExponent:
+def noiseless_direct_exponent(l: int, r: int, p: float) -> DirectExponent:
     """Worst-case growth rate of the expected number of confusable typical
     inputs under noiseless OR tests; negative means decoding succeeds.
 
-    sigma_step is deprecated and has no effect: the maximization over the
-    outcome weight is exact (see _mixed_exponent)."""
+    The maximization over the outcome weight is exact: it is folded into
+    one convex minimization over z (see _mixed_exponent)."""
     _check_exponent_args(l, r, p)
     phi, sigma, z, at_kink = _mixed_exponent(or_pool_poly(r), Polynomial([1]), l, r, p)
     return DirectExponent(-(l - 1) * binary_entropy(p) + phi, sigma, z, at_kink)
 
 
-def noisy_direct_exponent(
-    l: int, r: int, p: float, q: float, sigma_step: float | None = None
-) -> DirectExponent:
+def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
     """Direct-part exponent with test outcomes flipped at rate q.
 
-    sigma_step is deprecated and has no effect, as for
-    noiseless_direct_exponent."""
+    A firing test is seen through (1-q)*pool + q and a quiet one through
+    q*pool + (1-q); _mixed_exponent weighs them sigma and 1 - sigma and
+    does the maximization over sigma exactly."""
     _check_exponent_args(l, r, p)
     if not 0 <= q < 1:
         raise InputError(f"q={q} outside [0, 1)")

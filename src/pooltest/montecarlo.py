@@ -1,21 +1,16 @@
 """Seeded trial harnesses for the decoder and for the exact ensemble formulas.
 
-Every trial derives its own RNG seed from (master seed, trial index), so
-results do not depend on execution order and splitting the index range
-across workers cannot change any count.  The worker pool honours the
-POOLTEST_THREADS environment variable (0 = one worker per CPU); it exists
-for the reproducible-splitting contract, not for throughput.
+Every trial draws from its own RNG, seeded by derive_seed(master seed,
+stream label, trial index), so a trial's outcome does not depend on which
+other trials ran or in what order.  Each harness is one serial loop.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 from .ensemble import SystemParams, forward_or, sample_graph
 from .errors import ConfigurationError, InputError
@@ -36,37 +31,6 @@ def derive_seed(master_seed: int, label: str, index: int) -> int:
     """Stable per-trial seed; independent draws for distinct (label, index)."""
     data = f"{master_seed}:{label}:{index}".encode()
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    if workers is None:
-        raw = os.environ.get("POOLTEST_THREADS", "").strip()
-        workers = int(raw) if raw else 1
-    if workers == 0:
-        return os.cpu_count() or 1
-    if workers < 0:
-        raise InputError("worker count must be nonnegative")
-    return workers
-
-
-def _chunk_ranges(trials: int, workers: int) -> list[tuple[int, int]]:
-    size = (trials + workers - 1) // workers if workers else trials
-    ranges = []
-    lo = 0
-    while lo < trials:
-        hi = min(lo + size, trials)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-def _run_chunks(chunk_fn: Callable, trials: int, workers: int | None):
-    workers = resolve_workers(workers)
-    ranges = _chunk_ranges(trials, workers)
-    if len(ranges) <= 1:
-        return [chunk_fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda span: chunk_fn(*span), ranges))
 
 
 @dataclass(frozen=True)
@@ -142,7 +106,6 @@ def run_noiseless_trials(
     master_seed: int,
     graph_mode: str = "fresh",
     enumeration_limit: int = ENUMERATION_LIMIT,
-    workers: int | None = None,
 ) -> TrialReport:
     """Decode `trials` random noiseless observations and count failures."""
     _check_mode(graph_mode)
@@ -157,25 +120,18 @@ def run_noiseless_trials(
         else None
     )
     n, p = params.n, params.p
-
-    def chunk(lo: int, hi: int) -> tuple[int, int]:
-        source_atypical = ambiguous = 0
-        for i in range(lo, hi):
-            rng = random.Random(derive_seed(master_seed, "trial", i))
-            x = tuple(1 if rng.random() < p else 0 for _ in range(n))
-            graph = fixed or sample_graph(params, derive_seed(master_seed, "graph", i))
-            y = forward_or(graph, x)
-            if sum(x) not in x_weights:
-                source_atypical += 1
-                continue
-            est = estimate_noiseless(graph, spec, y, enumeration_limit, cap=2)
-            if est.failed or est.value != x:
-                ambiguous += 1
-        return source_atypical, ambiguous
-
-    parts = _run_chunks(chunk, trials, workers)
-    source_atypical = sum(a for a, _ in parts)
-    ambiguous = sum(b for _, b in parts)
+    source_atypical = ambiguous = 0
+    for i in range(trials):
+        rng = random.Random(derive_seed(master_seed, "trial", i))
+        x = tuple(1 if rng.random() < p else 0 for _ in range(n))
+        graph = fixed or sample_graph(params, derive_seed(master_seed, "graph", i))
+        y = forward_or(graph, x)
+        if sum(x) not in x_weights:
+            source_atypical += 1
+            continue
+        est = estimate_noiseless(graph, spec, y, enumeration_limit, cap=2)
+        if est.failed or est.value != x:
+            ambiguous += 1
     config = {
         "mode": "noiseless",
         "l": params.l,
@@ -199,7 +155,6 @@ def run_noisy_trials(
     master_seed: int,
     graph_mode: str = "fresh",
     enumeration_limit: int = ENUMERATION_LIMIT,
-    workers: int | None = None,
 ) -> TrialReport:
     """Decode `trials` random observations with flipped outcomes and count
     failures.  With q = 0 only the all-zero flip pattern is typical, so the
@@ -218,31 +173,23 @@ def run_noisy_trials(
         else None
     )
     n, m, p, q = params.n, params.m, params.p, params.q
-
-    def chunk(lo: int, hi: int) -> tuple[int, int, int]:
-        source_atypical = noise_atypical = ambiguous = 0
-        for i in range(lo, hi):
-            rng = random.Random(derive_seed(master_seed, "trial", i))
-            x = tuple(1 if rng.random() < p else 0 for _ in range(n))
-            e = tuple(1 if rng.random() < q else 0 for _ in range(m))
-            graph = fixed or sample_graph(params, derive_seed(master_seed, "graph", i))
-            clean = forward_or(graph, x)
-            y = tuple(a ^ b for a, b in zip(clean, e))
-            if sum(x) not in x_weights:
-                source_atypical += 1
-                continue
-            if sum(e) not in e_weights:
-                noise_atypical += 1
-                continue
-            est = estimate_noisy(graph, spec, noise_spec, y, enumeration_limit, cap=2)
-            if est.failed or est.value != x:
-                ambiguous += 1
-        return source_atypical, noise_atypical, ambiguous
-
-    parts = _run_chunks(chunk, trials, workers)
-    source_atypical = sum(a for a, _, _ in parts)
-    noise_atypical = sum(b for _, b, _ in parts)
-    ambiguous = sum(c for _, _, c in parts)
+    source_atypical = noise_atypical = ambiguous = 0
+    for i in range(trials):
+        rng = random.Random(derive_seed(master_seed, "trial", i))
+        x = tuple(1 if rng.random() < p else 0 for _ in range(n))
+        e = tuple(1 if rng.random() < q else 0 for _ in range(m))
+        graph = fixed or sample_graph(params, derive_seed(master_seed, "graph", i))
+        clean = forward_or(graph, x)
+        y = tuple(a ^ b for a, b in zip(clean, e))
+        if sum(x) not in x_weights:
+            source_atypical += 1
+            continue
+        if sum(e) not in e_weights:
+            noise_atypical += 1
+            continue
+        est = estimate_noisy(graph, spec, noise_spec, y, enumeration_limit, cap=2)
+        if est.failed or est.value != x:
+            ambiguous += 1
     config = {
         "mode": "noisy",
         "l": params.l,
@@ -290,7 +237,39 @@ class EventRateCheck:
         }
 
 
-def _gate(hits: int, trials: int, exact: float, config: dict) -> EventRateCheck:
+def _gate(
+    params: SystemParams,
+    w: int,
+    s: int,
+    trials: int,
+    master_seed: int,
+    q: float,
+    exact: float,
+    config: dict,
+) -> EventRateCheck:
+    """Sample how often a canonical weight-w input fires exactly the first s
+    tests, after flipping each outcome at rate q, and gate that frequency
+    against its exact ensemble average.
+
+    A trial draws only what the event reads: the right sockets that the w*l
+    defect sockets land on, an ordered sample distributed exactly like the
+    first w*l entries of a uniform wiring.  Flips come from the "noise"
+    stream, which q = 0 skips, since no flip can fire then."""
+    r, m, wl = params.r, params.m, w * params.l
+    sockets = range(params.num_sockets)
+    target = (1 << s) - 1
+    hits = 0
+    for i in range(trials):
+        mask = 0
+        for k in random.Random(derive_seed(master_seed, "graph", i)).sample(sockets, wl):
+            mask |= 1 << (k // r)
+        if q:
+            rng = random.Random(derive_seed(master_seed, "noise", i))
+            for j in range(m):
+                if rng.random() < q:
+                    mask ^= 1 << j
+        if mask == target:
+            hits += 1
     empirical = hits / trials
     if 0 < exact < 1:
         z = (empirical - exact) / math.sqrt(exact * (1 - exact) / trials)
@@ -307,43 +286,25 @@ def validate_event_probability(
     s: int,
     trials: int,
     master_seed: int,
-    workers: int | None = None,
 ) -> EventRateCheck:
     """Check the exact noiseless event probability for canonical weight-w
-    input and weight-s output against fresh-graph sampling."""
+    input and weight-s output against sampling of the ensemble."""
     from .genfunc import ensemble_event_probability
 
     if trials < 1:
         raise InputError("trials must be positive")
     exact = float(ensemble_event_probability(params, w, s))
-    l, r = params.l, params.r
-    defect_sockets = range(w * l)
-    target = (1 << s) - 1
-
-    def chunk(lo: int, hi: int) -> int:
-        hits = 0
-        for i in range(lo, hi):
-            graph = sample_graph(params, derive_seed(master_seed, "graph", i))
-            wiring = graph.wiring
-            mask = 0
-            for k in defect_sockets:
-                mask |= 1 << (wiring[k] // r)
-            if mask == target:
-                hits += 1
-        return hits
-
-    hits = sum(_run_chunks(chunk, trials, workers))
     config = {
         "check": "noiseless-event-rate",
-        "l": l,
-        "r": r,
+        "l": params.l,
+        "r": params.r,
         "n": params.n,
         "w": w,
         "s": s,
         "trials": trials,
         "master_seed": master_seed,
     }
-    return _gate(hits, trials, exact, config)
+    return _gate(params, w, s, trials, master_seed, 0.0, exact, config)
 
 
 def validate_noisy_event_probability(
@@ -352,45 +313,24 @@ def validate_noisy_event_probability(
     s: int,
     trials: int,
     master_seed: int,
-    workers: int | None = None,
 ) -> EventRateCheck:
     """Check the exact noisy event probability against sampling of both the
-    graph and the flip pattern."""
+    ensemble and the flip pattern."""
     from .genfunc import noisy_ensemble_event_probability
 
     if trials < 1:
         raise InputError("trials must be positive")
     exact = float(noisy_ensemble_event_probability(params, w, s))
-    l, r, m, q = params.l, params.r, params.m, float(params.q)
-    defect_sockets = range(w * l)
-    target = (1 << s) - 1
-
-    def chunk(lo: int, hi: int) -> int:
-        hits = 0
-        for i in range(lo, hi):
-            rng = random.Random(derive_seed(master_seed, "noise", i))
-            graph = sample_graph(params, derive_seed(master_seed, "graph", i))
-            wiring = graph.wiring
-            mask = 0
-            for k in defect_sockets:
-                mask |= 1 << (wiring[k] // r)
-            for j in range(m):
-                if rng.random() < q:
-                    mask ^= 1 << j
-            if mask == target:
-                hits += 1
-        return hits
-
-    hits = sum(_run_chunks(chunk, trials, workers))
+    q = float(params.q)
     config = {
         "check": "noisy-event-rate",
-        "l": l,
-        "r": r,
+        "l": params.l,
+        "r": params.r,
         "n": params.n,
-        "q": float(params.q),
+        "q": q,
         "w": w,
         "s": s,
         "trials": trials,
         "master_seed": master_seed,
     }
-    return _gate(hits, trials, exact, config)
+    return _gate(params, w, s, trials, master_seed, q, exact, config)

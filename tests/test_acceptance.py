@@ -229,8 +229,8 @@ def test_a08_zero_noise_reduction():
             )
     worst_exponent = 0.0
     for l, r, p in ((3, 6, 0.05), (3, 6, 0.08), (3, 6, 0.1), (2, 8, 0.04)):
-        clean = noiseless_direct_exponent(l, r, p, sigma_step=0.01)
-        noisy = noisy_direct_exponent(l, r, p, 0.0, sigma_step=0.01)
+        clean = noiseless_direct_exponent(l, r, p)
+        noisy = noisy_direct_exponent(l, r, p, 0.0)
         worst_exponent = max(worst_exponent, abs(clean.value - noisy.value))
     record(
         "zero-noise-reduction",
@@ -244,7 +244,7 @@ def test_a09_relaxation_direction():
     for l, r in ((3, 6), (4, 8), (3, 12)):
         for k in range(1, 21):
             p = k / 100
-            direct = noiseless_direct_exponent(l, r, p, sigma_step=0.01)
+            direct = noiseless_direct_exponent(l, r, p)
             if direct.value > achievable_margin(l, r, p) + 1e-9:
                 bad.append((l, r, p, direct.value))
     record("optimized-exponent-below-fixed-point-value", not bad, f"violations={bad}")

@@ -72,6 +72,12 @@ class TestThresholdsCommand:
         assert code == 2
         assert err
 
+    def test_negative_precision_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "thresholds", "--pairs", "3:6", "--precision", "-1")
+        assert code == 2
+        assert "precision" in err
+        assert out == ""
+
 
 class TestBoundsCommand:
     def test_row_count_and_header(self, capsys):
@@ -222,6 +228,26 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert err
+
+    def test_nan_epsilon_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate", "--mode", "noiseless", "--l", "3", "--r", "6",
+            "--n", "18", "--p", "0.1", "--eps", "nan", "--trials", "5", "--seed", "1",
+        )
+        assert code == 2
+        assert "epsilon" in err
+        assert out == ""
+
+    def test_workers_flag_is_gone(self, capsys):
+        code, _, err = run(
+            capsys,
+            "simulate", "--mode", "noiseless", "--l", "3", "--r", "6",
+            "--n", "18", "--p", "0.05", "--trials", "10", "--seed", "1",
+            "--workers", "2",
+        )
+        assert code == 2
+        assert "--workers" in err
 
 
 class TestVerifyCommand:

@@ -59,6 +59,11 @@ class TestWeightRate:
         with pytest.raises(InputError):
             TypicalSetSpec(0, 0.1, 0.1)
 
+    def test_nan_epsilon_rejected(self):
+        # NaN fails every comparison, so "epsilon < 0" alone let it through
+        with pytest.raises(InputError):
+            TypicalSetSpec(8, 0.1, math.nan)
+
     def test_zero_epsilon_allowed(self):
         spec = TypicalSetSpec(9, 0.0, 0.0)
         assert typical_weight_set(spec) == frozenset({0})

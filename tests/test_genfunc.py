@@ -402,32 +402,27 @@ class TestDirectExponent:
         # maximizing over sigma after the inner infimum can only fall below
         # the single-evaluation bound at the fixed point
         for l, r, p in ((3, 6, 0.05), (3, 6, 0.08), (2, 8, 0.04)):
-            direct = noiseless_direct_exponent(l, r, p, sigma_step=0.01)
+            direct = noiseless_direct_exponent(l, r, p)
             assert direct.value <= achievable_margin(l, r, p) + 1e-9
 
-    def test_sigma_step_already_converged(self):
-        coarse = noiseless_direct_exponent(3, 6, 0.08, sigma_step=0.01)
-        fine = noiseless_direct_exponent(3, 6, 0.08, sigma_step=0.001)
-        assert abs(coarse.value - fine.value) <= 1e-6
-
     def test_maximizer_inside_weight_window(self):
-        direct = noiseless_direct_exponent(3, 6, 0.08, sigma_step=0.01)
+        direct = noiseless_direct_exponent(3, 6, 0.08)
         assert 3 * 0.08 / 6 <= direct.sigma <= 3 * 0.08
 
     def test_noisy_zero_noise_is_identical(self):
         for p in (0.05, 0.1):
-            a = noiseless_direct_exponent(3, 6, p, sigma_step=0.01)
-            b = noisy_direct_exponent(3, 6, p, 0.0, sigma_step=0.01)
+            a = noiseless_direct_exponent(3, 6, p)
+            b = noisy_direct_exponent(3, 6, p, 0.0)
             assert abs(a.value - b.value) <= 1e-12
 
     def test_noisy_below_relaxed_bound(self):
         l, r, p, q = 3, 6, 0.05, 0.01
-        direct = noisy_direct_exponent(l, r, p, q, sigma_step=0.01)
+        direct = noisy_direct_exponent(l, r, p, q)
         assert direct.value <= noisy_achievable_margin(l, r, p, q) + 1e-9
 
     def test_recoverable_regime_is_negative(self):
-        assert noiseless_direct_exponent(3, 6, 0.05, sigma_step=0.01).value < 0
-        assert noisy_direct_exponent(3, 6, 0.05, 0.01, sigma_step=0.01).value < 0
+        assert noiseless_direct_exponent(3, 6, 0.05).value < 0
+        assert noisy_direct_exponent(3, 6, 0.05, 0.01).value < 0
 
     @pytest.mark.parametrize("p", [1e-9, 1e-6, 1e-3, 0.1])
     def test_equals_closed_form_below_crossover(self, p):

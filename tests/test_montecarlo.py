@@ -1,4 +1,3 @@
-import os
 import random
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from pooltest import (
     ensemble_event_probability,
     estimate_noiseless,
     forward_or,
-    resolve_workers,
     run_noiseless_trials,
     run_noisy_trials,
     sample_graph,
@@ -42,37 +40,6 @@ class TestDeriveSeed:
         assert forward == list(reversed(backward))
 
 
-class TestResolveWorkers:
-    def test_explicit_count(self):
-        assert resolve_workers(3) == 3
-
-    def test_default_is_single(self):
-        old = os.environ.pop("POOLTEST_THREADS", None)
-        try:
-            assert resolve_workers(None) == 1
-        finally:
-            if old is not None:
-                os.environ["POOLTEST_THREADS"] = old
-
-    def test_env_override(self):
-        old = os.environ.get("POOLTEST_THREADS")
-        os.environ["POOLTEST_THREADS"] = "5"
-        try:
-            assert resolve_workers(None) == 5
-        finally:
-            if old is None:
-                del os.environ["POOLTEST_THREADS"]
-            else:
-                os.environ["POOLTEST_THREADS"] = old
-
-    def test_zero_means_autodetect(self):
-        assert resolve_workers(0) >= 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(InputError):
-            resolve_workers(-2)
-
-
 class TestTrialHarness:
     def test_report_is_reproducible(self):
         params = SystemParams(3, 6, 18, p=0.05)
@@ -81,12 +48,6 @@ class TestTrialHarness:
         assert a == b
         c = run_noiseless_trials(params, 0.1, 400, master_seed=6)
         assert a != c
-
-    def test_worker_count_does_not_change_results(self):
-        params = SystemParams(3, 6, 18, p=0.05)
-        serial = run_noiseless_trials(params, 0.1, 300, master_seed=9, workers=1)
-        parallel = run_noiseless_trials(params, 0.1, 300, master_seed=9, workers=4)
-        assert serial == parallel
 
     def test_error_breakdown_sums(self):
         params = SystemParams(3, 6, 18, p=0.05)
@@ -223,10 +184,46 @@ class TestEventRateValidators:
         a = validate_event_probability(params, 2, 1, trials=1000, master_seed=9)
         b = validate_event_probability(params, 2, 1, trials=1000, master_seed=9)
         assert a == b
-        c = validate_event_probability(
-            params, 2, 1, trials=1000, master_seed=9, workers=4
+
+    @staticmethod
+    def replay_hits(params, w, s, trials, seed):
+        """Hit count of a gate rebuilt from its two seeded streams: the
+        sockets the w*l defect sockets land on, and the flip pattern."""
+        hits = 0
+        for i in range(trials):
+            sockets = random.Random(derive_seed(seed, "graph", i)).sample(
+                range(params.n * params.l), w * params.l
+            )
+            fired = {k // params.r for k in sockets}
+            if params.q:
+                rng = random.Random(derive_seed(seed, "noise", i))
+                fired ^= {j for j in range(params.m) if rng.random() < params.q}
+            if fired == set(range(s)):
+                hits += 1
+        return hits
+
+    @pytest.mark.parametrize(
+        "params, w, s",
+        [
+            (SystemParams(3, 6, 12), 1, 3),
+            (SystemParams(2, 4, 8), 2, 3),
+            (SystemParams(1, 2, 4, q=0.25), 2, 1),
+            (SystemParams(2, 4, 6, q=0.1), 1, 2),
+        ],
+    )
+    def test_hit_count_matches_replay(self, params, w, s):
+        validate = validate_noisy_event_probability if params.q else validate_event_probability
+        check = validate(params, w, s, trials=2000, master_seed=18)
+        assert check.empirical == self.replay_hits(params, w, s, 2000, 18) / 2000
+
+    def test_noisy_gate_at_zero_noise_matches_noiseless(self):
+        clean = validate_event_probability(
+            SystemParams(3, 6, 12), 1, 3, trials=3000, master_seed=23
         )
-        assert a == c
+        noisy = validate_noisy_event_probability(
+            SystemParams(3, 6, 12, q=0.0), 1, 3, trials=3000, master_seed=23
+        )
+        assert noisy.empirical == clean.empirical
 
     def test_json_dict(self):
         params = SystemParams(1, 2, 4)
