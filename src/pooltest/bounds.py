@@ -96,7 +96,7 @@ def collision_exponent(l: int, r: int, p: float, sigma: float, z: float) -> floa
     point stays sigma-independent to machine precision.
     """
     _check_degrees(l, r)
-    if z <= 0:
+    if not z > 0:
         raise InputError(f"z={z} must be positive")
     if not 0 <= sigma <= l / r:
         raise InputError(f"sigma={sigma} outside [0, l/r]")
@@ -113,10 +113,12 @@ def noisy_collision_factor(r: int, q: float, sigma: float, z: float) -> float:
     quiet-pool enumerators mixed at rate q, weighted sigma and 1 - sigma.
     Equals 1 at z = fixed_point_z(r) for every sigma and q."""
     _check_degrees(1, r)
-    if z <= 0:
+    if not z > 0:
         raise InputError(f"z={z} must be positive")
     if not 0 <= q <= 1:
         raise InputError(f"q={q} outside [0, 1]")
+    if not 0 <= sigma <= 1:
+        raise InputError(f"sigma={sigma} outside [0, 1]")
     pool = math.expm1(r * math.log1p(z))
     fire = pool * (1 - q) + q
     quiet = pool * q + (1 - q)
@@ -222,7 +224,9 @@ def emit_curve(curve: str, grid: Iterable[float], **fixed) -> list[tuple[float, 
     rows: list[tuple[float, float]] = []
     if curve == "converse-vs-l":
         need("p")
-        ratio = int(fixed.get("ratio") or 2)
+        ratio = 2 if fixed.get("ratio") is None else int(fixed["ratio"])
+        if ratio < 1:
+            raise InputError(f"ratio={ratio} must be a positive integer")
         for g in grid:
             l = int(g)
             rows.append((l, converse_margin(l, ratio * l, fixed["p"])))

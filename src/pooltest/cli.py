@@ -202,6 +202,10 @@ class _Checks:
         if not ok:
             self.failures += 1
 
+    def max_difference(self, name: str, pairs, tol: float) -> None:
+        worst = max(abs(a - b) for a, b in pairs)
+        self.record(name, worst <= tol, f"max difference {worst:.3e}")
+
 
 def _verify_exact(checks: _Checks) -> None:
     for l, r, n in ((1, 2, 4), (1, 2, 2), (2, 4, 4)):
@@ -301,68 +305,64 @@ def _verify_identities(checks: _Checks) -> None:
         f"spread {spread:.3e} over {len(sigmas)} sigma values",
     )
 
-    worst = 0.0
-    for q in (0.0, 0.1, 0.3, 0.5):
-        for sigma in (0.0, 0.25, 0.5):
-            worst = max(worst, abs(_bounds.noisy_collision_factor(r, q, sigma, z_star) - 1.0))
-    checks.record(
+    checks.max_difference(
         "noisy per-test factor equals 1 at the fixed point",
-        worst <= 1e-15,
-        f"max |factor - 1| = {worst:.3e}",
+        [(_bounds.noisy_collision_factor(r, q, sigma, z_star), 1.0)
+         for q in (0.0, 0.1, 0.3, 0.5) for sigma in (0.0, 0.25, 0.5)],
+        1e-15,
     )
 
-    worst = 0.0
-    for pp in (0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20):
-        worst = max(
-            worst,
-            abs(_bounds.noisy_converse_margin(l, r, pp, 0.0) - _bounds.converse_margin(l, r, pp)),
-        )
-    checks.record(
+    grid = (0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20)
+    checks.max_difference(
         "noisy converse margin reduces to noiseless at q=0",
-        worst <= 1e-14,
-        f"max difference {worst:.3e}",
+        [(_bounds.noisy_converse_margin(l, r, pp, 0.0), _bounds.converse_margin(l, r, pp))
+         for pp in grid],
+        1e-14,
     )
-
-    worst = 0.0
-    for pp in (0.05, 0.10):
-        a = _genfunc.noisy_direct_exponent(l, r, pp, 0.0).value
-        b = _genfunc.noiseless_direct_exponent(l, r, pp).value
-        worst = max(worst, abs(a - b))
-    checks.record(
+    checks.max_difference(
         "noisy direct exponent reduces to noiseless at q=0",
-        worst <= 1e-12,
-        f"max difference {worst:.3e}",
+        [(_genfunc.noisy_direct_exponent(l, r, pp, 0.0).value,
+          _genfunc.noiseless_direct_exponent(l, r, pp).value) for pp in (0.05, 0.10)],
+        1e-12,
     )
-
     f = or_function(r)
-    worst = 0.0
-    for pp in (0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20):
-        worst = max(
-            worst,
-            abs(_genfunc.general_converse_bound(f, l, r, (1 - pp, pp)) - _bounds.converse_margin(l, r, pp)),
-        )
-    checks.record(
+    checks.max_difference(
         "general converse bound reduces to the closed form",
-        worst <= 1e-12,
-        f"max difference {worst:.3e}",
+        [(_genfunc.general_converse_bound(f, l, r, (1 - pp, pp)), _bounds.converse_margin(l, r, pp))
+         for pp in grid],
+        1e-12,
+    )
+    margins = {
+        pp: _genfunc.binary_direct_margin(f, l, r, pp).value for pp in (0.02, 0.08, 0.14, 0.20)
+    }
+    checks.max_difference(
+        "binary direct margin matches the closed form (small p)",
+        [(value, _bounds.achievable_margin(l, r, pp)) for pp, value in margins.items()],
+        1e-9,
+    )
+    checks.max_difference(
+        "general direct margin matches the binary path",
+        [(_genfunc.general_direct_margin(f, l, r, (1 - pp, pp)).value, value)
+         for pp, value in margins.items()],
+        1e-8,
     )
 
-    worst_b = worst_g = 0.0
-    for pp in (0.02, 0.08, 0.14, 0.20):
-        margin = _genfunc.binary_direct_margin(f, l, r, pp)
-        closed = _bounds.achievable_margin(l, r, pp)
-        worst_b = max(worst_b, abs(margin.value - closed))
-        general = _genfunc.general_direct_margin(f, l, r, (1 - pp, pp))
-        worst_g = max(worst_g, abs(general.value - margin.value))
-    checks.record(
-        "binary direct margin matches the closed form (small p)",
-        worst_b <= 1e-9,
-        f"max difference {worst_b:.3e}",
-    )
-    checks.record(
-        "general direct margin matches the binary path",
-        worst_g <= 1e-8,
-        f"max difference {worst_g:.3e}",
+    # The ternary test that fires when any pooled symbol is nonzero sees only
+    # the merged defect mass m = p1 + p2, so its margin is the binary OR
+    # margin at m plus m h(p1 / m) for the split; 0.06 and 0.27 lie either
+    # side of the crossover 2 - 2^((r-1)/r), where the optimum leaves the kink.
+    merged = TestFunction.from_callable(lambda v: int(any(v)), (0, 1, 2), (0, 1), r)
+    pairs = []
+    for pp in (0.06, 0.27):
+        probs = (1 - pp, 0.6 * pp, 0.4 * pp)
+        mass = probs[1] + probs[2]
+        split = mass * _bounds.binary_entropy(probs[1] / mass)
+        pairs.append((
+            _genfunc.general_direct_margin(merged, l, r, probs).value,
+            _genfunc.binary_direct_margin(f, l, r, mass).value + split,
+        ))
+    checks.max_difference(
+        "merged-OR ternary margin is the binary OR margin plus the split entropy", pairs, 1e-10
     )
 
 
@@ -432,10 +432,6 @@ def cmd_general(args: argparse.Namespace) -> int:
         probs = (1.0 - args.p, args.p)
     else:
         raise InputError("pass --probs (one per input symbol) or --p for binary input")
-    if len(probs) != f.num_inputs:
-        raise InputError(
-            f"got {len(probs)} probabilities for {f.num_inputs} input symbols"
-        )
 
     converse = _genfunc.general_converse_bound(f, l, r, probs)
     outcome_dist = [
@@ -459,6 +455,7 @@ def cmd_general(args: argparse.Namespace) -> int:
             "z": list(margin.z),
             "sweeps": margin.sweeps,
             "converged": margin.converged,
+            "gap": margin.gap,
         },
     }
     if f.num_inputs == 2 and tuple(f.input_alphabet) == (0, 1) and 0 < probs[1] < 1:

@@ -9,19 +9,22 @@ power-series power recurrence over exact integers; a noise rate q = P/Q
 enters as the integer polynomials Q*fire and Q*quiet.  Results are exact
 Fractions, or that exact value rounded once to a float when q is a float.
 
-The direct-part margins minimize log-domain objectives of the form
-"weighted log enumerator minus linear term".  Each such objective is a sum
-of log-sum-exp functions of u = log2(z), hence convex in u, so bracketed
-golden-section search is reliable.  The direct exponents maximize such an
-infimum over an outcome-weight fraction sigma; the objective is affine in
-sigma, so by minimax each exponent is one convex 1-D minimization of the
-pointwise max over the two endpoint weights, with the branches' crossing
-at the fixed point z* = 2^(1/r) - 1 checked as an extra candidate.
+Every direct-part margin minimizes one shape over u = log2(z): a pointwise
+max of weighted log-enumerators, each a log-sum-exp and hence convex, minus
+a linear term.  With one free coordinate that is a bracketed golden-section
+search (_minimax_1d); with more, a primal-dual interior-point iteration on
+the epigraph form (_minimax_interior_point), which certifies its value by
+a duality gap.  The direct exponents maximize such an infimum over an
+outcome-weight fraction sigma; the objective is affine in sigma, so by
+minimax each exponent is one 1-D minimization of the max over the two
+endpoint weights, with the branches' crossing at the fixed point
+z* = 2^(1/r) - 1 checked as an extra candidate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,8 +37,8 @@ _LN2 = math.log(2)
 _PHI = (math.sqrt(5) + 1) / 2
 
 Z_SEARCH_TOL = 1e-10       # width, in log2(z), of the final 1-D bracket
-COORDINATE_SWEEP_TOL = 1e-8
-MAX_SWEEPS = 200
+GAP_TOL = 1e-12            # duality gap, in bits, at which interior point stops
+MAX_NEWTON_STEPS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +336,8 @@ def general_converse_bound(
     if f.arity != r:
         raise InputError(f"test function arity {f.arity} != r={r}")
     if len(probs) != f.num_inputs:
-        raise InputError("probs length must match the input alphabet")
-    if abs(sum(probs) - 1) > 1e-9:
-        raise InputError("probs must sum to 1")
-    value = entropy(probs)
+        raise InputError(f"got {len(probs)} probabilities for {f.num_inputs} input symbols")
+    value = entropy(probs)  # InputError unless probs is a distribution
     for k in range(f.num_outputs):
         a_k = type_enumerator(f, k).evaluate(probs)
         if a_k > 0:
@@ -362,17 +363,24 @@ def _lse2(terms: list[tuple[int, float]], u: float) -> float:
     return best + math.log2(acc)
 
 
-def _lse2_slope(terms: list[tuple[int, float]], u: float) -> float:
-    """d/du of _lse2(terms, u): the weight-averaged exponent at z = 2^u.
-    A ratio of like-sized sums, so it stays accurate at any u, unlike the
-    objective itself whose linear parts cancel catastrophically far out."""
-    best = max(lg + j * u for j, lg in terms)
-    tot = acc = 0.0
-    for j, lg in terms:
-        weight = math.exp(_LN2 * (lg + j * u - best))
-        tot += weight
-        acc += j * weight
-    return acc / tot
+def _lse_moments(terms: list[tuple[tuple[int, ...], float]], u: Sequence[float]):
+    """log2 of a multivariate poly(2^u) from (exponent tuple, log2
+    coefficient) terms, with its gradient and Hessian in u: the mean of the
+    exponent tuples under weights proportional to the terms, and ln 2 times
+    their covariance.  Ratios of like-sized sums, so they stay accurate at
+    any u, unlike differences of the value, whose linear parts cancel
+    catastrophically far out."""
+    vals = [lg + sum(map(operator.mul, t, u)) for t, lg in terms]
+    best = max(vals)
+    weights = [math.exp(_LN2 * (v - best)) for v in vals]
+    total = sum(weights)
+    mean = [sum(w * t[i] for w, (t, _) in zip(weights, terms)) / total for i in range(len(u))]
+    hess = [
+        [_LN2 * sum(w * (t[i] - mi) * (t[j] - mj) for w, (t, _) in zip(weights, terms)) / total
+         for j, mj in enumerate(mean)]
+        for i, mi in enumerate(mean)
+    ]
+    return best + math.log2(total), mean, hess
 
 
 def golden_section_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -396,16 +404,40 @@ def golden_section_min(fn, lo: float, hi: float, tol: float) -> tuple[float, flo
     return mid, fn(mid)
 
 
-def _bracket_and_minimize(fn, right_deriv, tol: float) -> tuple[float, float]:
-    """Minimize a convex fn of one real variable: bracket by doubling outward
-    from 0 until the right derivative changes sign, then golden-section.
+def _minimax_1d(
+    enums: list, weight: float, lp: float, shift: float = 0.0, kink: float | None = None
+) -> tuple[float, float, bool]:
+    """inf over real u of max_k (weight*L_k + shift*L_0) - lp*u, with
+    L_k = log2 A_k(2^u) for A_k = enums[k] in _log_terms form; returns
+    (u*, value, at_kink).
 
-    Convexity makes the right derivative nondecreasing, so right_deriv(lo) < 0
-    puts the minimum at or after lo and right_deriv(hi) > 0 puts it at or
-    before hi.  The sign test saturates within a couple of doublings of the
-    minimizer, keeping the bracket tight even when one asymptotic slope is
-    within an ulp of zero (where value-based bracketing overshoots so far
-    that cancellation noise swamps the comparison)."""
+    The max of convex pieces is convex: bracket it by doubling outward from
+    0 until the right derivative changes sign (a sign test stays tight even
+    when an asymptotic slope is within an ulp of zero, where value-based
+    bracketing drowns in cancellation noise), then golden-section.  That
+    stops up to ~1e-11 above a minimum where two pieces cross, so a known
+    crossing can be passed as `kink`; it wins when its value is no larger.
+    """
+    first, rest = enums[0], enums[1:]
+    tuple_enums = [[((j,), lg) for j, lg in terms] for terms in enums]
+
+    def objective(u: float) -> float:
+        # the hot loop: plain calls, no per-evaluation list
+        first_log = top = _lse2(first, u)
+        for terms in rest:
+            log = _lse2(terms, u)
+            if log > top:
+                top = log
+        return weight * top + shift * first_log - lp * u
+
+    def right_deriv(u: float) -> float:
+        # subgradient of a max of smooth convex pieces: steepest active slope
+        logs = [_lse2(t, u) for t in enums]
+        slopes = [_lse_moments(t, (u,))[1][0] for t in tuple_enums]
+        top = max(logs)
+        steepest = max(s for s, v in zip(slopes, logs) if v >= top - 1e-9)
+        return weight * steepest + shift * slopes[0] - lp
+
     lo = -1.0
     for _ in range(64):
         if right_deriv(lo) < 0:
@@ -416,7 +448,100 @@ def _bracket_and_minimize(fn, right_deriv, tol: float) -> tuple[float, float]:
         if right_deriv(hi) > 0:
             break
         hi *= 2
-    return golden_section_min(fn, lo, hi, tol)
+    u_star, val = golden_section_min(objective, lo, hi, Z_SEARCH_TOL)
+    if kink is not None and (kink_val := objective(kink)) <= val:
+        return kink, kink_val, True
+    return u_star, val, False
+
+
+def _solve_linear(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """Gaussian elimination without pivoting, which is stable for the
+    symmetric positive definite Newton matrices solved here; None when a
+    pivot is not positive (the matrix is singular)."""
+    n = len(rhs)
+    rows = [row + [b] for row, b in zip(matrix, rhs)]
+    for c in range(n):
+        if not rows[c][c] > 0:
+            return None
+        for row in rows[c + 1:]:
+            factor = row[c] / rows[c][c]
+            row[c:] = [x - factor * y for x, y in zip(row[c:], rows[c][c:])]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum(map(operator.mul, rows[i][i + 1:], x[i + 1:]))) / rows[i][i]
+    return x
+
+
+def _minimax_interior_point(pieces: list, ratio: float, lp: list[float], u: list[float]):
+    """Minimize max_k g_k(u), g_k = ratio*log2 A_k(2^u) - lp.u with A_k in
+    _lse_moments form, from the start u; returns (u*, value, steps, gap,
+    converged).  Primal-dual interior-point method (Boyd & Vandenberghe,
+    Convex Optimization, 2004, 11.7) on the epigraph form: minimize t over
+    x = (u, t) subject to f_k = g_k - t < 0, with multipliers lam_k.  Each
+    Newton step solves one (d+1)x(d+1) system, the multiplier step
+    eliminated, and backtracks until every f_k < 0, every lam_k > 0 and the
+    residual norm falls.  The surrogate gap sum_k lam_k (t - g_k) bounds
+    value - infimum once the dual residual vanishes; converged means both
+    are at most GAP_TOL."""
+    n = len(u) + 1
+
+    def state(x):
+        # per piece: g_k, and the gradient and Hessian of f_k in x
+        out = []
+        for terms in pieces:
+            value, mean, hess = _lse_moments(terms, x[:-1])
+            grad = [ratio * m - c for m, c in zip(mean, lp)] + [-1.0]
+            hess = [[ratio * h for h in row] + [0.0] for row in hess] + [[0.0] * n]
+            out.append((ratio * value - sum(map(operator.mul, lp, x)), grad, hess))
+        return out
+
+    def residuals(x, lam, g, tau):
+        # the gradient of the Lagrangian in x, and the centrality residual
+        dual = [sum(l_k * a[i] for l_k, (_, a, _) in zip(lam, g)) for i in range(n)]
+        dual[-1] += 1.0
+        return dual, [l_k * (x[-1] - v) - 1.0 / tau for l_k, (v, _, _) in zip(lam, g)]
+
+    g = state(u + [0.0])
+    x = u + [max(v for v, _, _ in g) + 1.0]
+    lam = [1.0 / len(pieces)] * len(pieces)
+    for steps in range(MAX_NEWTON_STEPS + 1):
+        slack = [x[-1] - v for v, _, _ in g]
+        gap = sum(map(operator.mul, lam, slack))
+        tau = 10.0 * len(pieces) / gap
+        dual, cent = residuals(x, lam, g, tau)
+        converged = gap <= GAP_TOL and math.hypot(*dual) <= GAP_TOL
+        if converged or steps == MAX_NEWTON_STEPS:
+            break
+        # sum_k lam_k (H_k + a_k a_k^T / s_k) dx = -e_t - sum_k a_k / (tau s_k)
+        matrix = [
+            [sum(l_k * (h[i][j] + a[i] * a[j] / s_k) for l_k, s_k, (_, a, h) in zip(lam, slack, g))
+             for j in range(n)]
+            for i in range(n)
+        ]
+        rhs = [-sum(a[i] / (tau * s_k) for s_k, (_, a, _) in zip(slack, g)) for i in range(n)]
+        rhs[-1] -= 1.0
+        dx = _solve_linear(matrix, rhs)
+        if dx is None:
+            break
+        dlam = [
+            (l_k * sum(map(operator.mul, a, dx)) - c_k) / s_k
+            for l_k, c_k, s_k, (_, a, _) in zip(lam, cent, slack, g)
+        ]
+        step = 0.99 * min([1.0] + [-l_k / dl for l_k, dl in zip(lam, dlam) if dl < 0])
+        norm = math.hypot(*dual, *cent)
+        for _ in range(30):
+            x_new = [a + step * b for a, b in zip(x, dx)]
+            lam_new = [a + step * b for a, b in zip(lam, dlam)]
+            g_new = state(x_new)
+            if all(v < x_new[-1] for v, _, _ in g_new):
+                dual_new, cent_new = residuals(x_new, lam_new, g_new, tau)
+                if math.hypot(*dual_new, *cent_new) <= (1 - 0.01 * step) * norm:
+                    break
+            step /= 2
+        else:
+            break  # no step reduces the residual: rounding has stalled it
+        x, lam, g = x_new, lam_new, g_new
+    return x[:-1], max(v for v, _, _ in g), steps, gap, converged
 
 
 @dataclass(frozen=True)
@@ -449,12 +574,7 @@ def exponent_infimum(sigma: float, l: int, r: int, p: float) -> Infimum:
         return Infimum(sigma * math.log2(r), None, True)
     if sigma * r == lp:
         return Infimum(0.0, None, True)
-    terms = _log_terms(or_pool_poly(r))
-    u_star, val = _bracket_and_minimize(
-        lambda u: sigma * _lse2(terms, u) - lp * u,
-        lambda u: sigma * _lse2_slope(terms, u) - lp,
-        Z_SEARCH_TOL,
-    )
+    u_star, val, _ = _minimax_1d([_log_terms(or_pool_poly(r))], sigma, lp)
     return Infimum(val, 2.0**u_star, True)
 
 
@@ -486,12 +606,11 @@ def _mixed_exponent(
 
     The objective is affine in sigma and convex in u = log2 z, so by Sion's
     minimax theorem the max and inf swap, and the max over sigma sits at an
-    endpoint: the value is inf over u of Q + max(0, (l/r)(F - Q)) - l*p*u,
-    with F, Q the log2 fire and quiet enumerators at z = 2^u.  fire - quiet
-    is a multiple of pool - 1, so the branches cross at z* = 2^(1/r) - 1,
-    where golden section stops up to ~1e-11 above a kink minimum; z* is
-    therefore kept as a candidate.  sigma* balances the subgradient at u*:
-    the active endpoint off the kink, (l*p - Q') / (F' - Q') clipped on it.
+    endpoint: the value is inf over u of max(Q, (1 - l/r) Q + (l/r) F)
+    - l*p*u, with F, Q the log2 fire and quiet enumerators at z = 2^u.
+    fire - quiet is a multiple of pool - 1, so the branches cross at the
+    kink z* = 2^(1/r) - 1.  sigma* balances the subgradient at u*: the
+    active endpoint off the kink, (l*p - Q') / (F' - Q') clipped on it.
     """
     ratio, lp = l / r, l * p
     # quiet has a nonzero constant term, so the objective rises as z -> 0;
@@ -507,30 +626,18 @@ def _mixed_exponent(
         # convex and leveling off: the infimum is the limit at z -> inf
         return limit, sigma, math.inf, False
     fire_terms, quiet_terms = _log_terms(fire), _log_terms(quiet)
-
-    def objective(u: float) -> float:
-        f, q = _lse2(fire_terms, u), _lse2(quiet_terms, u)
-        return q + max(0.0, ratio * (f - q)) - lp * u
-
-    def right_deriv(u: float) -> float:
-        # subgradient of a max of two smooth convex pieces: steepest active slope
-        gap = ratio * (_lse2(fire_terms, u) - _lse2(quiet_terms, u))
-        q_slope = _lse2_slope(quiet_terms, u)
-        slopes = [q_slope] if gap <= 1e-9 else []
-        if gap >= -1e-9:
-            slopes.append(q_slope + ratio * (_lse2_slope(fire_terms, u) - q_slope))
-        return max(slopes) - lp
-
-    u_star, val = _bracket_and_minimize(objective, right_deriv, Z_SEARCH_TOL)
-    u_kink = math.log2(fixed_point_z(r))
-    kink_val = objective(u_kink)
-    if kink_val <= val:
-        f_slope = _lse2_slope(fire_terms, u_kink)
-        q_slope = _lse2_slope(quiet_terms, u_kink)
+    u_star, val, at_kink = _minimax_1d(
+        [quiet_terms, fire_terms], ratio, lp, 1.0 - ratio, math.log2(fixed_point_z(r))
+    )
+    if at_kink:
+        f_slope, q_slope = (
+            _lse_moments([((j,), lg) for j, lg in terms], (u_star,))[1][0]
+            for terms in (fire_terms, quiet_terms)
+        )
         sigma = 0.0  # fire == quiet (q = 1/2): no sigma dependence at all
         if f_slope != q_slope:
             sigma = min(max((lp - q_slope) / (f_slope - q_slope), 0.0), ratio)
-        return kink_val, sigma, 2.0**u_kink, True
+        return val, sigma, 2.0**u_star, True
     fire_active = _lse2(fire_terms, u_star) > _lse2(quiet_terms, u_star)
     return val, ratio if fire_active else 0.0, 2.0**u_star, False
 
@@ -583,35 +690,26 @@ def binary_direct_margin(f: TestFunction, l: int, r: int, p: float) -> Margin:
     _check_exponent_args(l, r, p)
     if f.arity != r:
         raise InputError(f"test function arity {f.arity} != r={r}")
-    enumerators = [weight_enumerator(f, k) for k in range(f.num_outputs)]
-    term_lists = [_log_terms(e) for e in enumerators if e.degree >= 0]
-    lp = l * p
-    ratio = l / r
-
-    def objective(u: float) -> float:
-        return ratio * max(_lse2(t, u) for t in term_lists) - lp * u
-
-    def right_deriv(u: float) -> float:
-        # subgradient of a max of smooth convex pieces: steepest active slope
-        vals = [_lse2(t, u) for t in term_lists]
-        top = max(vals)
-        slope = max(
-            _lse2_slope(t, u) for t, v in zip(term_lists, vals) if v >= top - 1e-9
-        )
-        return ratio * slope - lp
-
-    u_star, val = _bracket_and_minimize(objective, right_deriv, Z_SEARCH_TOL)
+    enums = [_log_terms(weight_enumerator(f, k)) for k in range(f.num_outputs)]
+    enums = [terms for terms in enums if terms]
+    u_star, val, _ = _minimax_1d(enums, l / r, l * p)
     return Margin(-(l - 1) * binary_entropy(p) + val, 2.0**u_star)
 
 
 @dataclass(frozen=True)
 class GeneralMargin:
-    """Direct-part margin over a u-ary alphabet, with optimizer diagnostics."""
+    """Direct-part margin over a u-ary alphabet, with optimizer diagnostics:
+    the solver's iteration count (interior-point Newton steps; 1 for the
+    golden-section search of a binary alphabet), and for the interior-point
+    iteration its surrogate duality gap, which bounds how far `value` sits
+    above the infimum (None for a binary alphabet).  `converged` is False
+    when the iteration stopped before its gap reached GAP_TOL."""
 
     value: float
     z: tuple[float, ...]
     sweeps: int
     converged: bool
+    gap: float | None
 
 
 def general_direct_margin(
@@ -620,105 +718,34 @@ def general_direct_margin(
     """Direct-part margin for an arbitrary symmetric test function over a
     finite input alphabet with symbol distribution probs.
 
-    The inner objective (l/r) max_k log2 A_k(z) - l sum_i p_i log2 z_i is
-    convex in the coordinates u_i = log2 z_i and scale invariant, so z_1 is
-    pinned to 1 and the rest minimized by cyclic coordinate descent.
+    The inner objective (l/r) max_k log2 A_k(z) - l sum_i p_i log2 z_i is a
+    max of convex functions of u_i = log2 z_i and scale invariant, so z_1 is
+    pinned to 1.  A binary alphabet leaves one coordinate, for the golden-
+    section search of binary_direct_margin; larger ones go to a primal-dual
+    interior-point iteration, which does not stall where enumerators tie.
     """
     if l < 1 or r < 1:
         raise ConfigurationError("degrees l and r must be positive integers")
     if f.arity != r:
         raise InputError(f"test function arity {f.arity} != r={r}")
-    nv = f.num_inputs
-    if len(probs) != nv:
-        raise InputError("probs length must match the input alphabet")
-    for p_i in probs:
-        if p_i <= 0:
-            raise ReducedAlphabetError(
-                f"symbol probability {p_i} is not positive; drop the symbol first"
-            )
-    if abs(sum(probs) - 1) > 1e-9:
-        raise InputError("probs must sum to 1")
-
-    # terms per output: (exponent tuple, log2 multiplicity)
-    term_lists = []
+    if len(probs) != f.num_inputs:
+        raise InputError(f"got {len(probs)} probabilities for {f.num_inputs} input symbols")
+    base = -(l - 1) * entropy(probs)  # InputError unless probs is a distribution
+    if 0 in probs:
+        raise ReducedAlphabetError("a symbol probability is 0; drop the symbol first")
+    # per nonempty output: (exponents of the free symbols, log2 multiplicity)
+    pieces = []
     for k in range(f.num_outputs):
-        alpha = type_enumerator(f, k)
-        if alpha.terms:
-            term_lists.append(
-                [(t, math.log2(c)) for t, c in sorted(alpha.terms.items())]
-            )
-    ratio = l / r
-
-    def lse_multi(terms, u_vec):
-        best = -math.inf
-        vals = []
-        for t, lg in terms:
-            v = lg
-            for e, u_i in zip(t, u_vec):
-                v += e * u_i
-            vals.append(v)
-            if v > best:
-                best = v
-        return best + math.log2(sum(math.exp(_LN2 * (v - best)) for v in vals))
-
-    def lse_multi_slope(terms, u_vec, j):
-        best = -math.inf
-        vals = []
-        for t, lg in terms:
-            v = lg
-            for e, u_i in zip(t, u_vec):
-                v += e * u_i
-            vals.append(v)
-            if v > best:
-                best = v
-        tot = acc = 0.0
-        for (t, _), v in zip(terms, vals):
-            weight = math.exp(_LN2 * (v - best))
-            tot += weight
-            acc += t[j] * weight
-        return acc / tot
-
-    def objective(u_vec) -> float:
-        val = ratio * max(lse_multi(t, u_vec) for t in term_lists)
-        for p_i, u_i in zip(probs, u_vec):
-            val -= l * p_i * u_i
-        return val
-
-    def coordinate_right_deriv(u_vec, j) -> float:
-        vals = [lse_multi(t, u_vec) for t in term_lists]
-        top = max(vals)
-        slope = max(
-            lse_multi_slope(t, u_vec, j)
-            for t, v in zip(term_lists, vals)
-            if v >= top - 1e-9
-        )
-        return ratio * slope - l * probs[j]
-
-    u_vec = [0.0] * nv
-    current = objective(u_vec)
-    sweeps = 0
-    converged = nv == 1
-    while sweeps < MAX_SWEEPS and not converged:
-        sweeps += 1
-        previous = current
-        for j in range(1, nv):
-            base = u_vec[j]
-
-            def along(du: float, j=j, base=base) -> float:
-                u_vec[j] = base + du
-                return objective(u_vec)
-
-            def along_deriv(du: float, j=j, base=base) -> float:
-                u_vec[j] = base + du
-                return coordinate_right_deriv(u_vec, j)
-
-            du_star, val = _bracket_and_minimize(along, along_deriv, Z_SEARCH_TOL)
-            if val < current:
-                u_vec[j] = base + du_star
-                current = val
-            else:
-                u_vec[j] = base
-        if previous - current < COORDINATE_SWEEP_TOL:
-            converged = True
-    value = -(l - 1) * entropy(probs) + current
-    return GeneralMargin(value, tuple(2.0**u for u in u_vec), sweeps, converged)
+        terms = type_enumerator(f, k).terms
+        if terms:
+            pieces.append(sorted((t[1:], math.log2(c)) for t, c in terms.items()))
+    if len(probs) == 2:
+        enums = [[(t[0], lg) for t, lg in piece] for piece in pieces]
+        u_star, val, _ = _minimax_1d(enums, l / r, l * probs[1])
+        return GeneralMargin(base + val, (1.0, 2.0**u_star), 1, True, None)
+    # start at z_i = p_i / p_1, the minimizer of the smooth majorant made by
+    # summing every enumerator: sum_k A_k(z) = (z_1 + ... + z_u)^r
+    u, val, steps, gap, converged = _minimax_interior_point(
+        pieces, l / r, [l * p_i for p_i in probs[1:]], [math.log2(p / probs[0]) for p in probs[1:]]
+    )
+    return GeneralMargin(base + val, (1.0, *(2.0**u_i for u_i in u)), steps, converged, gap)

@@ -139,6 +139,17 @@ class TestCollisionExponent:
         with pytest.raises(InputError):
             collision_exponent(3, 6, 0.08, 0.5, 0.0)
 
+    def test_rejects_nan_z(self):
+        with pytest.raises(InputError):
+            collision_exponent(3, 6, 0.08, 0.5, math.nan)
+        with pytest.raises(InputError):
+            noisy_collision_factor(6, 0.1, 0.5, math.nan)
+
+    @pytest.mark.parametrize("sigma", [math.nan, -0.1, 5.0])
+    def test_noisy_factor_rejects_sigma_outside_unit_interval(self, sigma):
+        with pytest.raises(InputError):
+            noisy_collision_factor(6, 0.1, sigma, 0.3)
+
     def test_noisy_factor_is_one_at_fixed_point(self):
         for r in (2, 4, 6, 10):
             z = fixed_point_z(r)
@@ -210,6 +221,11 @@ class TestCurves:
         rows = emit_curve("converse-vs-l", [2.0, 3.0, 4.0], p=0.05)
         assert [x for x, _ in rows] == [2, 3, 4]
         assert rows[1][1] == pytest.approx(converse_margin(3, 6, 0.05), abs=1e-15)
+
+    @pytest.mark.parametrize("ratio", [0, -1])
+    def test_degree_sweep_rejects_nonpositive_ratio(self, ratio):
+        with pytest.raises(InputError):
+            emit_curve("converse-vs-l", [2.0, 3.0], p=0.05, ratio=ratio)
 
     def test_collision_curve_needs_sigma(self):
         rows = emit_curve(

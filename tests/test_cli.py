@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from pooltest import TestFunction as PoolFunction
 from pooltest import (
     achievable_margin,
     converse_margin,
@@ -156,6 +157,26 @@ class TestBoundsCommand:
         assert code == 2
         assert err
 
+    def test_zero_ratio_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "bounds", "--curve", "converse-vs-l", "--p", "0.05", "--ratio", "0",
+            "--l-min", "2", "--l-max", "4", "--steps", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "ratio" in err
+
+    def test_nan_z_is_usage_error(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "bounds", "--curve", "collision-vs-z", "--l", "3", "--r", "6",
+            "--p", "0.08", "--sigma", "0.15",
+            "--z-min", "nan", "--z-max", "0.4", "--steps", "2",
+        )
+        assert code == 2
+        assert "nan" not in out
+
     def test_collision_without_sigma_is_usage_error(self, capsys):
         code, _, err = run(
             capsys,
@@ -295,6 +316,28 @@ class TestGeneralCommand:
             achievable_margin(3, 6, 0.08), abs=1e-8
         )
         assert sum(data["outcome_distribution"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_ternary_function_reports_duality_gap(self, capsys, tmp_path):
+        merged = PoolFunction.from_callable(lambda v: int(any(v)), (0, 1, 2), (0, 1), 6)
+        fn = self.write_function(tmp_path / "merged.json", merged)
+        code, out, _ = run(
+            capsys, "general", "--function", fn, "--l", "3", "--r", "6",
+            "--probs", "0.94,0.036,0.024",
+        )
+        assert code == 0
+        margin = json.loads(out)["direct_margin"]
+        assert margin["converged"] is True
+        assert 0 <= margin["gap"] <= 1e-12
+
+    def test_binary_alphabet_has_no_duality_gap(self, capsys, tmp_path):
+        fn = self.write_function(tmp_path / "or.json", or_function(6))
+        code, out, _ = run(
+            capsys, "general", "--function", fn, "--l", "3", "--r", "6", "--p", "0.08",
+        )
+        assert code == 0
+        margin = json.loads(out)["direct_margin"]
+        assert margin["converged"] is True
+        assert margin["gap"] is None
 
     def test_threshold_function(self, capsys, tmp_path):
         fn = self.write_function(tmp_path / "thr.json", threshold_function(4, 2))

@@ -1,23 +1,30 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pooltest import TestFunction as PoolFunction
+from pooltest import genfunc
 from pooltest import (
     InputError,
     MultiPolynomial,
     Polynomial,
+    ReducedAlphabetError,
     SystemParams,
     achievable_margin,
     binary_direct_margin,
     binary_entropy,
+    compositions,
     converse_margin,
     count_function,
     ensemble_event_probability,
     enumeration_fraction_general,
     enumeration_fraction_noiseless,
     enumeration_fraction_noisy,
+    entropy,
     exponent_infimum,
     fixed_point_z,
     general_converse_bound,
@@ -39,6 +46,39 @@ from pooltest import (
 
 def ternary_max():
     return PoolFunction.from_callable(lambda vals: max(vals), (0, 1, 2), (0, 1, 2), 2)
+
+
+def merged_or(r):
+    """Ternary-input test that fires when any pooled symbol is nonzero."""
+    return PoolFunction.from_callable(lambda vals: int(any(vals)), (0, 1, 2), (0, 1), r)
+
+
+def or_margin_closed_form(l, r, p):
+    """Optimized OR margin: the fixed-point bound up to the crossover
+    2 - 2^((r-1)/r); past it, the objective at the stationary point z > z*
+    of z (1+z)^(r-1) / ((1+z)^r - 1) = p, bisected on log2 z."""
+    if p <= 2 - 2 ** ((r - 1) / r):
+        return achievable_margin(l, r, p)
+    lo, hi = math.log2(fixed_point_z(r)), 20.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        z = 2**mid
+        if z * (1 + z) ** (r - 1) / ((1 + z) ** r - 1) < p:
+            lo = mid
+        else:
+            hi = mid
+    z = 2 ** (0.5 * (lo + hi))
+    pool = (1 + z) ** r - 1
+    return -(l - 1) * binary_entropy(p) + (l / r) * math.log2(pool) - l * p * math.log2(z)
+
+
+def margin_objective(enumerators, l, r, probs, u):
+    """The general direct-margin objective at z = (1, 2^u_1, 2^u_2, ...)."""
+    z = (1.0, *(2.0**x for x in u))
+    values = [a.evaluate(z) for a in enumerators]
+    top = max(math.log2(v) for v in values if v > 0)
+    linear = sum(p * x for p, x in zip(probs[1:], u))
+    return -(l - 1) * entropy(probs) + (l / r) * top - l * linear
 
 
 class TestPolynomial:
@@ -531,7 +571,7 @@ class TestGeneralDirectMargin:
             gm = general_direct_margin(or_function(r), l, r, [1 - p, p])
             bm = binary_direct_margin(or_function(r), l, r, p)
             assert gm.converged
-            assert abs(gm.value - bm.value) <= 1e-8
+            assert abs(gm.value - bm.value) <= 1e-12
 
     def test_threshold_function_converges(self):
         gm = general_direct_margin(threshold_function(4, 2), 2, 4, [0.9, 0.1])
@@ -544,6 +584,65 @@ class TestGeneralDirectMargin:
         # one argument per output symbol, the first pinned to 1
         assert len(gm.z) == 3
         assert gm.z[0] == 1.0
+
+    def test_ternary_max_is_below_a_dense_scan(self):
+        # the two pieces tie along a ridge through the optimum, where a
+        # coordinate search stalls near 0.393; the minimum is 0.27341
+        f, l, r, probs = ternary_max(), 1, 2, (0.8, 0.15, 0.05)
+        gm = general_direct_margin(f, l, r, probs)
+        assert gm.gap <= genfunc.GAP_TOL
+        enumerators = [type_enumerator(f, k) for k in range(f.num_outputs)]
+        steps = 240
+        grid = [-4 + 6 * i / steps for i in range(steps + 1)]
+        scan = min(margin_objective(enumerators, l, r, probs, (a, b)) for a in grid for b in grid)
+        assert gm.value <= scan + 1e-12
+
+    @pytest.mark.parametrize("l,r", [(3, 6), (2, 4), (3, 9), (4, 8)])
+    def test_merged_or_matches_closed_form(self, l, r):
+        # the test sees only the merged mass m = p1 + p2, and the split of m
+        # adds m h(p1 / m); below the crossover the optimum lies on the ridge
+        # z1 + z2 = z*, past it off the ridge
+        crossover = 2 - 2 ** ((r - 1) / r)
+        for p in (0.5 * crossover, crossover + 0.05):
+            probs = (1 - p, 0.6 * p, 0.4 * p)
+            mass = probs[1] + probs[2]
+            split = mass * binary_entropy(probs[1] / mass)
+            gm = general_direct_margin(merged_or(r), l, r, probs)
+            assert gm.converged and gm.gap <= genfunc.GAP_TOL
+            assert abs(gm.value - (or_margin_closed_form(l, r, mass) + split)) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_value_is_below_the_objective_everywhere(self, data):
+        r = data.draw(st.integers(2, 3), label="r")
+        outputs = data.draw(st.integers(2, 3), label="outputs")
+        table = {t: data.draw(st.integers(0, outputs - 1)) for t in compositions(r, 3)}
+        f = PoolFunction((0, 1, 2), tuple(range(outputs)), r, table)
+        weights = data.draw(st.lists(st.integers(1, 20), min_size=3, max_size=3))
+        probs = tuple(w / sum(weights) for w in weights)
+        l = data.draw(st.integers(1, 3), label="l")
+        gm = general_direct_margin(f, l, r, probs)
+        enumerators = [type_enumerator(f, k) for k in range(outputs)]
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        for _ in range(400):
+            u = (rnd.uniform(-5, 2), rnd.uniform(-5, 2))
+            assert gm.value <= margin_objective(enumerators, l, r, probs, u) + 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected_before_solving(self, monkeypatch, bad):
+        def no_solver(*args):
+            raise AssertionError("solver reached before the probabilities were checked")
+
+        monkeypatch.setattr(genfunc, "_minimax_1d", no_solver)
+        monkeypatch.setattr(genfunc, "_minimax_interior_point", no_solver)
+        with pytest.raises(InputError):
+            general_direct_margin(ternary_max(), 1, 2, [0.5, bad, 0.5])
+        with pytest.raises(InputError):
+            general_direct_margin(or_function(2), 1, 2, [bad, 0.5])
+
+    def test_zero_probability_asks_for_a_smaller_alphabet(self):
+        with pytest.raises(ReducedAlphabetError):
+            general_direct_margin(ternary_max(), 1, 2, [0.5, 0.5, 0.0])
 
     def test_count_function_is_fully_informative(self):
         # the count output determines the pool type, so confusion carries no
