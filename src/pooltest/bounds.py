@@ -48,6 +48,11 @@ def _check_degrees(l: int, r: int) -> None:
         raise ConfigurationError("degrees l and r must be positive integers")
 
 
+def _check_flip_rate(q: float) -> None:
+    if not 0 <= q <= 1:  # also rejects NaN
+        raise InputError(f"q={q} outside [0, 1]")
+
+
 def converse_margin(l: int, r: int, p: float) -> float:
     """Source entropy in excess of the per-object information capacity of
     noiseless OR tests: h(p) - (l/r) h((1-p)^r).  Positive means any
@@ -59,6 +64,7 @@ def converse_margin(l: int, r: int, p: float) -> float:
 def noisy_converse_margin(l: int, r: int, p: float, q: float) -> float:
     """Converse margin when each test outcome is flipped with probability q."""
     _check_degrees(l, r)
+    _check_flip_rate(q)
     clear = (1 - p) ** r
     flipped = clear * (1 - q) + (1 - clear) * q
     return (
@@ -84,6 +90,7 @@ def achievable_margin(l: int, r: int, p: float) -> float:
 
 def noisy_achievable_margin(l: int, r: int, p: float, q: float) -> float:
     """Achievable margin with test outcomes flipped at rate q."""
+    _check_flip_rate(q)
     return achievable_margin(l, r, p) + (l / r) * binary_entropy(q)
 
 
@@ -115,8 +122,7 @@ def noisy_collision_factor(r: int, q: float, sigma: float, z: float) -> float:
     _check_degrees(1, r)
     if not z > 0:
         raise InputError(f"z={z} must be positive")
-    if not 0 <= q <= 1:
-        raise InputError(f"q={q} outside [0, 1]")
+    _check_flip_rate(q)
     if not 0 <= sigma <= 1:
         raise InputError(f"sigma={sigma} outside [0, 1]")
     pool = math.expm1(r * math.log1p(z))
@@ -228,6 +234,8 @@ def emit_curve(curve: str, grid: Iterable[float], **fixed) -> list[tuple[float, 
         if ratio < 1:
             raise InputError(f"ratio={ratio} must be a positive integer")
         for g in grid:
+            if not float(g).is_integer():
+                raise InputError(f"degree l={g} is not an integer")
             l = int(g)
             rows.append((l, converse_margin(l, ratio * l, fixed["p"])))
     elif curve == "converse-vs-p":

@@ -3,8 +3,14 @@
 The decoder observes the m test outcomes and searches the typical set of
 inputs for those consistent with them; it answers only when exactly one
 input survives.  Everything is exhaustive enumeration over a weight
-window, so n is guarded, but the OR structure lets the scan prune by
-bitmask containment and stop early once ambiguity is certain.
+window, so n is guarded, but the OR structure lets the scan prune and stop
+early once ambiguity is certain.
+
+The prune is a flip budget.  A test outside y that a partial support lights
+can only be explained by a flip, and it stays lit as objects are added, so
+a support lighting more such tests than the largest typical flip count has
+no accepted extension and is dropped with its subtree.  Noiseless decoding
+is budget 0, which is COMP: no object wired into a clear test is tried.
 """
 
 from __future__ import annotations
@@ -137,16 +143,26 @@ def _support_to_vector(support: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def _scan_or_consistent(
     masks: list[int],
-    candidates: list[int],
+    target: int,
+    budget: int,
     weights: frozenset[int],
     accept,
     cap: int | None,
 ) -> list[tuple[int, ...]]:
-    """Depth-first scan over supports drawn from `candidates`, collecting those
-    whose weight is typical and whose union-of-pools mask is accepted."""
+    """Depth-first scan over supports, collecting those whose weight is
+    typical and whose union-of-pools mask is accepted.
+
+    A support that lights more than `budget` tests outside `target` is
+    pruned together with everything below it, since that count only grows
+    along a branch.  At budget 0 the per-object filter already enforces the
+    bound, so the scan skips the per-node check."""
     found: list[tuple[int, ...]] = []
     if not weights:
         return found
+    outside = ~target
+    candidates = [
+        i for i in range(len(masks)) if (masks[i] & outside).bit_count() <= budget
+    ]
     w_max = max(weights)
     chosen: list[int] = []
 
@@ -159,8 +175,11 @@ def _scan_or_consistent(
         if depth == w_max:
             return False
         for idx in range(start, len(candidates)):
+            child = mask | masks[candidates[idx]]
+            if budget and (child & outside).bit_count() > budget:
+                continue
             chosen.append(candidates[idx])
-            if rec(idx + 1, mask | masks[candidates[idx]]):
+            if rec(idx + 1, child):
                 return True
             chosen.pop()
         return False
@@ -186,10 +205,9 @@ def decision_set_noiseless(
     weights = typical_weight_set(spec)
     masks = _object_masks(graph)
     target = _vector_mask(y)
-    # objects wired into any clear test can never be defective
-    candidates = [i for i in range(params.n) if masks[i] & ~target == 0]
+    # no flips: an object wired into any clear test is never defective
     supports = _scan_or_consistent(
-        masks, candidates, weights, lambda mask: mask == target, cap
+        masks, target, 0, weights, lambda mask: mask == target, cap
     )
     return [_support_to_vector(s, params.n) for s in supports]
 
@@ -216,12 +234,16 @@ def decision_set_noisy(
     noise_weights = typical_weight_set(noise_spec)
     masks = _object_masks(graph)
     target = _vector_mask(y)
-    candidates = list(range(params.n))
+    if not noise_weights:
+        return []
 
     def accept(mask: int) -> bool:
         return (mask ^ target).bit_count() in noise_weights
 
-    supports = _scan_or_consistent(masks, candidates, weights, accept, cap)
+    # a wrongly lit test needs a flip, so at most max(noise window) of them
+    supports = _scan_or_consistent(
+        masks, target, max(noise_weights), weights, accept, cap
+    )
     return [_support_to_vector(s, params.n) for s in supports]
 
 

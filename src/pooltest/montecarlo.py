@@ -1,8 +1,10 @@
 """Seeded trial harnesses for the decoder and for the exact ensemble formulas.
 
-Every trial draws from its own RNG, seeded by derive_seed(master seed,
-stream label, trial index), so a trial's outcome does not depend on which
-other trials ran or in what order.  Each harness is one serial loop.
+Every decoding trial draws from its own RNG, seeded by derive_seed(master
+seed, stream label, trial index), so its outcome does not depend on which
+other trials ran or in what order.  The event-rate gates only count hits,
+so each gate seeds one stream per label once and draws every trial from
+it.  Each harness is one serial loop.
 """
 
 from __future__ import annotations
@@ -253,20 +255,23 @@ def _gate(
 
     A trial draws only what the event reads: the right sockets that the w*l
     defect sockets land on, an ordered sample distributed exactly like the
-    first w*l entries of a uniform wiring.  Flips come from the "noise"
-    stream, which q = 0 skips, since no flip can fire then."""
+    first w*l entries of a uniform wiring.  All trials draw their sockets
+    from one "graph" stream and their flips from one "noise" stream, each
+    seeded once per call; q = 0 never reads the noise stream, since no
+    flip can fire then."""
     r, m, wl = params.r, params.m, w * params.l
     sockets = range(params.num_sockets)
+    graphs = random.Random(derive_seed(master_seed, "graph", 0))
+    noise = random.Random(derive_seed(master_seed, "noise", 0))
     target = (1 << s) - 1
     hits = 0
-    for i in range(trials):
+    for _ in range(trials):
         mask = 0
-        for k in random.Random(derive_seed(master_seed, "graph", i)).sample(sockets, wl):
+        for k in graphs.sample(sockets, wl):
             mask |= 1 << (k // r)
         if q:
-            rng = random.Random(derive_seed(master_seed, "noise", i))
             for j in range(m):
-                if rng.random() < q:
+                if noise.random() < q:
                     mask ^= 1 << j
         if mask == target:
             hits += 1

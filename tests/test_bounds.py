@@ -95,6 +95,12 @@ class TestConverseMargin:
         p = 0.09
         assert noisy_converse_margin(2, 4, p, 0.05) > converse_margin(2, 4, p)
 
+    @pytest.mark.parametrize("margin", [noisy_converse_margin, noisy_achievable_margin])
+    @pytest.mark.parametrize("q", [1.5, -0.1, math.nan])
+    def test_noisy_margins_name_q_when_it_is_out_of_range(self, margin, q):
+        with pytest.raises(InputError, match=rf"^q={q} outside \[0, 1\]$"):
+            margin(3, 6, 0.05, q)
+
 
 class TestAchievableMargin:
     def test_fixed_point_solves_pool_equation(self):
@@ -221,6 +227,16 @@ class TestCurves:
         rows = emit_curve("converse-vs-l", [2.0, 3.0, 4.0], p=0.05)
         assert [x for x, _ in rows] == [2, 3, 4]
         assert rows[1][1] == pytest.approx(converse_margin(3, 6, 0.05), abs=1e-15)
+
+    def test_degree_sweep_accepts_integral_floats_from_one(self):
+        rows = emit_curve("converse-vs-l", [1.0, 2.0], p=0.05, ratio=2)
+        assert [x for x, _ in rows] == [1, 2]
+        assert all(type(x) is int for x, _ in rows)
+
+    @pytest.mark.parametrize("grid", [[1.5], [2.0, 2.375], [math.nan], [math.inf]])
+    def test_degree_sweep_rejects_non_integral_degree(self, grid):
+        with pytest.raises(InputError, match="not an integer"):
+            emit_curve("converse-vs-l", grid, p=0.05)
 
     @pytest.mark.parametrize("ratio", [0, -1])
     def test_degree_sweep_rejects_nonpositive_ratio(self, ratio):

@@ -197,6 +197,36 @@ class TestBoundsCommand:
         assert out == ""
         assert target.read_text().startswith("# config:")
 
+    def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "x.csv"
+        code, out, err = run(
+            capsys, "thresholds", "--pairs", "3:6", "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}:")
+        assert "Traceback" not in err
+
+    def test_out_of_range_q_names_q(self, capsys):
+        code, out, err = run(
+            capsys,
+            "bounds", "--curve", "noisy-converse-vs-p", "--l", "3", "--r", "6",
+            "--q", "1.5", "--p-min", "0.05", "--p-max", "0.1", "--steps", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: q=1.5 outside [0, 1]\n"
+
+    def test_non_integral_degree_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "bounds", "--curve", "converse-vs-l", "--p", "0.05",
+            "--l-min", "1.5", "--l-max", "3", "--steps", "4",
+        )
+        assert code == 2
+        assert out == ""
+        assert "l=1.5 is not an integer" in err
+
 
 class TestSimulateCommand:
     def test_noiseless_report(self, capsys):

@@ -203,6 +203,49 @@ class TestDecisionSetNoisy:
             slow = self.brute_force(graph, spec, noise_spec, y)
             assert sorted(fast) == sorted(slow), trial
 
+    # noise windows over m = 6 tests, by flip budget max(window)
+    NOISE_WINDOWS = {
+        "budget 0": ((0.0, 0.0), {0}),
+        "budget 1": ((0.02, 1.0), {0, 1}),
+        "budget 1, no zero": ((0.1, 0.3), {1}),
+        "budget 2": ((0.2, 0.3), {1, 2}),
+        "budget 3": ((0.2, 0.8), {0, 1, 2, 3}),
+        "empty": ((0.02, 0.0), set()),
+    }
+
+    @pytest.mark.parametrize("window", sorted(NOISE_WINDOWS))
+    @pytest.mark.parametrize("l, r", [(3, 6), (2, 4)])
+    def test_matches_brute_force_for_every_flip_budget(self, l, r, window):
+        (q, eps), expected_window = self.NOISE_WINDOWS[window]
+        params = SystemParams(l, r, 12)
+        spec = TypicalSetSpec(12, 0.2, 0.3)
+        noise_spec = TypicalSetSpec(params.m, q, eps)
+        noise_window = typical_weight_set(noise_spec)
+        assert noise_window == expected_window
+        inputs = [
+            tuple(1 if i in support else 0 for i in range(12))
+            for w in sorted(typical_weight_set(spec))
+            for support in itertools.combinations(range(12), w)
+        ]
+        rng = random.Random(f"{l}:{r}:{window}")
+        for trial in range(12):
+            graph = sample_graph(params, rng.randrange(1 << 30))
+            clean = {x: forward_or(graph, x) for x in inputs}
+            x = rng.choice(inputs)
+            flipped = tuple(b ^ (rng.random() < 0.2) for b in clean[x])
+            random_y = tuple(rng.randint(0, 1) for _ in range(params.m))
+            for y in (flipped, random_y):
+                slow = {
+                    member
+                    for member, out in clean.items()
+                    if sum(a != b for a, b in zip(out, y)) in noise_window
+                }
+                full = decision_set_noisy(graph, spec, noise_spec, y)
+                assert set(full) == slow and len(full) == len(slow), (trial, y)
+                for k in (1, 2, 5):
+                    capped = decision_set_noisy(graph, spec, noise_spec, y, cap=k)
+                    assert capped == full[:k], (trial, y, k)
+
     def test_zero_noise_window_reduces_to_noiseless(self):
         params = SystemParams(3, 6, 12)
         spec = TypicalSetSpec(12, 0.1, 0.3)

@@ -187,17 +187,17 @@ class TestEventRateValidators:
 
     @staticmethod
     def replay_hits(params, w, s, trials, seed):
-        """Hit count of a gate rebuilt from its two seeded streams: the
-        sockets the w*l defect sockets land on, and the flip pattern."""
+        """Hit count of a gate rebuilt from its two seeded streams, each
+        seeded once and read by every trial in turn: the sockets the w*l
+        defect sockets land on, and the flip pattern."""
+        graphs = random.Random(derive_seed(seed, "graph", 0))
+        noise = random.Random(derive_seed(seed, "noise", 0))
         hits = 0
-        for i in range(trials):
-            sockets = random.Random(derive_seed(seed, "graph", i)).sample(
-                range(params.n * params.l), w * params.l
-            )
+        for _ in range(trials):
+            sockets = graphs.sample(range(params.n * params.l), w * params.l)
             fired = {k // params.r for k in sockets}
             if params.q:
-                rng = random.Random(derive_seed(seed, "noise", i))
-                fired ^= {j for j in range(params.m) if rng.random() < params.q}
+                fired ^= {j for j in range(params.m) if noise.random() < params.q}
             if fired == set(range(s)):
                 hits += 1
         return hits
