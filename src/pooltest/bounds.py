@@ -230,9 +230,10 @@ def emit_curve(curve: str, grid: Iterable[float], **fixed) -> list[tuple[float, 
     rows: list[tuple[float, float]] = []
     if curve == "converse-vs-l":
         need("p")
-        ratio = 2 if fixed.get("ratio") is None else int(fixed["ratio"])
-        if ratio < 1:
+        ratio = 2 if fixed.get("ratio") is None else fixed["ratio"]
+        if not float(ratio).is_integer() or ratio < 1:
             raise InputError(f"ratio={ratio} must be a positive integer")
+        ratio = int(ratio)
         for g in grid:
             if not float(g).is_integer():
                 raise InputError(f"degree l={g} is not an integer")

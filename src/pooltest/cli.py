@@ -209,22 +209,25 @@ class _Checks:
         worst = max(abs(a - b) for a, b in pairs)
         self.record(name, worst <= tol, f"max difference {worst:.3e}")
 
+    def all_events_equal(self, name: str, params: SystemParams, formula, reference) -> None:
+        """Record whether formula(params, w, s) == reference(params, w, s)
+        for every input weight w and output weight s."""
+        mismatch = None
+        for w in range(params.n + 1):
+            for s in range(params.m + 1):
+                a, b = formula(params, w, s), reference(params, w, s)
+                if a != b:
+                    mismatch = f"mismatch at (w={w}, s={s}): {a} vs {b}"
+        self.record(name, mismatch is None, mismatch or "exact rational match on all (w, s)")
+
 
 def _verify_exact(checks: _Checks) -> None:
     for l, r, n in ((1, 2, 4), (1, 2, 2), (2, 4, 4)):
-        params = SystemParams(l, r, n)
-        worst = None
-        for w in range(n + 1):
-            for s in range(params.m + 1):
-                formula = _genfunc.ensemble_event_probability(params, w, s)
-                counted = enumeration_fraction_noiseless(params, w, s)
-                if formula != counted:
-                    worst = (w, s, formula, counted)
-        checks.record(
+        checks.all_events_equal(
             f"noiseless formula vs enumeration (l={l}, r={r}, n={n})",
-            worst is None,
-            "exact rational match on all (w, s)" if worst is None
-            else f"mismatch at (w={worst[0]}, s={worst[1]}): {worst[2]} vs {worst[3]}",
+            SystemParams(l, r, n),
+            _genfunc.ensemble_event_probability,
+            enumeration_fraction_noiseless,
         )
 
     for l, r, n, q in (
@@ -232,19 +235,11 @@ def _verify_exact(checks: _Checks) -> None:
         (1, 2, 2, Fraction(1, 2)),
         (2, 4, 4, Fraction(1, 10)),
     ):
-        params = SystemParams(l, r, n, q=q)
-        worst = None
-        for w in range(n + 1):
-            for s in range(params.m + 1):
-                formula = _genfunc.noisy_ensemble_event_probability(params, w, s)
-                counted = enumeration_fraction_noisy(params, w, s)
-                if formula != counted:
-                    worst = (w, s, formula, counted)
-        checks.record(
+        checks.all_events_equal(
             f"noisy formula vs enumeration (l={l}, r={r}, n={n}, q={q})",
-            worst is None,
-            "exact rational match on all (w, s)" if worst is None
-            else f"mismatch at (w={worst[0]}, s={worst[1]}): {worst[2]} vs {worst[3]}",
+            SystemParams(l, r, n, q=q),
+            _genfunc.noisy_ensemble_event_probability,
+            enumeration_fraction_noisy,
         )
 
     rounded = _genfunc.noisy_ensemble_event_probability(SystemParams(3, 6, 120, q=0.1), 60, 15)
@@ -258,22 +253,13 @@ def _verify_exact(checks: _Checks) -> None:
     )
 
     for l, r, n in ((1, 2, 4), (2, 4, 4)):
-        params = SystemParams(l, r, n)
-        f = or_function(r)
-        worst = None
-        for w in range(n + 1):
-            for s in range(params.m + 1):
-                binary = _genfunc.ensemble_event_probability(params, w, s)
-                general = _genfunc.general_ensemble_event_probability(
-                    params, f, (n - w, w), (params.m - s, s)
-                )
-                if binary != general:
-                    worst = (w, s)
-        checks.record(
+        checks.all_events_equal(
             f"general formula reduces to binary (l={l}, r={r}, n={n})",
-            worst is None,
-            "exact match on all types" if worst is None
-            else f"mismatch at (w={worst[0]}, s={worst[1]})",
+            SystemParams(l, r, n),
+            _genfunc.ensemble_event_probability,
+            lambda params, w, s, f=or_function(r): _genfunc.general_ensemble_event_probability(
+                params, f, (params.n - w, w), (params.m - s, s)
+            ),
         )
 
     for l, r, n in ((3, 6, 12), (2, 4, 4)):
@@ -326,6 +312,12 @@ def _verify_identities(checks: _Checks) -> None:
         "noisy direct exponent reduces to noiseless at q=0",
         [(_genfunc.noisy_direct_exponent(l, r, pp, 0.0).value,
           _genfunc.noiseless_direct_exponent(l, r, pp).value) for pp in (0.05, 0.10)],
+        1e-12,
+    )
+    checks.max_difference(
+        "noiseless direct exponent matches the closed form below the crossover",
+        [(_genfunc.noiseless_direct_exponent(ll, rr, pp).value, _bounds.achievable_margin(ll, rr, pp))
+         for ll, rr in ((l, r), (4, 8)) for pp in grid if pp < 2 - 2 ** ((rr - 1) / rr)],
         1e-12,
     )
     f = or_function(r)
@@ -461,9 +453,6 @@ def cmd_general(args: argparse.Namespace) -> int:
             "gap": margin.gap,
         },
     }
-    if f.num_inputs == 2 and tuple(f.input_alphabet) == (0, 1) and 0 < probs[1] < 1:
-        binary = _genfunc.binary_direct_margin(f, l, r, probs[1])
-        payload["binary_direct_margin"] = {"value": binary.value, "z": binary.z}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 

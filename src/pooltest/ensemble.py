@@ -235,9 +235,6 @@ class TestFunction:
     def num_outputs(self) -> int:
         return len(self.output_alphabet)
 
-    def output_index(self, counts: Sequence[int]) -> int:
-        return self.table[tuple(counts)]
-
     def value_for_type(self, counts: Sequence[int]):
         return self.output_alphabet[self.table[tuple(counts)]]
 

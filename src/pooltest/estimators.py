@@ -9,8 +9,11 @@ early once ambiguity is certain.
 The prune is a flip budget.  A test outside y that a partial support lights
 can only be explained by a flip, and it stays lit as objects are added, so
 a support lighting more such tests than the largest typical flip count has
-no accepted extension and is dropped with its subtree.  Noiseless decoding
-is budget 0, which is COMP: no object wired into a clear test is tried.
+no accepted extension and is dropped with its subtree.
+
+Noiseless decoding is the noisy decoder at flip rate q = 0: only the
+all-zero flip pattern is typical, so the window is {0} and the budget is 0,
+which is COMP: no object wired into a clear test is tried.
 """
 
 from __future__ import annotations
@@ -144,21 +147,22 @@ def _support_to_vector(support: tuple[int, ...], n: int) -> tuple[int, ...]:
 def _scan_or_consistent(
     masks: list[int],
     target: int,
-    budget: int,
+    flips: frozenset[int],
     weights: frozenset[int],
-    accept,
     cap: int | None,
 ) -> list[tuple[int, ...]]:
     """Depth-first scan over supports, collecting those whose weight is
-    typical and whose union-of-pools mask is accepted.
+    typical and whose union-of-pools mask differs from `target` in a number
+    of tests that lies in the noise window `flips`.
 
-    A support that lights more than `budget` tests outside `target` is
+    A support that lights more than max(flips) tests outside `target` is
     pruned together with everything below it, since that count only grows
     along a branch.  At budget 0 the per-object filter already enforces the
     bound, so the scan skips the per-node check."""
     found: list[tuple[int, ...]] = []
-    if not weights:
+    if not weights or not flips:
         return found
+    budget = max(flips)
     outside = ~target
     candidates = [
         i for i in range(len(masks)) if (masks[i] & outside).bit_count() <= budget
@@ -168,7 +172,7 @@ def _scan_or_consistent(
 
     def rec(start: int, mask: int) -> bool:
         depth = len(chosen)
-        if depth in weights and accept(mask):
+        if depth in weights and (mask ^ target).bit_count() in flips:
             found.append(tuple(chosen))
             if cap is not None and len(found) >= cap:
                 return True
@@ -195,21 +199,10 @@ def decision_set_noiseless(
     enumeration_limit: int = ENUMERATION_LIMIT,
     cap: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """All typical inputs whose noiseless OR outcome equals y, as vectors."""
-    params = graph.params
-    if spec.n != params.n:
-        raise InputError("typicality window length differs from the system size")
-    if len(y) != params.m:
-        raise InputError(f"y has length {len(y)}, expected m={params.m}")
-    _check_guard(params.n, enumeration_limit)
-    weights = typical_weight_set(spec)
-    masks = _object_masks(graph)
-    target = _vector_mask(y)
-    # no flips: an object wired into any clear test is never defective
-    supports = _scan_or_consistent(
-        masks, target, 0, weights, lambda mask: mask == target, cap
-    )
-    return [_support_to_vector(s, params.n) for s in supports]
+    """All typical inputs whose noiseless OR outcome equals y, as vectors:
+    the noisy decision set at flip rate 0, whose noise window is {0}."""
+    noise_spec = TypicalSetSpec(graph.params.m, 0.0, 0.0)
+    return decision_set_noisy(graph, spec, noise_spec, y, enumeration_limit, cap)
 
 
 def decision_set_noisy(
@@ -230,19 +223,12 @@ def decision_set_noisy(
     if len(y) != params.m:
         raise InputError(f"y has length {len(y)}, expected m={params.m}")
     _check_guard(params.n, enumeration_limit)
-    weights = typical_weight_set(spec)
-    noise_weights = typical_weight_set(noise_spec)
-    masks = _object_masks(graph)
-    target = _vector_mask(y)
-    if not noise_weights:
-        return []
-
-    def accept(mask: int) -> bool:
-        return (mask ^ target).bit_count() in noise_weights
-
-    # a wrongly lit test needs a flip, so at most max(noise window) of them
     supports = _scan_or_consistent(
-        masks, target, max(noise_weights), weights, accept, cap
+        _object_masks(graph),
+        _vector_mask(y),
+        typical_weight_set(noise_spec),
+        typical_weight_set(spec),
+        cap,
     )
     return [_support_to_vector(s, params.n) for s in supports]
 

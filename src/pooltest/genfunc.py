@@ -18,7 +18,8 @@ a duality gap.  The direct exponents maximize such an infimum over an
 outcome-weight fraction sigma; the objective is affine in sigma, so by
 minimax each exponent is one 1-D minimization of the max over the two
 endpoint weights, with the branches' crossing at the fixed point
-z* = 2^(1/r) - 1 checked as an extra candidate.
+z* = 2^(1/r) - 1 checked as an extra candidate.  The noiseless exponent is
+the noisy one at flip rate q = 0, where fire is the pool and quiet is 1.
 """
 
 from __future__ import annotations
@@ -597,12 +598,19 @@ class DirectExponent:
     at_kink: bool
 
 
-def _mixed_exponent(
-    fire: Polynomial, quiet: Polynomial, l: int, r: int, p: float
-) -> tuple[float, float, float, bool]:
-    """max over sigma in [0, l/r] of inf over z > 0 of
-    sigma*log2 fire(z) + (1-sigma)*log2 quiet(z) - l*p*log2 z,
-    as (value, sigma*, z*, at_kink).
+def noiseless_direct_exponent(l: int, r: int, p: float) -> DirectExponent:
+    """Worst-case growth rate of the expected number of confusable typical
+    inputs under noiseless OR tests; negative means decoding succeeds.
+    This is the noisy exponent at flip rate q = 0."""
+    return noisy_direct_exponent(l, r, p, 0.0)
+
+
+def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
+    """Direct-part exponent with test outcomes flipped at rate q:
+    -(l-1) h(p) + (l/r) h(q) plus the max over sigma in [0, l/r] of
+    inf over z > 0 of sigma*log2 fire(z) + (1-sigma)*log2 quiet(z) - l*p*log2 z,
+    where a firing test is seen through fire = (1-q)*pool + q and a quiet
+    one through quiet = q*pool + (1-q).
 
     The objective is affine in sigma and convex in u = log2 z, so by Sion's
     minimax theorem the max and inf swap, and the max over sigma sits at an
@@ -612,6 +620,13 @@ def _mixed_exponent(
     kink z* = 2^(1/r) - 1.  sigma* balances the subgradient at u*: the
     active endpoint off the kink, (l*p - Q') / (F' - Q') clipped on it.
     """
+    _check_exponent_args(l, r, p)
+    if not 0 <= q < 1:
+        raise InputError(f"q={q} outside [0, 1)")
+    pool = or_pool_poly(r)
+    fire = pool * (1.0 - q) + q
+    quiet = pool * q + (1.0 - q)
+    base = -(l - 1) * binary_entropy(p) + (l / r) * binary_entropy(q)
     ratio, lp = l / r, l * p
     # quiet has a nonzero constant term, so the objective rises as z -> 0;
     # as z -> inf the steepest branch governs it
@@ -624,7 +639,7 @@ def _mixed_exponent(
         raise InputError("the exponent is unbounded for every outcome weight")
     if slope == 0:
         # convex and leveling off: the infimum is the limit at z -> inf
-        return limit, sigma, math.inf, False
+        return DirectExponent(base + limit, sigma, math.inf, False)
     fire_terms, quiet_terms = _log_terms(fire), _log_terms(quiet)
     u_star, val, at_kink = _minimax_1d(
         [quiet_terms, fire_terms], ratio, lp, 1.0 - ratio, math.log2(fixed_point_z(r))
@@ -637,37 +652,9 @@ def _mixed_exponent(
         sigma = 0.0  # fire == quiet (q = 1/2): no sigma dependence at all
         if f_slope != q_slope:
             sigma = min(max((lp - q_slope) / (f_slope - q_slope), 0.0), ratio)
-        return val, sigma, 2.0**u_star, True
-    fire_active = _lse2(fire_terms, u_star) > _lse2(quiet_terms, u_star)
-    return val, ratio if fire_active else 0.0, 2.0**u_star, False
-
-
-def noiseless_direct_exponent(l: int, r: int, p: float) -> DirectExponent:
-    """Worst-case growth rate of the expected number of confusable typical
-    inputs under noiseless OR tests; negative means decoding succeeds.
-
-    The maximization over the outcome weight is exact: it is folded into
-    one convex minimization over z (see _mixed_exponent)."""
-    _check_exponent_args(l, r, p)
-    phi, sigma, z, at_kink = _mixed_exponent(or_pool_poly(r), Polynomial([1]), l, r, p)
-    return DirectExponent(-(l - 1) * binary_entropy(p) + phi, sigma, z, at_kink)
-
-
-def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
-    """Direct-part exponent with test outcomes flipped at rate q.
-
-    A firing test is seen through (1-q)*pool + q and a quiet one through
-    q*pool + (1-q); _mixed_exponent weighs them sigma and 1 - sigma and
-    does the maximization over sigma exactly."""
-    _check_exponent_args(l, r, p)
-    if not 0 <= q < 1:
-        raise InputError(f"q={q} outside [0, 1)")
-    pool = or_pool_poly(r)
-    fire = pool * (1.0 - q) + q
-    quiet = pool * q + (1.0 - q)
-    phi, sigma, z, at_kink = _mixed_exponent(fire, quiet, l, r, p)
-    value = -(l - 1) * binary_entropy(p) + (l / r) * binary_entropy(q) + phi
-    return DirectExponent(value, sigma, z, at_kink)
+    else:
+        sigma = ratio if _lse2(fire_terms, u_star) > _lse2(quiet_terms, u_star) else 0.0
+    return DirectExponent(base + val, sigma, 2.0**u_star, at_kink)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ seed, stream label, trial index), so its outcome does not depend on which
 other trials ran or in what order.  The event-rate gates only count hits,
 so each gate seeds one stream per label once and draws every trial from
 it.  Each harness is one serial loop.
+
+Noiseless is the flip rate q = 0: the noiseless trials and gate run the
+noisy loop and gate at q = 0, which never draw a flip.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .estimators import (
     ENUMERATION_LIMIT,
     TypicalSetSpec,
     _check_guard,
-    estimate_noiseless,
     estimate_noisy,
     typical_weight_set,
 )
@@ -68,21 +70,74 @@ class TrialReport:
         }
 
 
-def _finish_report(
+def _run_trials(
+    mode: str,
+    params: SystemParams,
+    q: float,
+    epsilon_input: float,
+    epsilon_noise: float,
     trials: int,
     master_seed: int,
-    source_atypical: int,
-    noise_atypical: int,
-    ambiguous: int,
-    config: dict,
+    graph_mode: str,
+    enumeration_limit: int,
+    settings: dict,
 ) -> TrialReport:
+    """Decode `trials` random observations with outcomes flipped at rate q
+    and count failures by first cause.  Each trial's stream draws x, then
+    the flips, and only when q != 0; `settings` holds the mode's own config
+    keys, which follow p."""
+    if graph_mode not in ("fixed", "fresh"):
+        raise ConfigurationError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
+    if trials < 0:
+        raise InputError("trials must be nonnegative")
+    _check_guard(params.n, enumeration_limit)
+    spec = TypicalSetSpec(params.n, params.p, epsilon_input)
+    noise_spec = TypicalSetSpec(params.m, q, epsilon_noise)
+    x_weights = typical_weight_set(spec)
+    e_weights = typical_weight_set(noise_spec)
+    fixed = (
+        sample_graph(params, derive_seed(master_seed, "fixed-graph", 0))
+        if graph_mode == "fixed"
+        else None
+    )
+    n, m, p = params.n, params.m, params.p
+    source_atypical = noise_atypical = ambiguous = 0
+    for i in range(trials):
+        rng = random.Random(derive_seed(master_seed, "trial", i))
+        x = tuple(1 if rng.random() < p else 0 for _ in range(n))
+        graph = fixed or sample_graph(params, derive_seed(master_seed, "graph", i))
+        y = forward_or(graph, x)
+        flips = 0
+        if q:
+            e = tuple(1 if rng.random() < q else 0 for _ in range(m))
+            y = tuple(a ^ b for a, b in zip(y, e))
+            flips = sum(e)
+        if sum(x) not in x_weights:
+            source_atypical += 1
+            continue
+        if flips not in e_weights:
+            noise_atypical += 1
+            continue
+        est = estimate_noisy(graph, spec, noise_spec, y, enumeration_limit, cap=2)
+        if est.failed or est.value != x:
+            ambiguous += 1
     errors = source_atypical + noise_atypical + ambiguous
+    rate = halfwidth = None
     if trials > 0:
         rate = errors / trials
         halfwidth = CONFIDENCE_FACTOR * math.sqrt(rate * (1 - rate) / trials)
-    else:
-        rate = None
-        halfwidth = None
+    config = {
+        "mode": mode,
+        "l": params.l,
+        "r": params.r,
+        "n": params.n,
+        "p": params.p,
+        **settings,
+        "trials": trials,
+        "master_seed": master_seed,
+        "graph_mode": graph_mode,
+        "enumeration_limit": enumeration_limit,
+    }
     return TrialReport(
         trials=trials,
         errors=errors,
@@ -96,11 +151,6 @@ def _finish_report(
     )
 
 
-def _check_mode(graph_mode: str) -> None:
-    if graph_mode not in ("fixed", "fresh"):
-        raise ConfigurationError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
-
-
 def run_noiseless_trials(
     params: SystemParams,
     epsilon: float,
@@ -109,44 +159,12 @@ def run_noiseless_trials(
     graph_mode: str = "fresh",
     enumeration_limit: int = ENUMERATION_LIMIT,
 ) -> TrialReport:
-    """Decode `trials` random noiseless observations and count failures."""
-    _check_mode(graph_mode)
-    if trials < 0:
-        raise InputError("trials must be nonnegative")
-    _check_guard(params.n, enumeration_limit)
-    spec = TypicalSetSpec(params.n, params.p, epsilon)
-    x_weights = typical_weight_set(spec)
-    fixed = (
-        sample_graph(params, derive_seed(master_seed, "fixed-graph", 0))
-        if graph_mode == "fixed"
-        else None
+    """Decode `trials` random noiseless observations and count failures:
+    the noisy harness at q = 0, whatever params.q says."""
+    return _run_trials(
+        "noiseless", params, 0.0, epsilon, 0.0, trials, master_seed, graph_mode,
+        enumeration_limit, {"epsilon": epsilon},
     )
-    n, p = params.n, params.p
-    source_atypical = ambiguous = 0
-    for i in range(trials):
-        rng = random.Random(derive_seed(master_seed, "trial", i))
-        x = tuple(1 if rng.random() < p else 0 for _ in range(n))
-        graph = fixed or sample_graph(params, derive_seed(master_seed, "graph", i))
-        y = forward_or(graph, x)
-        if sum(x) not in x_weights:
-            source_atypical += 1
-            continue
-        est = estimate_noiseless(graph, spec, y, enumeration_limit, cap=2)
-        if est.failed or est.value != x:
-            ambiguous += 1
-    config = {
-        "mode": "noiseless",
-        "l": params.l,
-        "r": params.r,
-        "n": params.n,
-        "p": params.p,
-        "epsilon": epsilon,
-        "trials": trials,
-        "master_seed": master_seed,
-        "graph_mode": graph_mode,
-        "enumeration_limit": enumeration_limit,
-    }
-    return _finish_report(trials, master_seed, source_atypical, 0, ambiguous, config)
 
 
 def run_noisy_trials(
@@ -161,53 +179,10 @@ def run_noisy_trials(
     """Decode `trials` random observations with flipped outcomes and count
     failures.  With q = 0 only the all-zero flip pattern is typical, so the
     run reproduces run_noiseless_trials trial for trial at the same seed."""
-    _check_mode(graph_mode)
-    if trials < 0:
-        raise InputError("trials must be nonnegative")
-    _check_guard(params.n, enumeration_limit)
-    spec = TypicalSetSpec(params.n, params.p, epsilon_input)
-    noise_spec = TypicalSetSpec(params.m, params.q, epsilon_noise)
-    x_weights = typical_weight_set(spec)
-    e_weights = typical_weight_set(noise_spec)
-    fixed = (
-        sample_graph(params, derive_seed(master_seed, "fixed-graph", 0))
-        if graph_mode == "fixed"
-        else None
-    )
-    n, m, p, q = params.n, params.m, params.p, params.q
-    source_atypical = noise_atypical = ambiguous = 0
-    for i in range(trials):
-        rng = random.Random(derive_seed(master_seed, "trial", i))
-        x = tuple(1 if rng.random() < p else 0 for _ in range(n))
-        e = tuple(1 if rng.random() < q else 0 for _ in range(m))
-        graph = fixed or sample_graph(params, derive_seed(master_seed, "graph", i))
-        clean = forward_or(graph, x)
-        y = tuple(a ^ b for a, b in zip(clean, e))
-        if sum(x) not in x_weights:
-            source_atypical += 1
-            continue
-        if sum(e) not in e_weights:
-            noise_atypical += 1
-            continue
-        est = estimate_noisy(graph, spec, noise_spec, y, enumeration_limit, cap=2)
-        if est.failed or est.value != x:
-            ambiguous += 1
-    config = {
-        "mode": "noisy",
-        "l": params.l,
-        "r": params.r,
-        "n": params.n,
-        "p": params.p,
-        "q": params.q,
-        "epsilon_input": epsilon_input,
-        "epsilon_noise": epsilon_noise,
-        "trials": trials,
-        "master_seed": master_seed,
-        "graph_mode": graph_mode,
-        "enumeration_limit": enumeration_limit,
-    }
-    return _finish_report(
-        trials, master_seed, source_atypical, noise_atypical, ambiguous, config
+    settings = {"q": params.q, "epsilon_input": epsilon_input, "epsilon_noise": epsilon_noise}
+    return _run_trials(
+        "noisy", params, params.q, epsilon_input, epsilon_noise, trials, master_seed,
+        graph_mode, enumeration_limit, settings,
     )
 
 
@@ -240,18 +215,20 @@ class EventRateCheck:
 
 
 def _gate(
+    check: str,
+    probability,
     params: SystemParams,
     w: int,
     s: int,
     trials: int,
     master_seed: int,
-    q: float,
-    exact: float,
-    config: dict,
+    settings: dict,
 ) -> EventRateCheck:
     """Sample how often a canonical weight-w input fires exactly the first s
-    tests, after flipping each outcome at rate q, and gate that frequency
-    against its exact ensemble average.
+    tests, after flipping each outcome at rate settings.get("q", 0), and
+    gate that frequency against its exact ensemble average
+    probability(params, w, s).  `settings` holds the check's own config
+    keys, which follow n.
 
     A trial draws only what the event reads: the right sockets that the w*l
     defect sockets land on, an ordered sample distributed exactly like the
@@ -259,6 +236,10 @@ def _gate(
     from one "graph" stream and their flips from one "noise" stream, each
     seeded once per call; q = 0 never reads the noise stream, since no
     flip can fire then."""
+    if trials < 1:
+        raise InputError("trials must be positive")
+    exact = float(probability(params, w, s))
+    q = settings.get("q", 0.0)
     r, m, wl = params.r, params.m, w * params.l
     sockets = range(params.num_sockets)
     graphs = random.Random(derive_seed(master_seed, "graph", 0))
@@ -282,6 +263,17 @@ def _gate(
     else:
         z = 0.0
         passed = empirical == exact
+    config = {
+        "check": check,
+        "l": params.l,
+        "r": params.r,
+        "n": params.n,
+        **settings,
+        "w": w,
+        "s": s,
+        "trials": trials,
+        "master_seed": master_seed,
+    }
     return EventRateCheck(empirical, exact, z, passed, trials, config)
 
 
@@ -296,20 +288,10 @@ def validate_event_probability(
     input and weight-s output against sampling of the ensemble."""
     from .genfunc import ensemble_event_probability
 
-    if trials < 1:
-        raise InputError("trials must be positive")
-    exact = float(ensemble_event_probability(params, w, s))
-    config = {
-        "check": "noiseless-event-rate",
-        "l": params.l,
-        "r": params.r,
-        "n": params.n,
-        "w": w,
-        "s": s,
-        "trials": trials,
-        "master_seed": master_seed,
-    }
-    return _gate(params, w, s, trials, master_seed, 0.0, exact, config)
+    return _gate(
+        "noiseless-event-rate", ensemble_event_probability, params, w, s, trials,
+        master_seed, {},
+    )
 
 
 def validate_noisy_event_probability(
@@ -323,19 +305,7 @@ def validate_noisy_event_probability(
     ensemble and the flip pattern."""
     from .genfunc import noisy_ensemble_event_probability
 
-    if trials < 1:
-        raise InputError("trials must be positive")
-    exact = float(noisy_ensemble_event_probability(params, w, s))
-    q = float(params.q)
-    config = {
-        "check": "noisy-event-rate",
-        "l": params.l,
-        "r": params.r,
-        "n": params.n,
-        "q": q,
-        "w": w,
-        "s": s,
-        "trials": trials,
-        "master_seed": master_seed,
-    }
-    return _gate(params, w, s, trials, master_seed, q, exact, config)
+    return _gate(
+        "noisy-event-rate", noisy_ensemble_event_probability, params, w, s, trials,
+        master_seed, {"q": float(params.q)},
+    )

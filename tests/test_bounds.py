@@ -238,9 +238,9 @@ class TestCurves:
         with pytest.raises(InputError, match="not an integer"):
             emit_curve("converse-vs-l", grid, p=0.05)
 
-    @pytest.mark.parametrize("ratio", [0, -1])
+    @pytest.mark.parametrize("ratio", [0, -1, 2.5, math.nan, math.inf])
     def test_degree_sweep_rejects_nonpositive_ratio(self, ratio):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="must be a positive integer"):
             emit_curve("converse-vs-l", [2.0, 3.0], p=0.05, ratio=ratio)
 
     def test_collision_curve_needs_sigma(self):

@@ -342,9 +342,7 @@ class TestGeneralCommand:
         assert data["direct_margin"]["value"] == pytest.approx(
             achievable_margin(3, 6, 0.08), abs=1e-8
         )
-        assert data["binary_direct_margin"]["value"] == pytest.approx(
-            achievable_margin(3, 6, 0.08), abs=1e-8
-        )
+        assert "binary_direct_margin" not in data
         assert sum(data["outcome_distribution"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_ternary_function_reports_duality_gap(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -237,3 +238,56 @@ class TestEventRateValidators:
         params = SystemParams(1, 2, 4)
         check = validate_event_probability(params, 2, 1, trials=20000, master_seed=13)
         assert check.empirical == pytest.approx(1 / 6, abs=0.02)
+
+
+class TestPinnedOutput:
+    """Seeded reports pinned to recorded values, key order included, so that
+    any change to the trial or gate streams shows up here.  A deliberate
+    stream change must re-record these values and say so."""
+
+    @staticmethod
+    def assert_pinned(result, expected):
+        assert json.dumps(result.to_json_dict()) == json.dumps(expected)
+
+    def test_noiseless_fixed_graph_run(self):
+        report = run_noiseless_trials(
+            SystemParams(2, 4, 12, p=0.1), 0.2, 60, master_seed=2024, graph_mode="fixed"
+        )
+        self.assert_pinned(report, {
+            "trials": 60, "errors": 43, "error_rate": 0.7166666666666667,
+            "confidence_halfwidth": 0.11402179778608286, "master_seed": 2024,
+            "errors_source_atypical": 39, "errors_noise_atypical": 0, "errors_ambiguous": 4,
+            "config": {
+                "mode": "noiseless", "l": 2, "r": 4, "n": 12, "p": 0.1, "epsilon": 0.2,
+                "trials": 60, "master_seed": 2024, "graph_mode": "fixed",
+                "enumeration_limit": 24,
+            },
+        })
+
+    def test_noisy_run(self):
+        report = run_noisy_trials(
+            SystemParams(2, 4, 12, p=0.15, q=0.05), 0.3, 0.3, 60, master_seed=2024
+        )
+        self.assert_pinned(report, {
+            "trials": 60, "errors": 54, "error_rate": 0.9,
+            "confidence_halfwidth": 0.07591047358566537, "master_seed": 2024,
+            "errors_source_atypical": 16, "errors_noise_atypical": 12, "errors_ambiguous": 26,
+            "config": {
+                "mode": "noisy", "l": 2, "r": 4, "n": 12, "p": 0.15, "q": 0.05,
+                "epsilon_input": 0.3, "epsilon_noise": 0.3, "trials": 60,
+                "master_seed": 2024, "graph_mode": "fresh", "enumeration_limit": 24,
+            },
+        })
+
+    def test_noisy_gate(self):
+        check = validate_noisy_event_probability(
+            SystemParams(1, 2, 2, q=0.25), 1, 1, trials=2000, master_seed=2024
+        )
+        self.assert_pinned(check, {
+            "empirical": 0.7495, "exact": 0.75, "z_score": -0.051639777949426535,
+            "pass": True, "trials": 2000,
+            "config": {
+                "check": "noisy-event-rate", "l": 1, "r": 2, "n": 2, "q": 0.25,
+                "w": 1, "s": 1, "trials": 2000, "master_seed": 2024,
+            },
+        })
