@@ -11,6 +11,7 @@ from above and below.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,6 +20,9 @@ from .errors import ConfigurationError, InputError, NoThresholdError
 THRESHOLD_SEARCH_MAX = 0.5
 THRESHOLD_SCAN_STEP = 1e-3
 THRESHOLD_TOL = 1e-9
+
+_LN2 = math.log(2)
+_LN_FLOAT_MAX = math.log(sys.float_info.max)  # expm1 overflows past this argument
 
 
 def binary_entropy(p: float) -> float:
@@ -65,10 +69,11 @@ def noisy_converse_margin(l: int, r: int, p: float, q: float) -> float:
     """Converse margin when each test outcome is flipped with probability q."""
     _check_degrees(l, r)
     _check_flip_rate(q)
+    source = binary_entropy(p)
     clear = (1 - p) ** r
     flipped = clear * (1 - q) + (1 - clear) * q
     return (
-        binary_entropy(p)
+        source
         + (l / r) * binary_entropy(q)
         - (l / r) * binary_entropy(flipped)
     )
@@ -100,17 +105,22 @@ def collision_exponent(l: int, r: int, p: float, sigma: float, z: float) -> floa
     weight fraction sigma = s/n.
 
     The pool enumerator is evaluated as expm1(r log1p(z)) so the fixed
-    point stays sigma-independent to machine precision.
+    point stays sigma-independent to machine precision; past the float
+    range its log2 is taken as x/ln 2 + log2(-expm1(-x)), x = r log1p(z).
     """
     _check_degrees(l, r)
-    if not z > 0:
-        raise InputError(f"z={z} must be positive")
+    if not 0 < z < math.inf:
+        raise InputError(f"z={z} must be positive and finite")
     if not 0 <= sigma <= l / r:
         raise InputError(f"sigma={sigma} outside [0, l/r]")
-    pool = math.expm1(r * math.log1p(z))
+    x = r * math.log1p(z)
+    if x < _LN_FLOAT_MAX:
+        log_pool = math.log2(math.expm1(x))
+    else:
+        log_pool = x / _LN2 + math.log2(-math.expm1(-x))
     return (
         -(l - 1) * binary_entropy(p)
-        + sigma * math.log2(pool)
+        + sigma * log_pool
         - l * p * math.log2(z)
     )
 
@@ -125,9 +135,11 @@ def noisy_collision_factor(r: int, q: float, sigma: float, z: float) -> float:
     _check_flip_rate(q)
     if not 0 <= sigma <= 1:
         raise InputError(f"sigma={sigma} outside [0, 1]")
-    pool = math.expm1(r * math.log1p(z))
-    fire = pool * (1 - q) + q
-    quiet = pool * q + (1 - q)
+    x = r * math.log1p(z)
+    pool = math.expm1(x) if x < _LN_FLOAT_MAX else math.inf
+    # a zero weight on an infinite pool contributes nothing, not inf * 0
+    fire = pool * (1 - q) + q if q < 1 else 1.0
+    quiet = pool * q + (1 - q) if q > 0 else 1.0
     return fire**sigma * quiet ** (1 - sigma)
 
 

@@ -8,6 +8,10 @@ that coefficient comes from powers truncated at the target degree, by the
 power-series power recurrence over exact integers; a noise rate q = P/Q
 enters as the integer polynomials Q*fire and Q*quiet.  Results are exact
 Fractions, or that exact value rounded once to a float when q is a float.
+The float is certified without forming the exact numerator, a sum of
+products of thousands-of-bits integers: the leading bits of every factor
+bound that sum from both sides, and when both bounds round to one float so
+does the exact value (Ziv's rounding test); otherwise the sum is formed.
 
 Every direct-part margin minimizes one shape over u = log2(z): a pointwise
 max of weighted log-enumerators, each a log-sum-exp and hence convex, minus
@@ -40,6 +44,7 @@ _PHI = (math.sqrt(5) + 1) / 2
 Z_SEARCH_TOL = 1e-10       # width, in log2(z), of the final 1-D bracket
 GAP_TOL = 1e-12            # duality gap, in bits, at which interior point stops
 MAX_NEWTON_STEPS = 100
+_ROUND_BITS = 96           # leading bits of each factor in the float-q rounding test
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +281,54 @@ def ensemble_event_probability(params: SystemParams, w: int, s: int) -> Fraction
     return Fraction(numer, math.comb(params.num_sockets, lw))
 
 
+def _dot_reversed(fired: list[int], quieted: list[int]) -> int:
+    """sum_k fired[k] quieted[-1 - k]: the top coefficient of the product of
+    two powers truncated at the same degree, exactly."""
+    return sum(a * b for a, b in zip(fired, reversed(quieted)))
+
+
+def _round_from_bounds(fired: list[int], quieted: list[int], denom: int) -> float | None:
+    """The float nearest _dot_reversed(fired, quieted) / denom, or None when
+    truncated factors cannot decide it (Ziv's rounding test).
+
+    Every term is a nonnegative product.  In units of 2^cut, cut lying
+    2 * _ROUND_BITS bits below the largest term, the factors cut to their
+    leading _ROUND_BITS bits with each product floored bound the numerator
+    from below, and the cut factors plus one with each product rounded up
+    bound it from above.  int / int rounds correctly and rounding is
+    monotone, so when both bounds round to one float the exact quotient
+    rounds to it too."""
+    terms = [(a, b) for a, b in zip(fired, reversed(quieted)) if a and b]
+    if not terms:
+        return None
+    cut = max(a.bit_length() + b.bit_length() for a, b in terms) - 2 * _ROUND_BITS
+    if cut <= 0:
+        return None
+    lo = hi = 0
+    for a, b in terms:
+        sa = max(a.bit_length() - _ROUND_BITS, 0)
+        sb = max(b.bit_length() - _ROUND_BITS, 0)
+        a, b = a >> sa, b >> sb
+        floor, ceil = a * b, (a + (sa > 0)) * (b + (sb > 0))
+        shift = sa + sb - cut
+        if shift >= 0:
+            lo += floor << shift
+            hi += ceil << shift
+        else:
+            lo += floor >> -shift
+            hi -= -ceil >> -shift
+    low = (lo << cut) / denom
+    return low if low == (hi << cut) / denom else None
+
+
 def noisy_ensemble_event_probability(params: SystemParams, w: int, s: int):
     """Same event with every test outcome flipped independently with
     probability q: [z^{lw}] fire^s quiet^(m-s) / C(nl, lw), with
     fire = (1-q) pool + q and quiet = q pool + (1-q).  A Fraction q gives the
     exact Fraction.  Any other q is taken as the exact rational it stores
     (Fraction(q); for a float, its binary value), and the exact result is
-    rounded once to the nearest float."""
+    rounded once to the nearest float, by _round_from_bounds when its bounds
+    decide it and from the exact numerator otherwise."""
     _check_event(params, w, s)
     q = Fraction(params.q)
     big_p, big_q = q.numerator, q.denominator
@@ -293,11 +339,13 @@ def noisy_ensemble_event_probability(params: SystemParams, w: int, s: int):
     lw = params.l * w
     fired = _truncated_power(fire, s, lw)
     quieted = _truncated_power(quiet, params.m - s, lw)
-    numer = sum(fired[k] * quieted[lw - k] for k in range(lw + 1))
     denom = big_q**params.m * math.comb(params.num_sockets, lw)
     if isinstance(params.q, Fraction):
-        return Fraction(numer, denom)
-    return numer / denom
+        return Fraction(_dot_reversed(fired, quieted), denom)
+    rounded = _round_from_bounds(fired, quieted, denom)
+    if rounded is not None:
+        return rounded
+    return _dot_reversed(fired, quieted) / denom
 
 
 def general_ensemble_event_probability(

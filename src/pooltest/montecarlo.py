@@ -17,13 +17,14 @@ import math
 import random
 from dataclasses import dataclass
 
-from .ensemble import SystemParams, forward_or, sample_graph
+from .ensemble import SystemParams, sample_graph
 from .errors import ConfigurationError, InputError
 from .estimators import (
     ENUMERATION_LIMIT,
     TypicalSetSpec,
     _check_guard,
-    estimate_noisy,
+    _object_masks,
+    _scan_or_consistent,
     typical_weight_set,
 )
 
@@ -85,18 +86,20 @@ def _run_trials(
     """Decode `trials` random observations with outcomes flipped at rate q
     and count failures by first cause.  Each trial's stream draws x, then
     the flips, and only when q != 0; `settings` holds the mode's own config
-    keys, which follow p."""
+    keys, which follow p.
+
+    Each graph's object masks are taken once (once per run for a fixed
+    graph): a trial ORs its defects' masks into y, XORs each flip in as it
+    is drawn, and runs the decoder's scan capped at two supports."""
     if graph_mode not in ("fixed", "fresh"):
         raise ConfigurationError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
     if trials < 0:
         raise InputError("trials must be nonnegative")
     _check_guard(params.n, enumeration_limit)
-    spec = TypicalSetSpec(params.n, params.p, epsilon_input)
-    noise_spec = TypicalSetSpec(params.m, q, epsilon_noise)
-    x_weights = typical_weight_set(spec)
-    e_weights = typical_weight_set(noise_spec)
+    x_weights = typical_weight_set(TypicalSetSpec(params.n, params.p, epsilon_input))
+    e_weights = typical_weight_set(TypicalSetSpec(params.m, q, epsilon_noise))
     fixed = (
-        sample_graph(params, derive_seed(master_seed, "fixed-graph", 0))
+        _object_masks(sample_graph(params, derive_seed(master_seed, "fixed-graph", 0)))
         if graph_mode == "fixed"
         else None
     )
@@ -104,22 +107,26 @@ def _run_trials(
     source_atypical = noise_atypical = ambiguous = 0
     for i in range(trials):
         rng = random.Random(derive_seed(master_seed, "trial", i))
-        x = tuple(1 if rng.random() < p else 0 for _ in range(n))
-        graph = fixed or sample_graph(params, derive_seed(master_seed, "graph", i))
-        y = forward_or(graph, x)
+        support = tuple(k for k in range(n) if rng.random() < p)
+        masks = fixed or _object_masks(
+            sample_graph(params, derive_seed(master_seed, "graph", i))
+        )
+        y = 0
+        for k in support:
+            y |= masks[k]
         flips = 0
         if q:
-            e = tuple(1 if rng.random() < q else 0 for _ in range(m))
-            y = tuple(a ^ b for a, b in zip(y, e))
-            flips = sum(e)
-        if sum(x) not in x_weights:
+            for j in range(m):
+                if rng.random() < q:
+                    y ^= 1 << j
+                    flips += 1
+        if len(support) not in x_weights:
             source_atypical += 1
             continue
         if flips not in e_weights:
             noise_atypical += 1
             continue
-        est = estimate_noisy(graph, spec, noise_spec, y, enumeration_limit, cap=2)
-        if est.failed or est.value != x:
+        if _scan_or_consistent(masks, y, e_weights, x_weights, 2) != [support]:
             ambiguous += 1
     errors = source_atypical + noise_atypical + ambiguous
     rate = halfwidth = None

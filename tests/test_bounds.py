@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import sys
 
 import pytest
 
@@ -95,6 +97,11 @@ class TestConverseMargin:
         p = 0.09
         assert noisy_converse_margin(2, 4, p, 0.05) > converse_margin(2, 4, p)
 
+    @pytest.mark.parametrize("p", [1e308, -1e308, math.inf])
+    def test_noisy_converse_checks_p_before_powering_it(self, p):
+        with pytest.raises(InputError, match="^" + re.escape(f"p={p} outside [0, 1]") + "$"):
+            noisy_converse_margin(3, 6, p, 0.1)
+
     @pytest.mark.parametrize("margin", [noisy_converse_margin, noisy_achievable_margin])
     @pytest.mark.parametrize("q", [1.5, -0.1, math.nan])
     def test_noisy_margins_name_q_when_it_is_out_of_range(self, margin, q):
@@ -150,6 +157,33 @@ class TestCollisionExponent:
             collision_exponent(3, 6, 0.08, 0.5, math.nan)
         with pytest.raises(InputError):
             noisy_collision_factor(6, 0.1, 0.5, math.nan)
+
+    def test_rejects_infinite_z(self):
+        with pytest.raises(InputError, match=r"^z=inf must be positive and finite$"):
+            collision_exponent(3, 6, 0.08, 0.5, math.inf)
+
+    @pytest.mark.parametrize("z", [1e100, 1e200, 1e308])
+    def test_huge_z_has_the_pure_power_slope(self, z):
+        # log2((1+z)^r - 1) = r log2(z) + O(1/z) once (1+z)^r leaves the float range
+        l, r, p, sigma = 3, 6, 0.1, 0.3
+        value = collision_exponent(l, r, p, sigma, z)
+        expected = -(l - 1) * binary_entropy(p) + (sigma * r - l * p) * math.log2(z)
+        assert value == pytest.approx(expected, rel=1e-14)
+
+    def test_continuous_where_the_pool_leaves_the_float_range(self):
+        r = 6
+        edge = math.expm1(math.log(sys.float_info.max) / r)
+        below, above = (collision_exponent(3, r, 0.1, 0.3, edge * f) for f in (1 - 1e-9, 1 + 1e-9))
+        assert below == pytest.approx(above, rel=1e-8)
+
+    def test_noisy_factor_is_infinite_past_the_float_range(self):
+        assert noisy_collision_factor(6, 0.1, 0.3, 1e100) == math.inf
+        assert noisy_collision_factor(6, 0.1, 0.3, math.inf) == math.inf
+
+    def test_noisy_factor_weights_off_an_infinite_pool_at_the_noise_extremes(self):
+        # q = 0 with sigma = 0 leaves only quiet = 1; q = 1 with sigma = 1 only fire = 1
+        assert noisy_collision_factor(6, 0.0, 0.0, 1e100) == 1.0
+        assert noisy_collision_factor(6, 1.0, 1.0, 1e100) == 1.0
 
     @pytest.mark.parametrize("sigma", [math.nan, -0.1, 5.0])
     def test_noisy_factor_rejects_sigma_outside_unit_interval(self, sigma):

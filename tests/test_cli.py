@@ -177,6 +177,29 @@ class TestBoundsCommand:
         assert code == 2
         assert "nan" not in out
 
+    def test_collision_curve_past_the_float_range(self, capsys):
+        code, out, err = run(
+            capsys,
+            "bounds", "--curve", "collision-vs-z", "--l", "3", "--r", "6",
+            "--p", "0.1", "--sigma", "0.3",
+            "--z-min", "1", "--z-max", "1e200", "--steps", "2",
+        )
+        assert code == 0, err
+        values = [float(line.split(",")[1]) for line in out.strip().splitlines()[2:]]
+        assert len(values) == 3
+        assert all(math.isfinite(v) for v in values)
+
+    def test_noisy_converse_p_far_outside_unit_interval_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "bounds", "--curve", "noisy-converse-vs-p", "--l", "3", "--r", "6",
+            "--q", "0.1", "--p-min", "0.1", "--p-max", "1e308", "--steps", "2",
+        )
+        assert code == 2
+        assert out == ""
+        # the first grid point past 1 (5e307) is the one rejected
+        assert err == "error: p=5e+307 outside [0, 1]\n"
+
     def test_collision_without_sigma_is_usage_error(self, capsys):
         code, _, err = run(
             capsys,

@@ -265,15 +265,64 @@ class TestNoisyEventProbability:
         assert approx == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize("n, w, s", [(720, 360, 90), (1200, 120, 150)])
-    def test_float_q_rounds_the_exact_value_once(self, n, w, s):
-        # at these sizes a double-precision product of the full powers overflows
-        approx = noisy_ensemble_event_probability(SystemParams(3, 6, n, q=0.1), w, s)
+    def test_float_q_rounds_the_exact_value_once(self, monkeypatch, n, w, s):
+        # at these sizes a double-precision product of the full powers overflows;
+        # the leading-bit bounds decide the float without the exact numerator
         exact = noisy_ensemble_event_probability(
             SystemParams(3, 6, n, q=Fraction(0.1)), w, s
         )
+
+        def refuse(fired, quieted):
+            raise AssertionError("exact numerator formed")
+
+        monkeypatch.setattr(genfunc, "_dot_reversed", refuse)
+        approx = noisy_ensemble_event_probability(SystemParams(3, 6, n, q=0.1), w, s)
         assert isinstance(approx, float)
         assert math.isfinite(approx)
         assert approx == float(exact)
+
+    @staticmethod
+    def _float_q_grid():
+        rng = random.Random(20131)
+        for l, r in ((3, 6), (2, 4)):
+            for n in range(60, 241, 36):
+                m = n * l // r
+                for w in (1, n // 10, n // 4, n // 2):
+                    for s in (0, m // 8, m // 3, m - 1):
+                        yield SystemParams(l, r, n, q=rng.random()), w, s
+
+    def test_float_q_is_the_rounded_exact_value_on_a_grid(self):
+        for params, w, s in self._float_q_grid():
+            exact = noisy_ensemble_event_probability(
+                SystemParams(params.l, params.r, params.n, q=Fraction(params.q)), w, s
+            )
+            assert noisy_ensemble_event_probability(params, w, s) == float(exact), (
+                params, w, s,
+            )
+
+    def test_undecided_bounds_fall_back_to_the_exact_numerator(self, monkeypatch):
+        # with fewer leading bits than a float carries, no bound pair can decide
+        exact_values = [
+            float(noisy_ensemble_event_probability(
+                SystemParams(params.l, params.r, params.n, q=Fraction(params.q)), w, s
+            ))
+            for params, w, s in self._float_q_grid()
+        ]
+        fallbacks = []
+        dot = genfunc._dot_reversed
+
+        def counted(fired, quieted):
+            fallbacks.append(1)
+            return dot(fired, quieted)
+
+        monkeypatch.setattr(genfunc, "_ROUND_BITS", 20)
+        monkeypatch.setattr(genfunc, "_dot_reversed", counted)
+        values = [
+            noisy_ensemble_event_probability(params, w, s)
+            for params, w, s in self._float_q_grid()
+        ]
+        assert values == exact_values
+        assert len(fallbacks) == len(values)
 
     @pytest.mark.parametrize("n, w, s", [(12, 2, 3), (720, 360, 90), (1200, 120, 150)])
     def test_default_float_q_is_the_rounded_noiseless_value(self, n, w, s):
