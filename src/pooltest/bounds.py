@@ -50,6 +50,12 @@ def entropy(probs: Sequence[float]) -> float:
 def _check_degrees(l: int, r: int) -> None:
     if l < 1 or r < 1:
         raise ConfigurationError("degrees l and r must be positive integers")
+    try:
+        float(l), float(r)
+    except OverflowError:
+        raise ConfigurationError("degrees l and r must lie within the float range") from None
+    if 2 ** (1 / r) == 1:
+        raise ConfigurationError("r is so large that the fixed point 2^(1/r) - 1 rounds to 0")
 
 
 def _check_flip_rate(q: float) -> None:
@@ -208,14 +214,6 @@ def threshold_pair(l: int, r: int, tol: float = THRESHOLD_TOL) -> ThresholdPair:
 # curve emission
 # ---------------------------------------------------------------------------
 
-CURVE_IDS = (
-    "converse-vs-l",
-    "converse-vs-p",
-    "noisy-converse-vs-p",
-    "achievable-vs-p",
-    "collision-vs-z",
-)
-
 
 def linspace(lo: float, hi: float, steps: int) -> list[float]:
     """steps+1 evenly spaced points including both endpoints."""
@@ -224,51 +222,52 @@ def linspace(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / steps for i in range(steps + 1)]
 
 
-def emit_curve(curve: str, grid: Iterable[float], **fixed) -> list[tuple[float, float]]:
-    """Evaluate one named bound curve on a grid of abscissa values.
-
-    converse-vs-l      needs p, optional ratio (r = ratio*l, default 2)
-    converse-vs-p      needs l, r
-    noisy-converse-vs-p needs l, r, q
-    achievable-vs-p    needs l, r
-    collision-vs-z     needs l, r, p, sigma
-    """
-
-    def need(*keys):
-        for key in keys:
-            if fixed.get(key) is None:
-                raise InputError(f"curve {curve!r} needs parameter {key!r}")
-
-    rows: list[tuple[float, float]] = []
-    if curve == "converse-vs-l":
-        need("p")
-        ratio = 2 if fixed.get("ratio") is None else fixed["ratio"]
-        if not float(ratio).is_integer() or ratio < 1:
-            raise InputError(f"ratio={ratio} must be a positive integer")
-        ratio = int(ratio)
-        for g in grid:
-            if not float(g).is_integer():
-                raise InputError(f"degree l={g} is not an integer")
-            l = int(g)
-            rows.append((l, converse_margin(l, ratio * l, fixed["p"])))
-    elif curve == "converse-vs-p":
-        need("l", "r")
-        for g in grid:
-            rows.append((g, converse_margin(fixed["l"], fixed["r"], g)))
-    elif curve == "noisy-converse-vs-p":
-        need("l", "r", "q")
-        for g in grid:
-            rows.append((g, noisy_converse_margin(fixed["l"], fixed["r"], g, fixed["q"])))
-    elif curve == "achievable-vs-p":
-        need("l", "r")
-        for g in grid:
-            rows.append((g, achievable_margin(fixed["l"], fixed["r"], g)))
-    elif curve == "collision-vs-z":
-        need("l", "r", "p", "sigma")
-        for g in grid:
-            rows.append(
-                (g, collision_exponent(fixed["l"], fixed["r"], fixed["p"], fixed["sigma"], g))
-            )
-    else:
-        raise InputError(f"unknown curve {curve!r}; choose from {', '.join(CURVE_IDS)}")
+def _converse_vs_l(grid, p, ratio=None, **_):
+    ratio = 2 if ratio is None else ratio
+    if not float(ratio).is_integer() or ratio < 1:
+        raise InputError(f"ratio={ratio} must be a positive integer")
+    ratio = int(ratio)
+    rows = []
+    for g in grid:
+        if not float(g).is_integer():
+            raise InputError(f"degree l={g} is not an integer")
+        l = int(g)
+        rows.append((l, converse_margin(l, ratio * l, p)))
     return rows
+
+
+# curve id -> (abscissa, ordinate, required parameters, rows from a grid)
+CURVES = {
+    "converse-vs-l": ("l", "converse_margin", ("p",), _converse_vs_l),
+    "converse-vs-p": (
+        "p", "converse_margin", ("l", "r"),
+        lambda grid, l, r, **_: [(g, converse_margin(l, r, g)) for g in grid],
+    ),
+    "noisy-converse-vs-p": (
+        "p", "noisy_converse_margin", ("l", "r", "q"),
+        lambda grid, l, r, q, **_: [(g, noisy_converse_margin(l, r, g, q)) for g in grid],
+    ),
+    "achievable-vs-p": (
+        "p", "achievable_margin", ("l", "r"),
+        lambda grid, l, r, **_: [(g, achievable_margin(l, r, g)) for g in grid],
+    ),
+    "collision-vs-z": (
+        "z", "collision_exponent", ("l", "r", "p", "sigma"),
+        lambda grid, l, r, p, sigma, **_: [
+            (g, collision_exponent(l, r, p, sigma, g)) for g in grid
+        ],
+    ),
+}
+CURVE_IDS = tuple(CURVES)
+
+
+def emit_curve(curve: str, grid: Iterable[float], **fixed) -> list[tuple[float, float]]:
+    """Evaluate one named bound curve of CURVES on a grid of abscissa
+    values; converse-vs-l also takes ratio = r/l (default 2)."""
+    if curve not in CURVES:
+        raise InputError(f"unknown curve {curve!r}; choose from {', '.join(CURVE_IDS)}")
+    _, _, required, rows = CURVES[curve]
+    for key in required:
+        if fixed.get(key) is None:
+            raise InputError(f"curve {curve!r} needs parameter {key!r}")
+    return rows(grid, **fixed)

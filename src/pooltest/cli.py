@@ -38,14 +38,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-_CURVE_AXES = {
-    "converse-vs-l": ("l", "converse_margin"),
-    "converse-vs-p": ("p", "converse_margin"),
-    "noisy-converse-vs-p": ("p", "noisy_converse_margin"),
-    "achievable-vs-p": ("p", "achievable_margin"),
-    "collision-vs-z": ("z", "collision_exponent"),
-}
-
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -74,7 +66,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     curve = args.curve
-    xname, yname = _CURVE_AXES[curve]
+    xname, yname, _, _ = _bounds.CURVES[curve]
     lo = getattr(args, f"{xname}_min")
     hi = getattr(args, f"{xname}_max")
     if lo is None or hi is None:
@@ -429,9 +421,7 @@ def cmd_general(args: argparse.Namespace) -> int:
         raise InputError("pass --probs (one per input symbol) or --p for binary input")
 
     converse = _genfunc.general_converse_bound(f, l, r, probs)
-    outcome_dist = [
-        _genfunc.type_enumerator(f, k).evaluate(probs) for k in range(f.num_outputs)
-    ]
+    outcome_dist = _genfunc.outcome_distribution(f, probs)
     margin = _genfunc.general_direct_margin(f, l, r, probs)
     payload = {
         "config": {
@@ -471,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     b = sub.add_parser("bounds", help="emit one bound curve on a parameter grid")
-    b.add_argument("--curve", required=True, choices=sorted(_CURVE_AXES))
+    b.add_argument("--curve", required=True, choices=sorted(_bounds.CURVE_IDS))
     b.add_argument("--l", type=int)
     b.add_argument("--r", type=int)
     b.add_argument("--p", type=float)

@@ -3,10 +3,16 @@ and the optimized exponents that decide when decoding succeeds.
 
 The probability that a fixed input/output pair is consistent over a random
 wiring reduces to one coefficient of a product of per-test enumerator
-polynomials, divided by a count of socket arrangements.  For binary inputs
-that coefficient comes from powers truncated at the target degree, by the
-power-series power recurrence over exact integers; a noise rate q = P/Q
-enters as the integer polynomials Q*fire and Q*quiet.  Results are exact
+polynomials, divided by a count of socket arrangements.  Enumerators are
+plain data: coefficient tuples indexed by degree, or {type: multiplicity}
+dicts.  For binary inputs that coefficient comes from powers truncated at
+the target degree, by the power-series power recurrence over exact
+integers; a noise rate q = P/Q enters as the integer polynomials Q*fire and
+Q*quiet.  For a general alphabet, every type enumerator is homogeneous of
+degree r, so symbol 0's exponent is implied and dropped; each output's
+enumerator is raised to its count by squaring, and every product drops the
+monomials past a target exponent in any symbol (the box l*counts), which
+cannot reach the target coefficient.  Results are exact
 Fractions, or that exact value rounded once to a float when q is a float.
 The float is certified without forming the exact numerator, a sum of
 products of thousands-of-bits integers: the leading bits of every factor
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import binary_entropy, entropy, fixed_point_z
+from .bounds import _check_degrees, binary_entropy, entropy, fixed_point_z
 from .ensemble import SystemParams, TestFunction
 from .errors import ConfigurationError, InputError, ReducedAlphabetError
 
@@ -48,157 +54,15 @@ _ROUND_BITS = 96           # leading bits of each factor in the float-q rounding
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# enumerators: coefficient tuples indexed by degree, or {type: multiplicity}
 # ---------------------------------------------------------------------------
 
 
-class Polynomial:
-    """Dense univariate polynomial over int, Fraction or float coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self) -> int:
-        """Degree, or -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def order(self) -> int:
-        """Lowest exponent with a nonzero coefficient, or -1 for zero."""
-        for j, c in enumerate(self.coeffs):
-            if c != 0:
-                return j
-        return -1
-
-    def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)})"
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial([other])
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return Polynomial([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial([])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise InputError("negative polynomial powers are not defined here")
-        result = Polynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def evaluate(self, z):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-
-class MultiPolynomial:
-    """Sparse multivariate polynomial: exponent tuples mapped to coefficients."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict):
-        self.nvars = nvars
-        self.terms = {tuple(t): c for t, c in terms.items() if c != 0}
-        for t in self.terms:
-            if len(t) != nvars:
-                raise InputError(f"exponent tuple {t} does not have {nvars} entries")
-
-    def coeff(self, exponents: Sequence[int]):
-        return self.terms.get(tuple(exponents), 0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPolynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __mul__(self, other: "MultiPolynomial") -> "MultiPolynomial":
-        if self.nvars != other.nvars:
-            raise InputError("variable counts differ")
-        out: dict = {}
-        for ta, ca in self.terms.items():
-            for tb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ta, tb))
-                out[key] = out.get(key, 0) + ca * cb
-        return MultiPolynomial(self.nvars, out)
-
-    def __pow__(self, exponent: int) -> "MultiPolynomial":
-        if exponent < 0:
-            raise InputError("negative polynomial powers are not defined here")
-        result = MultiPolynomial(self.nvars, {(0,) * self.nvars: 1})
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def evaluate(self, point: Sequence):
-        total = 0
-        for t, c in self.terms.items():
-            v = c
-            for e, z in zip(t, point):
-                v = v * z**e
-            total = total + v
-        return total
-
-
-def or_pool_poly(r: int) -> Polynomial:
+def or_pool_poly(r: int) -> tuple[int, ...]:
     """(1+z)^r - 1: weight enumerator of inputs that fire a size-r OR pool."""
     if r < 1:
         raise ConfigurationError("r must be positive")
-    return Polynomial([0] + [math.comb(r, j) for j in range(1, r + 1)])
+    return (0, *(math.comb(r, j) for j in range(1, r + 1)))
 
 
 def multinomial(total: int, parts: Sequence[int]) -> int:
@@ -212,18 +76,15 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     return out
 
 
-def type_enumerator(f: TestFunction, k: int) -> MultiPolynomial:
+def type_enumerator(f: TestFunction, k: int) -> dict[tuple[int, ...], int]:
     """Multivariate enumerator of the input types a test maps to output k,
     each type weighted by its number of orderings."""
     if not 0 <= k < f.num_outputs:
         raise InputError(f"output index {k} outside [0, {f.num_outputs})")
-    terms = {
-        t: multinomial(f.arity, t) for t, out in f.table.items() if out == k
-    }
-    return MultiPolynomial(f.num_inputs, terms)
+    return {t: multinomial(f.arity, t) for t, out in f.table.items() if out == k}
 
 
-def weight_enumerator(f: TestFunction, k: int) -> Polynomial:
+def weight_enumerator(f: TestFunction, k: int) -> tuple[int, ...]:
     """Univariate enumerator, by defect count, of the binary inputs a test
     maps to output k."""
     if f.num_inputs != 2:
@@ -233,7 +94,24 @@ def weight_enumerator(f: TestFunction, k: int) -> Polynomial:
     for t, out in f.table.items():
         if out == k:
             coeffs[t[1]] = math.comb(r, t[1])
-    return Polynomial(coeffs)
+    return tuple(coeffs)
+
+
+def outcome_distribution(f: TestFunction, probs: Sequence[float]) -> list[float]:
+    """Probability of each test outcome when the r pooled symbols are drawn
+    independently from probs: each output's type enumerator at z = probs."""
+    if len(probs) != f.num_inputs:
+        raise InputError(f"got {len(probs)} probabilities for {f.num_inputs} input symbols")
+    entropy(probs)  # InputError unless probs is a distribution
+    dist = []
+    for k in range(f.num_outputs):
+        total = 0
+        for t, c in type_enumerator(f, k).items():
+            for e, z in zip(t, probs):
+                c = c * z**e
+            total = total + c
+        dist.append(total)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +155,7 @@ def ensemble_event_probability(params: SystemParams, w: int, s: int) -> Fraction
     [z^{lw}] ((1+z)^r - 1)^s / C(nl, lw)."""
     _check_event(params, w, s)
     lw = params.l * w
-    numer = _truncated_power(or_pool_poly(params.r).coeffs, s, lw)[lw]
+    numer = _truncated_power(or_pool_poly(params.r), s, lw)[lw]
     return Fraction(numer, math.comb(params.num_sockets, lw))
 
 
@@ -334,8 +212,10 @@ def noisy_ensemble_event_probability(params: SystemParams, w: int, s: int):
     big_p, big_q = q.numerator, q.denominator
     # fire and quiet scaled by the denominator Q, so both have integer coefficients
     pool = or_pool_poly(params.r)
-    fire = (pool * (big_q - big_p) + big_p).coeffs
-    quiet = (pool * big_p + (big_q - big_p)).coeffs
+    fire = [c * (big_q - big_p) for c in pool]
+    quiet = [c * big_p for c in pool]
+    fire[0] += big_p
+    quiet[0] += big_q - big_p
     lw = params.l * w
     fired = _truncated_power(fire, s, lw)
     quieted = _truncated_power(quiet, params.m - s, lw)
@@ -366,14 +246,39 @@ def general_ensemble_event_probability(
         raise InputError(f"input counts must sum to n={params.n}")
     if sum(output_counts) != params.m:
         raise InputError(f"output counts must sum to m={params.m}")
-    l = params.l
-    prod = MultiPolynomial(f.num_inputs, {(0,) * f.num_inputs: 1})
-    for k, s_k in enumerate(output_counts):
-        if s_k:
-            prod = prod * (type_enumerator(f, k) ** s_k)
-    numer = prod.coeff(tuple(l * w for w in input_counts))
-    denom = multinomial(params.num_sockets, [l * w for w in input_counts])
-    return Fraction(numer, denom)
+    if min((*input_counts, *output_counts)) < 0:
+        raise InputError("counts must be nonnegative")
+    corner = [params.l * w for w in input_counts]
+    # every type has r symbols and the outputs total m, so symbol 0's
+    # exponent is implied by the others: drop it from each monomial
+    enums = [{t[1:]: c for t, c in type_enumerator(f, k).items()} for k in range(f.num_outputs)]
+    numer = _box_power_product(enums, output_counts, tuple(corner[1:]))
+    return Fraction(numer, multinomial(params.num_sockets, corner))
+
+
+def _box_power_product(enums: list[dict], powers: Sequence[int], box: tuple[int, ...]) -> int:
+    """Coefficient at the corner `box` of prod_k enums[k]^powers[k], the
+    powers by squaring.  Exponents only grow and coefficients are
+    nonnegative, so every product may drop the monomials outside the box."""
+
+    def mul(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for ta, ca in a.items():
+            for tb, cb in b.items():
+                t = tuple(map(operator.add, ta, tb))
+                if all(map(operator.le, t, box)):
+                    out[t] = out.get(t, 0) + ca * cb
+        return out
+
+    prod = {(0,) * len(box): 1}
+    for base, e in zip(enums, powers):
+        while e:
+            if e & 1:
+                prod = mul(prod, base)
+            e >>= 1
+            if e:
+                base = mul(base, base)
+    return prod.get(box, 0)
 
 
 def general_converse_bound(
@@ -382,13 +287,12 @@ def general_converse_bound(
     """Asymptotic converse margin for an arbitrary symmetric test function:
     source entropy minus the per-object entropy of a single test outcome.
     Positive means reliable recovery is impossible."""
+    _check_degrees(l, r)
     if f.arity != r:
         raise InputError(f"test function arity {f.arity} != r={r}")
-    if len(probs) != f.num_inputs:
-        raise InputError(f"got {len(probs)} probabilities for {f.num_inputs} input symbols")
-    value = entropy(probs)  # InputError unless probs is a distribution
-    for k in range(f.num_outputs):
-        a_k = type_enumerator(f, k).evaluate(probs)
+    dist = outcome_distribution(f, probs)
+    value = entropy(probs)
+    for a_k in dist:
         if a_k > 0:
             value += (l / r) * a_k * math.log2(a_k)
     return value
@@ -399,8 +303,8 @@ def general_converse_bound(
 # ---------------------------------------------------------------------------
 
 
-def _log_terms(poly: Polynomial) -> list[tuple[int, float]]:
-    return [(j, math.log2(c)) for j, c in enumerate(poly.coeffs) if c > 0]
+def _log_terms(coeffs: Sequence[float]) -> list[tuple[int, float]]:
+    return [(j, math.log2(c)) for j, c in enumerate(coeffs) if c > 0]
 
 
 def _lse2(terms: list[tuple[int, float]], u: float) -> float:
@@ -628,8 +532,7 @@ def exponent_infimum(sigma: float, l: int, r: int, p: float) -> Infimum:
 
 
 def _check_exponent_args(l: int, r: int, p: float) -> None:
-    if l < 1 or r < 1:
-        raise ConfigurationError("degrees l and r must be positive integers")
+    _check_degrees(l, r)
     if not 0 < p < 1:
         raise InputError(f"p={p} must lie strictly inside (0, 1)")
 
@@ -672,23 +575,25 @@ def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
     if not 0 <= q < 1:
         raise InputError(f"q={q} outside [0, 1)")
     pool = or_pool_poly(r)
-    fire = pool * (1.0 - q) + q
-    quiet = pool * q + (1.0 - q)
+    fire = [c * (1.0 - q) for c in pool]
+    quiet = [c * q for c in pool]
+    fire[0] += q
+    quiet[0] += 1.0 - q
+    fire_terms, quiet_terms = _log_terms(fire), _log_terms(quiet)
     base = -(l - 1) * binary_entropy(p) + (l / r) * binary_entropy(q)
     ratio, lp = l / r, l * p
     # quiet has a nonzero constant term, so the objective rises as z -> 0;
-    # as z -> inf the steepest branch governs it
-    lq, lf = math.log2(quiet.coeffs[-1]), math.log2(fire.coeffs[-1])
+    # as z -> inf the steepest branch governs it, through each top nonzero
+    # term (at q = 0 quiet is the constant 1)
+    (dq, lq), (df, lf) = quiet_terms[-1], fire_terms[-1]
     slope, limit, sigma = max(
-        (quiet.degree + s * (fire.degree - quiet.degree) - lp, lq + s * (lf - lq), s)
-        for s in (0.0, ratio)
+        (dq + s * (df - dq) - lp, lq + s * (lf - lq), s) for s in (0.0, ratio)
     )
     if slope < 0:
         raise InputError("the exponent is unbounded for every outcome weight")
     if slope == 0:
         # convex and leveling off: the infimum is the limit at z -> inf
         return DirectExponent(base + limit, sigma, math.inf, False)
-    fire_terms, quiet_terms = _log_terms(fire), _log_terms(quiet)
     u_star, val, at_kink = _minimax_1d(
         [quiet_terms, fire_terms], ratio, lp, 1.0 - ratio, math.log2(fixed_point_z(r))
     )
@@ -759,8 +664,7 @@ def general_direct_margin(
     section search of binary_direct_margin; larger ones go to a primal-dual
     interior-point iteration, which does not stall where enumerators tie.
     """
-    if l < 1 or r < 1:
-        raise ConfigurationError("degrees l and r must be positive integers")
+    _check_degrees(l, r)
     if f.arity != r:
         raise InputError(f"test function arity {f.arity} != r={r}")
     if len(probs) != f.num_inputs:
@@ -771,7 +675,7 @@ def general_direct_margin(
     # per nonempty output: (exponents of the free symbols, log2 multiplicity)
     pieces = []
     for k in range(f.num_outputs):
-        terms = type_enumerator(f, k).terms
+        terms = type_enumerator(f, k)
         if terms:
             pieces.append(sorted((t[1:], math.log2(c)) for t, c in terms.items()))
     if len(probs) == 2:

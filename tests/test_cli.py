@@ -251,6 +251,31 @@ class TestBoundsCommand:
         assert "l=1.5 is not an integer" in err
 
 
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (("thresholds", "--pairs", f"3:{HUGE}"), 0,
+     "degrees l and r must lie within the float range"),
+    # 2^(1/r) rounds to 1 here, so the fixed point 2^(1/r) - 1 would be 0
+    (("thresholds", "--pairs", "3:100000000000000002"), 0,
+     "r is so large that the fixed point 2^(1/r) - 1 rounds to 0"),
+    (("bounds", "--curve", "converse-vs-p", "--l", HUGE, "--r", "6",
+      "--p-min", "0.1", "--p-max", "0.2", "--steps", "2"), 2,
+     "degrees l and r must lie within the float range"),
+], ids=["thresholds-r-overflows", "thresholds-fixed-point-underflows", "bounds-l-overflows"])
+def test_degrees_past_the_float_range_are_refused(capsys, argv, code, message):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err
+    if code == 0:
+        # thresholds keeps going and reports the refusal in the error column
+        assert out.splitlines()[2].endswith(f",,,{message}")
+    else:
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestSimulateCommand:
     def test_noiseless_report(self, capsys):
         code, out, _ = run(

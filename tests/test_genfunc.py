@@ -10,8 +10,6 @@ from pooltest import TestFunction as PoolFunction
 from pooltest import genfunc
 from pooltest import (
     InputError,
-    MultiPolynomial,
-    Polynomial,
     ReducedAlphabetError,
     SystemParams,
     achievable_margin,
@@ -38,6 +36,7 @@ from pooltest import (
     noisy_ensemble_event_probability,
     or_function,
     or_pool_poly,
+    outcome_distribution,
     threshold_function,
     type_enumerator,
     weight_enumerator,
@@ -51,6 +50,15 @@ def ternary_max():
 def merged_or(r):
     """Ternary-input test that fires when any pooled symbol is nonzero."""
     return PoolFunction.from_callable(lambda vals: int(any(vals)), (0, 1, 2), (0, 1), r)
+
+
+def pair_or(r):
+    """4-symbol test over pairs (x_i, x'_i), coded as x + 2x': its output,
+    coded the same way, is the pair of OR outcomes over x and over x'."""
+    return PoolFunction.from_callable(
+        lambda vals: int(any(v & 1 for v in vals)) + 2 * int(any(v & 2 for v in vals)),
+        (0, 1, 2, 3), (0, 1, 2, 3), r,
+    )
 
 
 def or_margin_closed_form(l, r, p):
@@ -72,45 +80,28 @@ def or_margin_closed_form(l, r, p):
     return -(l - 1) * binary_entropy(p) + (l / r) * math.log2(pool) - l * p * math.log2(z)
 
 
+def evaluate(enumerator, z):
+    """A {type: multiplicity} enumerator at the point z."""
+    return sum(c * math.prod(zi**e for zi, e in zip(z, t)) for t, c in enumerator.items())
+
+
 def margin_objective(enumerators, l, r, probs, u):
     """The general direct-margin objective at z = (1, 2^u_1, 2^u_2, ...)."""
     z = (1.0, *(2.0**x for x in u))
-    values = [a.evaluate(z) for a in enumerators]
+    values = [evaluate(a, z) for a in enumerators]
     top = max(math.log2(v) for v in values if v > 0)
     linear = sum(p * x for p, x in zip(probs[1:], u))
     return -(l - 1) * entropy(probs) + (l / r) * top - l * linear
 
 
 class TestPolynomial:
-    def test_algebra(self):
-        a = Polynomial([1, 1])
-        assert (a * a).coeffs == (1, 2, 1)
-        assert (a + Polynomial([0, 0, 5])).coeffs == (1, 1, 5)
-        assert (a**3).coeffs == (1, 3, 3, 1)
-        assert (a * 2).coeffs == (2, 2)
-
-    def test_degree_and_order(self):
-        p = Polynomial([0, 0, 3, 0, 7])
-        assert p.degree == 4
-        assert p.order == 2
-        assert p.coeff(2) == 3
-        assert p.coeff(9) == 0
-
-    def test_trailing_zeros_trimmed(self):
-        assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)
-
-    def test_evaluate(self):
-        p = Polynomial([1, 2, 1])
-        assert p.evaluate(3) == 16
-        assert p.evaluate(Fraction(1, 2)) == Fraction(9, 4)
-
     def test_or_pool_poly(self):
         # (1+z)^r - 1: binomial coefficients with the constant removed
-        assert or_pool_poly(3).coeffs == (0, 3, 3, 1)
-        assert or_pool_poly(1).coeffs == (0, 1)
-        assert or_pool_poly(6).coeff(6) == 1
-        assert or_pool_poly(6).coeff(1) == 6
-        assert or_pool_poly(6).coeff(0) == 0
+        assert or_pool_poly(3) == (0, 3, 3, 1)
+        assert or_pool_poly(1) == (0, 1)
+        assert or_pool_poly(6)[6] == 1
+        assert or_pool_poly(6)[1] == 6
+        assert or_pool_poly(6)[0] == 0
 
     def test_multinomial(self):
         assert multinomial(4, [2, 2]) == 6
@@ -118,24 +109,6 @@ class TestPolynomial:
         assert multinomial(0, []) == 1
         with pytest.raises(InputError):
             multinomial(4, [2, 3])
-
-
-class TestMultiPolynomial:
-    def test_product_merges_exponent_vectors(self):
-        a = MultiPolynomial(2, {(1, 0): 2, (0, 1): 1})
-        b = MultiPolynomial(2, {(1, 0): 1})
-        prod = a * b
-        assert prod.terms == {(2, 0): 2, (1, 1): 1}
-
-    def test_power_and_coeff(self):
-        a = MultiPolynomial(2, {(1, 0): 1, (0, 1): 1})
-        sq = a**2
-        assert sq.coeff((1, 1)) == 2
-        assert sq.coeff((5, 5)) == 0
-
-    def test_evaluate(self):
-        a = MultiPolynomial(2, {(2, 1): 3})
-        assert a.evaluate((2, 5)) == 60
 
 
 class TestEventProbabilityOracles:
@@ -352,6 +325,26 @@ class TestGeneralEventProbability:
                     params, f, ic, oc
                 ) == enumeration_fraction_general(params, f, ic, oc), (ic, oc)
 
+    @pytest.mark.parametrize("l,r,n", [(1, 3, 6), (2, 2, 3)])
+    def test_four_symbol_pair_or_matches_enumeration(self, l, r, n):
+        # every input type, including those with empty symbols and with
+        # symbol 0 (whose exponent the extraction leaves implied) empty
+        params, f = SystemParams(l, r, n), pair_or(r)
+        hits_without_symbol_0 = 0
+        for ic in compositions(n, 4):
+            for oc in compositions(params.m, 4):
+                value = general_ensemble_event_probability(params, f, ic, oc)
+                assert value == enumeration_fraction_general(params, f, ic, oc), (ic, oc)
+                hits_without_symbol_0 += ic[0] == 0 and value > 0
+        assert hits_without_symbol_0 > 0
+
+    def test_negative_counts_rejected(self):
+        params = SystemParams(1, 2, 4)
+        with pytest.raises(InputError, match="nonnegative"):
+            general_ensemble_event_probability(params, or_function(2), (4, 0), (3, -1))
+        with pytest.raises(InputError, match="nonnegative"):
+            general_ensemble_event_probability(params, or_function(2), (5, -1), (1, 1))
+
     def test_normalization_over_output_types(self):
         params = SystemParams(1, 2, 4)
         f = ternary_max()
@@ -377,8 +370,8 @@ class TestTypeEnumerators:
         f = or_function(6)
         quiet = weight_enumerator(f, 0)
         fire = weight_enumerator(f, 1)
-        assert quiet.coeffs == (1,)
-        assert fire.coeffs == or_pool_poly(6).coeffs
+        assert quiet == (1, 0, 0, 0, 0, 0, 0)
+        assert fire == or_pool_poly(6)
 
     def test_or_type_enumerator_collapses_to_weight(self):
         f = or_function(4)
@@ -386,13 +379,13 @@ class TestTypeEnumerators:
         we = weight_enumerator(f, 1)
         # substituting z0 = 1 leaves a univariate enumerator in z1
         for k in range(5):
-            assert te.coeff((4 - k, k)) == we.coeff(k)
+            assert te.get((4 - k, k), 0) == we[k]
 
     def test_enumerators_partition_all_types(self):
         f = ternary_max()
         total = {}
         for k in range(3):
-            for counts, coeff in type_enumerator(f, k).terms.items():
+            for counts, coeff in type_enumerator(f, k).items():
                 total[counts] = total.get(counts, 0) + coeff
         for counts, coeff in total.items():
             assert coeff == multinomial(2, counts)
@@ -401,17 +394,30 @@ class TestTypeEnumerators:
     def test_threshold_enumerator_counts_heavy_pools(self):
         f = threshold_function(4, 2)
         fire = weight_enumerator(f, 1)
-        assert fire.coeff(0) == 0
-        assert fire.coeff(1) == 0
-        assert fire.coeff(2) == math.comb(4, 2)
-        assert fire.coeff(4) == 1
+        assert fire[0] == 0
+        assert fire[1] == 0
+        assert fire[2] == math.comb(4, 2)
+        assert fire[4] == 1
 
     def test_envelope_identity_for_or(self):
         # the firing-pool enumerator evaluated at z matches the closed form
-        f = or_function(6)
-        fire = weight_enumerator(f, 1)
+        fire = weight_enumerator(or_function(6), 1)
         for z in (0.05, 0.1, 0.2, 0.4, 0.8):
-            assert abs(fire.evaluate(z) - ((1 + z) ** 6 - 1)) <= 1e-12
+            value = sum(c * z**j for j, c in enumerate(fire))
+            assert abs(value - ((1 + z) ** 6 - 1)) <= 1e-12
+
+    def test_outcome_distribution_evaluates_each_enumerator(self):
+        # each output's types at z = probs; the outputs partition every type
+        f, probs = ternary_max(), (0.5, 0.3, 0.2)
+        dist = outcome_distribution(f, probs)
+        expected = [evaluate(type_enumerator(f, k), probs) for k in range(3)]
+        assert dist == pytest.approx(expected, abs=1e-15)
+        assert dist[0] == pytest.approx(0.5**2, abs=1e-15)
+        assert sum(dist) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(InputError):
+            outcome_distribution(f, (0.5, 0.5))
+        with pytest.raises(InputError):
+            outcome_distribution(f, (0.5, 0.6, 0.2))
 
 
 class TestGeneralConverse:
@@ -487,6 +493,16 @@ class TestGoldenSection:
 
 
 class TestDirectExponent:
+    @pytest.mark.parametrize(
+        "p,value,z", [(2 / 3, 0.540852082972755, 1.0), (0.8, 0.6125697019072782, 3.0)]
+    )
+    def test_noiseless_quiet_enumerator_has_degree_zero(self, p, value, z):
+        # at q = 0 quiet is the constant 1, so with l > r the z -> inf slope
+        # is l (1 - p) > 0, not r - l p <= 0 as a degree-r quiet would give
+        direct = noiseless_direct_exponent(3, 2, p)
+        assert direct.value == pytest.approx(value, abs=1e-12)
+        assert direct.z == pytest.approx(z, rel=1e-6)
+
     def test_below_relaxed_bound(self):
         # maximizing over sigma after the inner infimum can only fall below
         # the single-evaluation bound at the fixed point
