@@ -224,7 +224,11 @@ def linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 def _converse_vs_l(grid, p, ratio=None, **_):
     ratio = 2 if ratio is None else ratio
-    if not float(ratio).is_integer() or ratio < 1:
+    try:
+        integral = float(ratio).is_integer()
+    except OverflowError:
+        raise InputError("ratio must lie within the float range") from None
+    if not integral or ratio < 1:
         raise InputError(f"ratio={ratio} must be a positive integer")
     ratio = int(ratio)
     rows = []

@@ -141,10 +141,11 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         if "error" in rec:
             lines.append(f"{rec['l']},{rec['r']},,,{rec['error']}")
         else:
-            lines.append(
-                f"{rec['l']},{rec['r']},"
-                f"{rec['p_lower']:.{digits}f},{rec['p_upper']:.{digits}f},"
-            )
+            try:
+                lower, upper = f"{rec['p_lower']:.{digits}f}", f"{rec['p_upper']:.{digits}f}"
+            except ValueError:
+                raise InputError(f"--precision {digits} is too large to format") from None
+            lines.append(f"{rec['l']},{rec['r']},{lower},{upper},")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -116,11 +116,29 @@ class PoolingGraph:
         return pools
 
 
+def _shuffle_steps(length: int) -> tuple[tuple[int, int], ...]:
+    """The (i, bits) steps that _shuffle takes on a list of this length."""
+    return tuple((i, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
+
+
+def _shuffle(getrandbits: Callable[[int], int], x: list, steps) -> None:
+    """Shuffle x in place exactly as random.Random.shuffle does on the
+    generator that owns getrandbits: each swap index j is drawn the way
+    Random._randbelow(i + 1) draws it, as `bits` random bits redrawn while
+    j > i, so the generator's stream and the permutation are the same."""
+    for i, bits in steps:
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
+
+
 def sample_graph(params: SystemParams, seed: int) -> PoolingGraph:
-    """Draw a uniformly random graph; the same seed always gives the same wiring."""
-    rng = random.Random(seed)
+    """Draw a uniformly random graph; the same seed always gives the same
+    wiring, the permutation random.Random(seed).shuffle makes of
+    range(n*l), replayed through getrandbits by _shuffle."""
     wiring = list(range(params.num_sockets))
-    rng.shuffle(wiring)
+    _shuffle(random.Random(seed).getrandbits, wiring, _shuffle_steps(len(wiring)))
     return PoolingGraph(params, wiring, check=False)
 
 

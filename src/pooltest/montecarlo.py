@@ -6,6 +6,11 @@ other trials ran or in what order.  The event-rate gates only count hits,
 so each gate seeds one stream per label once and draws every trial from
 it.  Each harness is one serial loop.
 
+The graph draws replay random.Random.shuffle (trials) and
+random.Random.sample (gates) through the generator's getrandbits, drawing
+each index as Random._randbelow does, so the streams and every seeded
+report are the ones the stdlib calls give, without their per-call overhead.
+
 Noiseless is the flip rate q = 0: the noiseless trials and gate run the
 noisy loop and gate at q = 0, which never draw a flip.
 """
@@ -16,14 +21,16 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from operator import or_
+from typing import Callable
 
-from .ensemble import SystemParams, sample_graph
+from .bounds import _check_degrees
+from .ensemble import SystemParams, _shuffle, _shuffle_steps
 from .errors import ConfigurationError, InputError
 from .estimators import (
     ENUMERATION_LIMIT,
     TypicalSetSpec,
     _check_guard,
-    _object_masks,
     _scan_or_consistent,
     typical_weight_set,
 )
@@ -71,6 +78,27 @@ class TrialReport:
         }
 
 
+def _mask_sampler(params: SystemParams) -> Callable[[int], list[int]]:
+    """masks(seed): the object masks of sample_graph(params, seed), mask i
+    having bit j set when object i feeds test j.  The shuffle moves each
+    left socket's test bit 1 << (k // r) in place of the socket index k,
+    so object i's mask is the OR of entries i*l .. i*l + l - 1 of the
+    shuffled list, and no PoolingGraph is built."""
+    l = params.l
+    test_bits = [1 << (k // params.r) for k in range(params.num_sockets)]
+    steps = _shuffle_steps(len(test_bits))
+
+    def masks(seed: int) -> list[int]:
+        wiring = test_bits[:]
+        _shuffle(random.Random(seed).getrandbits, wiring, steps)
+        objects = wiring[::l]
+        for t in range(1, l):
+            objects = list(map(or_, objects, wiring[t::l]))
+        return objects
+
+    return masks
+
+
 def _run_trials(
     mode: str,
     params: SystemParams,
@@ -88,18 +116,20 @@ def _run_trials(
     the flips, and only when q != 0; `settings` holds the mode's own config
     keys, which follow p.
 
-    Each graph's object masks are taken once (once per run for a fixed
+    Each graph's object masks are drawn once (once per run for a fixed
     graph): a trial ORs its defects' masks into y, XORs each flip in as it
     is drawn, and runs the decoder's scan capped at two supports."""
     if graph_mode not in ("fixed", "fresh"):
         raise ConfigurationError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
     if trials < 0:
         raise InputError("trials must be nonnegative")
+    _check_degrees(params.l, params.r)
     _check_guard(params.n, enumeration_limit)
     x_weights = typical_weight_set(TypicalSetSpec(params.n, params.p, epsilon_input))
     e_weights = typical_weight_set(TypicalSetSpec(params.m, q, epsilon_noise))
+    graph_masks = _mask_sampler(params)
     fixed = (
-        _object_masks(sample_graph(params, derive_seed(master_seed, "fixed-graph", 0)))
+        graph_masks(derive_seed(master_seed, "fixed-graph", 0))
         if graph_mode == "fixed"
         else None
     )
@@ -108,9 +138,7 @@ def _run_trials(
     for i in range(trials):
         rng = random.Random(derive_seed(master_seed, "trial", i))
         support = tuple(k for k in range(n) if rng.random() < p)
-        masks = fixed or _object_masks(
-            sample_graph(params, derive_seed(master_seed, "graph", i))
-        )
+        masks = fixed or graph_masks(derive_seed(master_seed, "graph", i))
         y = 0
         for k in support:
             y |= masks[k]
@@ -221,6 +249,46 @@ class EventRateCheck:
         }
 
 
+def _sample_replay(n: int, k: int) -> Callable:
+    """draw(getrandbits, values): values[j] for each position j, in order,
+    that random.Random.sample(range(n), k) picks on the generator that owns
+    getrandbits, leaving that generator in the same state.  Like the stdlib,
+    it takes the pool branch when an n-list is smaller than a k-set and the
+    set branch otherwise, and draws each index as Random._randbelow does:
+    random bits of the bound's length, redrawn until below the bound."""
+    setsize = 21  # the stdlib's crossover: a small set's size less an empty list's
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        steps = [(n - i, (n - i).bit_length()) for i in range(k)]
+
+        def draw(getrandbits, values):
+            pool = values[:]
+            chosen = []
+            for size, bits in steps:
+                j = getrandbits(bits)
+                while j >= size:
+                    j = getrandbits(bits)
+                chosen.append(pool[j])
+                pool[j] = pool[size - 1]
+            return chosen
+    else:
+        bits = n.bit_length()
+
+        def draw(getrandbits, values):
+            selected = set()
+            chosen = []
+            for _ in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in selected:
+                    j = getrandbits(bits)
+                selected.add(j)
+                chosen.append(values[j])
+            return chosen
+
+    return draw
+
+
 def _gate(
     check: str,
     probability,
@@ -239,24 +307,27 @@ def _gate(
 
     A trial draws only what the event reads: the right sockets that the w*l
     defect sockets land on, an ordered sample distributed exactly like the
-    first w*l entries of a uniform wiring.  All trials draw their sockets
-    from one "graph" stream and their flips from one "noise" stream, each
-    seeded once per call; q = 0 never reads the noise stream, since no
-    flip can fire then."""
+    first w*l entries of a uniform wiring, drawn as
+    random.Random.sample(range(n*l), w*l) would draw it (_sample_replay).
+    All trials draw their sockets from one "graph" stream and their flips
+    from one "noise" stream, each seeded once per call; q = 0 never reads
+    the noise stream, since no flip can fire then."""
     if trials < 1:
         raise InputError("trials must be positive")
+    _check_degrees(params.l, params.r)
     exact = float(probability(params, w, s))
     q = settings.get("q", 0.0)
-    r, m, wl = params.r, params.m, w * params.l
-    sockets = range(params.num_sockets)
-    graphs = random.Random(derive_seed(master_seed, "graph", 0))
+    m, nl = params.m, params.num_sockets
+    test_bits = [1 << (k // params.r) for k in range(nl)]
+    draw = _sample_replay(nl, w * params.l)
+    getrandbits = random.Random(derive_seed(master_seed, "graph", 0)).getrandbits
     noise = random.Random(derive_seed(master_seed, "noise", 0))
     target = (1 << s) - 1
     hits = 0
     for _ in range(trials):
         mask = 0
-        for k in graphs.sample(sockets, wl):
-            mask |= 1 << (k // r)
+        for bit in draw(getrandbits, test_bits):
+            mask |= bit
         if q:
             for j in range(m):
                 if noise.random() < q:

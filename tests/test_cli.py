@@ -276,6 +276,68 @@ def test_degrees_past_the_float_range_are_refused(capsys, argv, code, message):
         assert err == f"error: {message}\n"
 
 
+# Each numeric flag is swept, one at a time, through these values on top of a
+# valid command line of its subcommand; between them the command lines below
+# name every numeric flag of every subcommand (bounds once per curve, so that
+# each flag is swept where it is read).
+SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", HUGE, "2.5")
+SWEEP_BASES = (
+    ("bounds", "--curve", "converse-vs-l", "--p", "0.1", "--ratio", "2",
+     "--l-min", "1", "--l-max", "4", "--steps", "3"),
+    ("bounds", "--curve", "converse-vs-p", "--l", "3", "--r", "6",
+     "--p-min", "0.05", "--p-max", "0.2", "--steps", "3"),
+    ("bounds", "--curve", "noisy-converse-vs-p", "--l", "3", "--r", "6", "--q", "0.1",
+     "--p-min", "0.05", "--p-max", "0.2", "--steps", "3"),
+    ("bounds", "--curve", "achievable-vs-p", "--l", "3", "--r", "6",
+     "--p-min", "0.05", "--p-max", "0.2", "--steps", "3"),
+    ("bounds", "--curve", "collision-vs-z", "--l", "3", "--r", "6", "--p", "0.1",
+     "--sigma", "0.2", "--z-min", "0.1", "--z-max", "2", "--steps", "3"),
+    ("thresholds", "--pairs", "3:6", "--precision", "6"),
+    ("simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", "12", "--p", "0.1",
+     "--eps", "0.1", "--trials", "3", "--seed", "1", "--enum-limit", "24"),
+    ("simulate", "--mode", "noisy", "--l", "3", "--r", "6", "--n", "12", "--p", "0.1",
+     "--q", "0.1", "--eps", "0.1", "--eps2", "0.1", "--trials", "3", "--seed", "1",
+     "--enum-limit", "24"),
+    ("verify", "--suite", "montecarlo", "--trials", "200", "--seed", "1"),
+    ("general", "--function", "{function}", "--l", "3", "--r", "6", "--p", "0.08"),
+)
+# --steps and --trials ask for as much work as their value says (--steps 10^400
+# would allocate a grid of that many points), so only their huge value is skipped.
+WORK_FLAGS = ("--steps", "--trials")
+
+
+def _sweep_cases(function_path):
+    for base in SWEEP_BASES:
+        base = [function_path if a == "{function}" else a for a in base]
+        for i in range(1, len(base) - 1):
+            flag = base[i]
+            try:
+                float(base[i + 1])
+            except ValueError:
+                continue
+            for value in SWEEP_VALUES:
+                if not (flag in WORK_FLAGS and value == HUGE):
+                    yield base[:i + 1] + [value] + base[i + 2:]
+    for value in SWEEP_VALUES:
+        yield ["thresholds", "--pairs", f"3:{value}"]
+        yield ["thresholds", "--pairs", f"{value}:6"]
+        yield ["general", "--function", function_path, "--l", "3", "--r", "6",
+               "--probs", f"0.5,{value}"]
+
+
+def test_numeric_flag_sweep_exits_cleanly(capsys, tmp_path):
+    """No numeric value reaches the user as a raw exception: every command
+    line exits 0, 2 (usage) or 3 (guard)."""
+    function = tmp_path / "or.json"
+    function.write_text(json.dumps(or_function(6).to_json_dict()))
+    failures = []
+    for argv in _sweep_cases(str(function)):
+        code, _, err = run(capsys, *argv)
+        if code not in (0, 2, 3):
+            failures.append((argv, code, err[-200:]))
+    assert not failures, failures[:5]
+
+
 class TestSimulateCommand:
     def test_noiseless_report(self, capsys):
         code, out, _ = run(

@@ -20,6 +20,9 @@ from pooltest import (
     validate_event_probability,
     validate_noisy_event_probability,
 )
+from pooltest.ensemble import _shuffle, _shuffle_steps
+from pooltest.estimators import _object_masks
+from pooltest.montecarlo import _mask_sampler, _sample_replay
 
 
 class TestDeriveSeed:
@@ -100,6 +103,16 @@ class TestTrialHarness:
         assert report == run_noiseless_trials(
             params, 0.1, 200, master_seed=3, graph_mode="fixed"
         )
+
+    @pytest.mark.parametrize("run", [
+        lambda params: run_noiseless_trials(params, 0.1, 3, master_seed=1),
+        lambda params: run_noisy_trials(params, 0.1, 0.1, 3, master_seed=1),
+        lambda params: validate_event_probability(params, 1, 1, 3, master_seed=1),
+        lambda params: validate_noisy_event_probability(params, 1, 1, 3, master_seed=1),
+    ], ids=["noiseless-trials", "noisy-trials", "noiseless-gate", "noisy-gate"])
+    def test_degrees_past_the_float_range_are_refused(self, run):
+        with pytest.raises(ConfigurationError, match="within the float range"):
+            run(SystemParams(10**400, 6, 12, p=0.1, q=0.1))
 
     def test_unknown_graph_mode_rejected(self):
         params = SystemParams(3, 6, 18, p=0.05)
@@ -238,6 +251,44 @@ class TestEventRateValidators:
         params = SystemParams(1, 2, 4)
         check = validate_event_probability(params, 2, 1, trials=20000, master_seed=13)
         assert check.empirical == pytest.approx(1 / 6, abs=0.02)
+
+
+class TestStdlibReplay:
+    """The graph draws replay random.Random.shuffle and random.Random.sample
+    through getrandbits, so that seeded reports keep the stdlib's streams.
+    If a Python release changes how either draws, these fail."""
+
+    def test_shuffle_matches_stdlib(self):
+        for length in range(1, 81):
+            steps = _shuffle_steps(length)
+            for seed in range(50):
+                expected, rng = list(range(length)), random.Random(seed)
+                rng.shuffle(expected)
+                got, replay = list(range(length)), random.Random(seed)
+                _shuffle(replay.getrandbits, got, steps)
+                assert got == expected
+                assert replay.getrandbits(64) == rng.getrandbits(64)
+
+    def test_sample_matches_stdlib(self):
+        # nl = 21/22 (wl <= 5) and nl = 85/86 (wl = 6, 7) straddle the
+        # crossover between the stdlib's pool and set branches
+        sizes = [(nl, wl) for nl in range(41) for wl in range(nl + 1)]
+        sizes += [(nl, wl) for nl in (85, 86, 100) for wl in (5, 6, 7)]
+        for nl, wl in sizes:
+            draw = _sample_replay(nl, wl)
+            sockets = list(range(nl))
+            for seed in range(20):
+                rng, replay = random.Random(seed), random.Random(seed)
+                assert draw(replay.getrandbits, sockets) == rng.sample(range(nl), wl)
+                assert replay.getrandbits(64) == rng.getrandbits(64)
+
+    @pytest.mark.parametrize("l, r, n", [(1, 2, 4), (3, 6, 12), (2, 4, 18), (4, 8, 10), (2, 3, 9)])
+    def test_trial_masks_are_the_sampled_graphs(self, l, r, n):
+        params = SystemParams(l, r, n)
+        masks = _mask_sampler(params)
+        for i in range(20):
+            seed = derive_seed(31, "graph", i)
+            assert masks(seed) == _object_masks(sample_graph(params, seed))
 
 
 class TestPinnedOutput:
