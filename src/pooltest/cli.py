@@ -313,6 +313,13 @@ def _verify_identities(checks: _Checks) -> None:
          for ll, rr in ((l, r), (4, 8)) for pp in grid if pp < 2 - 2 ** ((rr - 1) / rr)],
         1e-12,
     )
+    checks.max_difference(
+        "binary OR margin matches the closed form below the crossover",
+        [(_genfunc.binary_direct_margin(or_function(rr), ll, rr, pp).value,
+          _bounds.achievable_margin(ll, rr, pp))
+         for ll, rr in ((l, r), (4, 8)) for pp in grid if pp < 2 - 2 ** ((rr - 1) / rr)],
+        1e-12,
+    )
     f = or_function(r)
     checks.max_difference(
         "general converse bound reduces to the closed form",
@@ -323,11 +330,6 @@ def _verify_identities(checks: _Checks) -> None:
     margins = {
         pp: _genfunc.binary_direct_margin(f, l, r, pp).value for pp in (0.02, 0.08, 0.14, 0.20)
     }
-    checks.max_difference(
-        "binary direct margin matches the closed form (small p)",
-        [(value, _bounds.achievable_margin(l, r, pp)) for pp, value in margins.items()],
-        1e-9,
-    )
     checks.max_difference(
         "general direct margin matches the binary path",
         [(_genfunc.general_direct_margin(f, l, r, (1 - pp, pp)).value, value)

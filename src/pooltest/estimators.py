@@ -43,6 +43,10 @@ class TypicalSetSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError("n must be positive")
+        try:
+            float(self.n)
+        except OverflowError:
+            raise InputError("n must lie within the float range") from None
         if not 0 <= self.p <= 1:
             raise InputError(f"p={self.p} outside [0, 1]")
         if not self.epsilon >= 0:  # also rejects NaN

@@ -21,15 +21,17 @@ does the exact value (Ziv's rounding test); otherwise the sum is formed.
 
 Every direct-part margin minimizes one shape over u = log2(z): a pointwise
 max of weighted log-enumerators, each a log-sum-exp and hence convex, minus
-a linear term.  With one free coordinate that is a bracketed golden-section
-search (_minimax_1d); with more, a primal-dual interior-point iteration on
-the epigraph form (_minimax_interior_point), which certifies its value by
-a duality gap.  The direct exponents maximize such an infimum over an
-outcome-weight fraction sigma; the objective is affine in sigma, so by
-minimax each exponent is one 1-D minimization of the max over the two
-endpoint weights, with the branches' crossing at the fixed point
-z* = 2^(1/r) - 1 checked as an extra candidate.  The noiseless exponent is
-the noisy one at flip rate q = 0, where fire is the pool and quiet is 1.
+a linear term.  With one free coordinate that is a bracketed Newton
+iteration on the active piece, which lands on a crossing of two pieces by
+the Newton step on their difference (_minimax_1d); with more, a primal-dual
+interior-point iteration on the epigraph form (_minimax_interior_point),
+which certifies its value by a duality gap.  The direct exponents
+maximize such an infimum over an outcome-weight fraction sigma; the
+objective is affine in sigma, so by minimax each exponent is one 1-D
+minimization of the max over the two endpoint weights, started at the
+branches' crossing at the fixed point z* = 2^(1/r) - 1, which is kept when
+nothing lower is found.  The noiseless exponent is the noisy one at flip
+rate q = 0, where fire is the pool and quiet is 1.
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ from .ensemble import SystemParams, TestFunction
 from .errors import ConfigurationError, InputError, ReducedAlphabetError
 
 _LN2 = math.log(2)
-_PHI = (math.sqrt(5) + 1) / 2
 
-Z_SEARCH_TOL = 1e-10       # width, in log2(z), of the final 1-D bracket
 GAP_TOL = 1e-12            # duality gap, in bits, at which interior point stops
+TIE_TOL = 1e-14            # value gap, in bits, at which 1-D pieces tie
 MAX_NEWTON_STEPS = 100
 _ROUND_BITS = 96           # leading bits of each factor in the float-q rounding test
 
@@ -307,15 +308,6 @@ def _log_terms(coeffs: Sequence[float]) -> list[tuple[int, float]]:
     return [(j, math.log2(c)) for j, c in enumerate(coeffs) if c > 0]
 
 
-def _lse2(terms: list[tuple[int, float]], u: float) -> float:
-    """log2 of poly(2^u), from precomputed (exponent, log2 coefficient) terms."""
-    best = max(lg + j * u for j, lg in terms)
-    acc = 0.0
-    for j, lg in terms:
-        acc += math.exp(_LN2 * (lg + j * u - best))
-    return best + math.log2(acc)
-
-
 def _lse_moments(terms: list[tuple[tuple[int, ...], float]], u: Sequence[float]):
     """log2 of a multivariate poly(2^u) from (exponent tuple, log2
     coefficient) terms, with its gradient and Hessian in u: the mean of the
@@ -336,75 +328,102 @@ def _lse_moments(terms: list[tuple[tuple[int, ...], float]], u: Sequence[float])
     return best + math.log2(total), mean, hess
 
 
-def golden_section_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize a unimodal fn on [lo, hi]; returns (argmin, min value).
-    Stops when the bracket is narrower than tol or rounding stops it from
-    shrinking (probe points must stay strictly interior and ordered)."""
-    a, b = lo, hi
-    c = b - (b - a) / _PHI
-    d = a + (b - a) / _PHI
-    fc, fd = fn(c), fn(d)
-    while b - a > tol and a < c < d < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) / _PHI
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) / _PHI
-            fd = fn(d)
-    mid = 0.5 * (a + b)
-    return mid, fn(mid)
+def _lse_1d(terms: list[tuple[int, float]], u: float) -> tuple[float, float, float]:
+    """The one-coordinate case of _lse_moments, from (exponent, log2
+    coefficient) terms: log2 poly(2^u), its slope and its curvature in u."""
+    vals = [lg + j * u for j, lg in terms]
+    best = max(vals)
+    total = first = second = 0.0
+    for (j, _), v in zip(terms, vals):
+        w = math.exp(_LN2 * (v - best))
+        total += w
+        first += w * j
+        second += w * j * j
+    mean = first / total
+    return best + math.log2(total), mean, _LN2 * max(second / total - mean * mean, 0.0)
+
+
+def _pieces_1d(enums: list, weight: float, lp: float, shift: float, u: float) -> list:
+    """(value, slope, curvature) at u of every piece weight*L_k + shift*L_0 - lp*u."""
+    moments = [_lse_1d(terms, u) for terms in enums]
+    v0, s0, c0 = moments[0]
+    return [
+        (weight * v + shift * v0 - lp * u, weight * s + shift * s0 - lp, weight * c + shift * c0)
+        for v, s, c in moments
+    ]
 
 
 def _minimax_1d(
     enums: list, weight: float, lp: float, shift: float = 0.0, kink: float | None = None
-) -> tuple[float, float, bool]:
+) -> tuple[float, float, bool, int, bool]:
     """inf over real u of max_k (weight*L_k + shift*L_0) - lp*u, with
     L_k = log2 A_k(2^u) for A_k = enums[k] in _log_terms form; returns
-    (u*, value, at_kink).
+    (u*, value, at_kink, steps, converged).
 
-    The max of convex pieces is convex: bracket it by doubling outward from
-    0 until the right derivative changes sign (a sign test stays tight even
-    when an asymptotic slope is within an ulp of zero, where value-based
-    bracketing drowns in cancellation noise), then golden-section.  That
-    stops up to ~1e-11 above a minimum where two pieces cross, so a known
-    crossing can be passed as `kink`; it wins when its value is no larger.
+    A bracketed Newton iteration on a max of smooth convex pieces
+    (safeguarded Newton, Nocedal & Wright, Numerical Optimization, 2006).
+    Each step evaluates every piece's value, slope and curvature at one
+    point; pieces that tie with the max are active.  The point becomes the
+    bracket's left end when the steepest active slope is negative, its right
+    end when the shallowest is positive, and the minimizer when the two
+    straddle 0: every line through it then bounds the max from below, so the
+    value is the infimum up to the tie tolerance.  When different pieces are
+    active at the two ends, the next point is the Newton step on their
+    difference, which lands on their crossing (on pieces linear in u, as
+    monomials are, only this step moves); otherwise, or when that leaves
+    the bracket, the Newton step of the active piece, which stops the
+    iteration once it would lower the value by at most TIE_TOL.  Bisection
+    comes last, and a side not yet bracketed is probed by doubling.  The
+    iteration starts at `kink` when one is given, and the kink wins
+    (at_kink) unless a later point is strictly lower.  converged is False
+    when MAX_NEWTON_STEPS ran out.
     """
-    first, rest = enums[0], enums[1:]
-    tuple_enums = [[((j,), lg) for j, lg in terms] for terms in enums]
-
-    def objective(u: float) -> float:
-        # the hot loop: plain calls, no per-evaluation list
-        first_log = top = _lse2(first, u)
-        for terms in rest:
-            log = _lse2(terms, u)
-            if log > top:
-                top = log
-        return weight * top + shift * first_log - lp * u
-
-    def right_deriv(u: float) -> float:
-        # subgradient of a max of smooth convex pieces: steepest active slope
-        logs = [_lse2(t, u) for t in enums]
-        slopes = [_lse_moments(t, (u,))[1][0] for t in tuple_enums]
-        top = max(logs)
-        steepest = max(s for s, v in zip(slopes, logs) if v >= top - 1e-9)
-        return weight * steepest + shift * slopes[0] - lp
-
-    lo = -1.0
-    for _ in range(64):
-        if right_deriv(lo) < 0:
-            break
-        lo *= 2
-    hi = 1.0
-    for _ in range(64):
-        if right_deriv(hi) > 0:
-            break
-        hi *= 2
-    u_star, val = golden_section_min(objective, lo, hi, Z_SEARCH_TOL)
-    if kink is not None and (kink_val := objective(kink)) <= val:
-        return kink, kink_val, True
-    return u_star, val, False
+    lo = hi = None  # (u, active piece) at the bracket ends
+    u = 0.0 if kink is None else kink
+    best_u, best = u, math.inf
+    converged = True
+    for steps in range(1, MAX_NEWTON_STEPS + 1):
+        pieces = _pieces_1d(enums, weight, lp, shift, u)
+        top, top_slope, _ = max(pieces)
+        if top < best:
+            best_u, best = u, top
+        # a piece ties with the top one when within TIE_TOL of it, or when
+        # rounding could hide their crossing: within TIE_TOL * max(1, |u|)
+        scale = TIE_TOL * max(1.0, abs(u))
+        active = [
+            (s, c, k) for k, (v, s, c) in enumerate(pieces)
+            if top - v <= TIE_TOL + abs(s - top_slope) * scale
+        ]
+        slope, curv, k = max(active)
+        if slope < 0:
+            lo = (u, k)
+        else:
+            slope, curv, k = min(active)
+            if slope <= 0:
+                break  # the active slopes straddle 0
+            hi = (u, k)
+        a = -math.inf if lo is None else lo[0]
+        b = math.inf if hi is None else hi[0]
+        step = math.nan
+        if lo and hi and lo[1] != hi[1]:
+            (va, sa, _), (vb, sb, _) = pieces[lo[1]], pieces[hi[1]]
+            if sa != sb:
+                step = (vb - va) / (sa - sb)
+        if not a < u + step < b:
+            step = -slope / curv if curv > 0 else -math.copysign(math.inf, slope)
+            if abs(slope * step) <= TIE_TOL:
+                break
+        if u + step == u:
+            break  # rounding stops the step
+        if a < u + step < b:
+            u += step
+        elif lo and hi:
+            u = 0.5 * (a + b)
+        else:
+            u += math.copysign(max(1.0, abs(u)), -slope)
+    else:
+        converged = False
+    return best_u, best, kink is not None and best_u == kink, steps, converged
 
 
 def _solve_linear(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
@@ -527,7 +546,7 @@ def exponent_infimum(sigma: float, l: int, r: int, p: float) -> Infimum:
         return Infimum(sigma * math.log2(r), None, True)
     if sigma * r == lp:
         return Infimum(0.0, None, True)
-    u_star, val, _ = _minimax_1d([_log_terms(or_pool_poly(r))], sigma, lp)
+    u_star, val, *_ = _minimax_1d([_log_terms(or_pool_poly(r))], sigma, lp)
     return Infimum(val, 2.0**u_star, True)
 
 
@@ -594,19 +613,16 @@ def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
     if slope == 0:
         # convex and leveling off: the infimum is the limit at z -> inf
         return DirectExponent(base + limit, sigma, math.inf, False)
-    u_star, val, at_kink = _minimax_1d(
+    u_star, val, at_kink, *_ = _minimax_1d(
         [quiet_terms, fire_terms], ratio, lp, 1.0 - ratio, math.log2(fixed_point_z(r))
     )
     if at_kink:
-        f_slope, q_slope = (
-            _lse_moments([((j,), lg) for j, lg in terms], (u_star,))[1][0]
-            for terms in (fire_terms, quiet_terms)
-        )
+        f_slope, q_slope = (_lse_1d(terms, u_star)[1] for terms in (fire_terms, quiet_terms))
         sigma = 0.0  # fire == quiet (q = 1/2): no sigma dependence at all
         if f_slope != q_slope:
             sigma = min(max((lp - q_slope) / (f_slope - q_slope), 0.0), ratio)
     else:
-        sigma = ratio if _lse2(fire_terms, u_star) > _lse2(quiet_terms, u_star) else 0.0
+        sigma = ratio if _lse_1d(fire_terms, u_star)[0] > _lse_1d(quiet_terms, u_star)[0] else 0.0
     return DirectExponent(base + val, sigma, 2.0**u_star, at_kink)
 
 
@@ -632,18 +648,19 @@ def binary_direct_margin(f: TestFunction, l: int, r: int, p: float) -> Margin:
         raise InputError(f"test function arity {f.arity} != r={r}")
     enums = [_log_terms(weight_enumerator(f, k)) for k in range(f.num_outputs)]
     enums = [terms for terms in enums if terms]
-    u_star, val, _ = _minimax_1d(enums, l / r, l * p)
+    u_star, val, *_ = _minimax_1d(enums, l / r, l * p)
     return Margin(-(l - 1) * binary_entropy(p) + val, 2.0**u_star)
 
 
 @dataclass(frozen=True)
 class GeneralMargin:
     """Direct-part margin over a u-ary alphabet, with optimizer diagnostics:
-    the solver's iteration count (interior-point Newton steps; 1 for the
-    golden-section search of a binary alphabet), and for the interior-point
-    iteration its surrogate duality gap, which bounds how far `value` sits
-    above the infimum (None for a binary alphabet).  `converged` is False
-    when the iteration stopped before its gap reached GAP_TOL."""
+    the solver's Newton step count (interior-point steps, or the points the
+    1-D iteration of a binary alphabet evaluated), and for the
+    interior-point iteration its surrogate duality gap, which bounds how far
+    `value` sits above the infimum (None for a binary alphabet).
+    `converged` is False when the iteration stopped at MAX_NEWTON_STEPS, or
+    before its gap reached GAP_TOL."""
 
     value: float
     z: tuple[float, ...]
@@ -660,8 +677,8 @@ def general_direct_margin(
 
     The inner objective (l/r) max_k log2 A_k(z) - l sum_i p_i log2 z_i is a
     max of convex functions of u_i = log2 z_i and scale invariant, so z_1 is
-    pinned to 1.  A binary alphabet leaves one coordinate, for the golden-
-    section search of binary_direct_margin; larger ones go to a primal-dual
+    pinned to 1.  A binary alphabet leaves one coordinate, for the 1-D
+    Newton iteration of binary_direct_margin; larger ones go to a primal-dual
     interior-point iteration, which does not stall where enumerators tie.
     """
     _check_degrees(l, r)
@@ -680,8 +697,8 @@ def general_direct_margin(
             pieces.append(sorted((t[1:], math.log2(c)) for t, c in terms.items()))
     if len(probs) == 2:
         enums = [[(t[0], lg) for t, lg in piece] for piece in pieces]
-        u_star, val, _ = _minimax_1d(enums, l / r, l * probs[1])
-        return GeneralMargin(base + val, (1.0, 2.0**u_star), 1, True, None)
+        u_star, val, _, steps, converged = _minimax_1d(enums, l / r, l * probs[1])
+        return GeneralMargin(base + val, (1.0, 2.0**u_star), steps, converged, None)
     # start at z_i = p_i / p_1, the minimizer of the smooth majorant made by
     # summing every enumerator: sum_k A_k(z) = (z_1 + ... + z_u)^r
     u, val, steps, gap, converged = _minimax_interior_point(

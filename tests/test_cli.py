@@ -362,6 +362,18 @@ class TestSimulateCommand:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    def test_huge_n_with_a_matching_enum_limit_is_an_input_error(self, capsys):
+        # raising --enum-limit with --n passes the guard, so the typical-set
+        # check is what must refuse an n past the float range
+        code, out, err = run(
+            capsys,
+            "simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", HUGE,
+            "--enum-limit", HUGE, "--p", "0.1", "--trials", "1", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must lie within the float range\n"
+
     def test_guard_exit_code(self, capsys):
         code, _, err = run(
             capsys,
@@ -476,6 +488,8 @@ class TestGeneralCommand:
         margin = json.loads(out)["direct_margin"]
         assert margin["converged"] is True
         assert margin["gap"] is None
+        # the 1-D Newton iteration reports its steps
+        assert 1 < margin["sweeps"] <= 20
 
     def test_threshold_function(self, capsys, tmp_path):
         fn = self.write_function(tmp_path / "thr.json", threshold_function(4, 2))

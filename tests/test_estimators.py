@@ -59,6 +59,11 @@ class TestWeightRate:
         with pytest.raises(InputError):
             TypicalSetSpec(0, 0.1, 0.1)
 
+    def test_n_past_the_float_range_rejected(self):
+        # the weight rates divide by n as a float, which would overflow
+        with pytest.raises(InputError):
+            TypicalSetSpec(10**400, 0.1, 0.1)
+
     def test_nan_epsilon_rejected(self):
         # NaN fails every comparison, so "epsilon < 0" alone let it through
         with pytest.raises(InputError):

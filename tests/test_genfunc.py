@@ -28,7 +28,6 @@ from pooltest import (
     general_converse_bound,
     general_direct_margin,
     general_ensemble_event_probability,
-    golden_section_min,
     multinomial,
     noiseless_direct_exponent,
     noisy_achievable_margin,
@@ -41,6 +40,10 @@ from pooltest import (
     type_enumerator,
     weight_enumerator,
 )
+
+
+# (l, r) pairs of the 1-D solver's sweeps, on both sides of every crossover
+PAIRS = ((3, 6), (2, 4), (3, 9), (4, 8), (3, 12), (2, 8), (2, 3), (1, 2))
 
 
 def ternary_max():
@@ -481,17 +484,6 @@ class TestExponentInfimum:
                 assert inf.value <= value + 1e-12
 
 
-class TestGoldenSection:
-    def test_finds_parabola_minimum(self):
-        x, v = golden_section_min(lambda t: (t - 1.3) ** 2 + 2.0, -4.0, 4.0, 1e-12)
-        assert x == pytest.approx(1.3, abs=1e-6)
-        assert v == pytest.approx(2.0, abs=1e-12)
-
-    def test_handles_asymmetric_interval(self):
-        x, _ = golden_section_min(lambda t: abs(t + 2.5), -50.0, 0.0, 1e-10)
-        assert x == pytest.approx(-2.5, abs=1e-6)
-
-
 class TestDirectExponent:
     @pytest.mark.parametrize(
         "p,value,z", [(2 / 3, 0.540852082972755, 1.0), (0.8, 0.6125697019072782, 3.0)]
@@ -613,6 +605,19 @@ class TestBinaryDirectMargin:
             assert abs(m.value - achievable_margin(3, 6, p)) <= 1e-9
             assert m.z == pytest.approx(fixed_point_z(6), abs=1e-5)
 
+    @pytest.mark.parametrize("l,r", PAIRS)
+    def test_or_margin_is_the_closed_form_below_the_crossover(self, l, r):
+        # the minimum is the kink z*, where the two pieces cross; the Newton
+        # step on their difference lands on it, so the optimized margin is
+        # the closed form up to rounding, on every p of a 0.001 grid
+        f = or_function(r)
+        crossover = 2 - 2 ** ((r - 1) / r)
+        for i in range(1, math.ceil(1000 * crossover)):
+            p = i / 1000
+            closed = achievable_margin(l, r, p)
+            assert abs(binary_direct_margin(f, l, r, p).value - closed) <= 1e-12
+            assert abs(general_direct_margin(f, l, r, (1 - p, p)).value - closed) <= 1e-12
+
     def test_improves_on_closed_form_at_large_p(self):
         # past the crossover weight the interior optimum beats the fixed point
         m = binary_direct_margin(or_function(8), 4, 8, 0.2)
@@ -628,6 +633,59 @@ class TestBinaryDirectMargin:
             binary_direct_margin(or_function(6), 3, 6, 0.0)
         with pytest.raises(InputError):
             binary_direct_margin(or_function(6), 3, 6, 1.0)
+
+
+class TestMinimax1D:
+    """The bracketed Newton iteration behind every binary margin and both
+    direct exponents."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        # points evaluated by each solver call, bracketing included
+        counts = []
+        pieces, solver = genfunc._pieces_1d, genfunc._minimax_1d
+
+        def counting_pieces(*args):
+            counts[-1] += 1
+            return pieces(*args)
+
+        def counting_solver(*args):
+            counts.append(0)
+            return solver(*args)
+
+        monkeypatch.setattr(genfunc, "_pieces_1d", counting_pieces)
+        monkeypatch.setattr(genfunc, "_minimax_1d", counting_solver)
+        return counts
+
+    def test_evaluation_budget(self, evaluations):
+        for l, r in PAIRS:
+            for i in range(30):
+                p = 0.005 + 0.01 * i
+                binary_direct_margin(or_function(r), l, r, p)
+                binary_direct_margin(count_function(r), l, r, p)
+                for q in (0, 0.01, 0.05, 0.1, 0.2):
+                    noisy_direct_exponent(l, r, p, q)
+        assert len(evaluations) == len(PAIRS) * 30 * 7
+        assert max(evaluations) <= 20
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_value_is_below_the_objective_everywhere(self, data):
+        r = data.draw(st.integers(1, 8), label="r")
+        outputs = data.draw(st.integers(1, 4), label="outputs")
+        table = {t: data.draw(st.integers(0, outputs - 1)) for t in compositions(r, 2)}
+        f = PoolFunction((0, 1), tuple(range(outputs)), r, table)
+        l = data.draw(st.integers(1, 4), label="l")
+        p = data.draw(st.floats(0.001, 0.999), label="p")
+        probs = (1 - p, p)
+        bm = binary_direct_margin(f, l, r, p)
+        gm = general_direct_margin(f, l, r, probs)
+        enumerators = [type_enumerator(f, k) for k in range(outputs)]
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        for _ in range(400):
+            objective = margin_objective(enumerators, l, r, probs, (rnd.uniform(-30, 10),))
+            assert bm.value <= objective + 1e-12
+            assert gm.value <= objective + 1e-12
 
 
 class TestGeneralDirectMargin:
