@@ -2,17 +2,23 @@
 
 Everything here is a scalar function of the degree pair (l, r) and the
 source/noise probabilities.  The converse margin is positive exactly when
-reliable recovery is impossible at compression rate l/r; the achievable
-margin is negative exactly when a typicality decoder succeeds with
-vanishing error.  Their roots in p bracket the critical defect density
-from above and below.
+reliable recovery is impossible at compression rate l/r.  The achievable
+margin is negative exactly when the expected number of typical inputs
+consistent with the outcome y vanishes, each input counted as if it were
+drawn independently of the true x.  That count leaves out the inputs that
+overlap x, so a negative margin does not make the typicality decoder's
+error vanish: with fewer tests than objects the error of any nonadaptive
+scheme stays bounded away from zero at constant p (Aldridge, IEEE Trans.
+IT 65(4), 2019), and at (3, 6) with p = 0.03 or 0.05 the decision set is
+less often unique as n grows.  The roots in p of the two margins are the
+lower and upper thresholds.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, InputError, NoThresholdError
@@ -93,8 +99,11 @@ def fixed_point_z(r: int) -> float:
 
 
 def achievable_margin(l: int, r: int, p: float) -> float:
-    """-(l-1) h(p) - l p log2(2^(1/r) - 1).  Negative means the typicality
-    decoder's error probability vanishes as n grows."""
+    """-(l-1) h(p) - l p log2(2^(1/r) - 1).  Negative means the expected
+    number of typical inputs consistent with y, each counted as if drawn
+    independently of the true x, vanishes as n grows; inputs overlapping x
+    are not covered, so the decoder's error need not vanish (Aldridge,
+    IEEE Trans. IT 65(4), 2019)."""
     _check_degrees(l, r)
     return -(l - 1) * binary_entropy(p) - l * p * math.log2(fixed_point_z(r))
 
@@ -154,9 +163,9 @@ def noisy_collision_factor(r: int, q: float, sigma: float, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_crossing(fn, lo: float, hi: float, tol: float) -> float:
-    """Shrink [lo, hi] with fn(lo) <= 0 < fn(hi) down to width tol."""
-    while hi - lo > tol:
+def _bisect_crossing(fn, lo: float, hi: float) -> float:
+    """Shrink [lo, hi] with fn(lo) <= 0 < fn(hi) down to width THRESHOLD_TOL."""
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if fn(mid) > 0:
             hi = mid
@@ -165,14 +174,14 @@ def _bisect_crossing(fn, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _first_crossing(fn, what: str, tol: float) -> float:
+def _first_crossing(fn, what: str) -> float:
     lo = THRESHOLD_TOL
     if fn(lo) > 0:
         raise NoThresholdError(f"{what} is already positive at p={lo}")
     p = THRESHOLD_SCAN_STEP
     while p <= THRESHOLD_SEARCH_MAX + 1e-15:
         if fn(p) > 0:
-            return _bisect_crossing(fn, lo, p, tol)
+            return _bisect_crossing(fn, lo, p)
         lo = p
         p += THRESHOLD_SCAN_STEP
     raise NoThresholdError(
@@ -180,17 +189,20 @@ def _first_crossing(fn, what: str, tol: float) -> float:
     )
 
 
-def threshold_upper(l: int, r: int, tol: float = THRESHOLD_TOL) -> float:
+def threshold_upper(l: int, r: int) -> float:
     """Smallest p at which the converse margin turns positive: recovery is
     impossible above it."""
     _check_degrees(l, r)
-    return _first_crossing(lambda p: converse_margin(l, r, p), "converse margin", tol)
+    return _first_crossing(lambda p: converse_margin(l, r, p), "converse margin")
 
 
-def threshold_lower(l: int, r: int, tol: float = THRESHOLD_TOL) -> float:
-    """Root of the achievable margin: the decoder provably succeeds below it."""
+def threshold_lower(l: int, r: int) -> float:
+    """Root of the achievable margin.  Below it the expected number of
+    typical inputs consistent with y vanishes, counting each as if drawn
+    independently of the true x; the decoder's error need not vanish there,
+    since inputs overlapping x are not covered (see the module docstring)."""
     _check_degrees(l, r)
-    return _first_crossing(lambda p: achievable_margin(l, r, p), "achievable margin", tol)
+    return _first_crossing(lambda p: achievable_margin(l, r, p), "achievable margin")
 
 
 @dataclass(frozen=True)
@@ -203,11 +215,11 @@ class ThresholdPair:
     p_upper: float
 
     def to_json_dict(self) -> dict:
-        return {"l": self.l, "r": self.r, "p_lower": self.p_lower, "p_upper": self.p_upper}
+        return asdict(self)
 
 
-def threshold_pair(l: int, r: int, tol: float = THRESHOLD_TOL) -> ThresholdPair:
-    return ThresholdPair(l, r, threshold_lower(l, r, tol), threshold_upper(l, r, tol))
+def threshold_pair(l: int, r: int) -> ThresholdPair:
+    return ThresholdPair(l, r, threshold_lower(l, r), threshold_upper(l, r))
 
 
 # ---------------------------------------------------------------------------

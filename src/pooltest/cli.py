@@ -334,7 +334,7 @@ def _verify_identities(checks: _Checks) -> None:
         "general direct margin matches the binary path",
         [(_genfunc.general_direct_margin(f, l, r, (1 - pp, pp)).value, value)
          for pp, value in margins.items()],
-        1e-8,
+        0.0,
     )
 
     # The ternary test that fires when any pooled symbol is nonzero sees only

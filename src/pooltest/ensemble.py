@@ -125,12 +125,29 @@ def _shuffle(getrandbits: Callable[[int], int], x: list, steps) -> None:
     """Shuffle x in place exactly as random.Random.shuffle does on the
     generator that owns getrandbits: each swap index j is drawn the way
     Random._randbelow(i + 1) draws it, as `bits` random bits redrawn while
-    j > i, so the generator's stream and the permutation are the same."""
+    j > i, so the generator's stream and the permutation are the same.
+    The first k steps alone fix the last k entries, a uniform ordered
+    k-sample of x whatever order x starts in."""
     for i, bits in steps:
         j = getrandbits(bits)
         while j > i:
             j = getrandbits(bits)
         x[i], x[j] = x[j], x[i]
+
+
+def _test_bits(params: SystemParams) -> list[int]:
+    """The test bit 1 << (k // r) of every right socket k: bit j is test j."""
+    r = params.r
+    return [1 << (k // r) for k in range(params.num_sockets)]
+
+
+def _object_masks(bits: list[int], l: int) -> list[int]:
+    """Fold the test bits of the left sockets, in socket order, into object
+    masks: mask i is the OR of bits[i*l : (i+1)*l], the tests object i feeds."""
+    objects = bits[::l]
+    for t in range(1, l):
+        objects = list(map(or_, objects, bits[t::l]))
+    return objects
 
 
 def sample_graph(params: SystemParams, seed: int) -> PoolingGraph:
@@ -431,8 +448,9 @@ def _fired_mask_counts(params: SystemParams, w: int, s: int) -> tuple[Counter, i
         raise InputError(f"outcome weight {s} outside [0, {params.m}]")
     nl, wl = params.num_sockets, w * params.l
     _check_budget(math.comb(nl, wl))
-    test_bits = [1 << (k // params.r) for k in range(nl)]
-    masks = Counter(reduce(or_, image, 0) for image in itertools.combinations(test_bits, wl))
+    masks = Counter(
+        reduce(or_, image, 0) for image in itertools.combinations(_test_bits(params), wl)
+    )
     return masks, (1 << s) - 1
 
 

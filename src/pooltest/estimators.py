@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import binary_entropy
-from .ensemble import PoolingGraph, forward_or
+from .ensemble import PoolingGraph, _object_masks, _test_bits, forward_or
 from .errors import EmptyTypicalSetError, GuardError, InputError
 
 DEFAULT_EPSILON = 0.1
@@ -118,17 +118,6 @@ def _check_guard(n: int, limit: int) -> None:
         raise GuardError(
             f"exhaustive decoding over n={n} objects refused (limit {limit})"
         )
-
-
-def _object_masks(graph: PoolingGraph) -> list[int]:
-    l, r = graph.params.l, graph.params.r
-    masks = []
-    for i in range(graph.params.n):
-        mask = 0
-        for k in range(i * l, (i + 1) * l):
-            mask |= 1 << (graph.wiring[k] // r)
-        masks.append(mask)
-    return masks
 
 
 def _vector_mask(bits: Sequence[int]) -> int:
@@ -227,8 +216,9 @@ def decision_set_noisy(
     if len(y) != params.m:
         raise InputError(f"y has length {len(y)}, expected m={params.m}")
     _check_guard(params.n, enumeration_limit)
+    bits = _test_bits(params)
     supports = _scan_or_consistent(
-        _object_masks(graph),
+        _object_masks([bits[k] for k in graph.wiring], params.l),
         _vector_mask(y),
         typical_weight_set(noise_spec),
         typical_weight_set(spec),

@@ -642,14 +642,11 @@ class Margin:
 def binary_direct_margin(f: TestFunction, l: int, r: int, p: float) -> Margin:
     """Direct-part margin for a binary-input symmetric test function:
     -(l-1) h(p) + inf over z>0 of [(l/r) max_k log2 B_k(z) - l p log2 z],
-    where B_k enumerates by weight the pool contents producing output k."""
+    where B_k enumerates by weight the pool contents producing output k:
+    general_direct_margin at probs (1 - p, p), with p = 0 or 1 refused."""
     _check_exponent_args(l, r, p)
-    if f.arity != r:
-        raise InputError(f"test function arity {f.arity} != r={r}")
-    enums = [_log_terms(weight_enumerator(f, k)) for k in range(f.num_outputs)]
-    enums = [terms for terms in enums if terms]
-    u_star, val, *_ = _minimax_1d(enums, l / r, l * p)
-    return Margin(-(l - 1) * binary_entropy(p) + val, 2.0**u_star)
+    g = general_direct_margin(f, l, r, (1 - p, p))
+    return Margin(g.value, g.z[1])
 
 
 @dataclass(frozen=True)
@@ -678,7 +675,7 @@ def general_direct_margin(
     The inner objective (l/r) max_k log2 A_k(z) - l sum_i p_i log2 z_i is a
     max of convex functions of u_i = log2 z_i and scale invariant, so z_1 is
     pinned to 1.  A binary alphabet leaves one coordinate, for the 1-D
-    Newton iteration of binary_direct_margin; larger ones go to a primal-dual
+    bracketed Newton iteration _minimax_1d; larger ones go to a primal-dual
     interior-point iteration, which does not stall where enumerators tie.
     """
     _check_degrees(l, r)
@@ -689,16 +686,18 @@ def general_direct_margin(
     base = -(l - 1) * entropy(probs)  # InputError unless probs is a distribution
     if 0 in probs:
         raise ReducedAlphabetError("a symbol probability is 0; drop the symbol first")
+    if len(probs) == 2:
+        enums = [_log_terms(weight_enumerator(f, k)) for k in range(f.num_outputs)]
+        u_star, val, _, steps, converged = _minimax_1d(
+            [terms for terms in enums if terms], l / r, l * probs[1]
+        )
+        return GeneralMargin(base + val, (1.0, 2.0**u_star), steps, converged, None)
     # per nonempty output: (exponents of the free symbols, log2 multiplicity)
     pieces = []
     for k in range(f.num_outputs):
         terms = type_enumerator(f, k)
         if terms:
             pieces.append(sorted((t[1:], math.log2(c)) for t, c in terms.items()))
-    if len(probs) == 2:
-        enums = [[(t[0], lg) for t, lg in piece] for piece in pieces]
-        u_star, val, _, steps, converged = _minimax_1d(enums, l / r, l * probs[1])
-        return GeneralMargin(base + val, (1.0, 2.0**u_star), steps, converged, None)
     # start at z_i = p_i / p_1, the minimizer of the smooth majorant made by
     # summing every enumerator: sum_k A_k(z) = (z_1 + ... + z_u)^r
     u, val, steps, gap, converged = _minimax_interior_point(

@@ -6,10 +6,12 @@ other trials ran or in what order.  The event-rate gates only count hits,
 so each gate seeds one stream per label once and draws every trial from
 it.  Each harness is one serial loop.
 
-The graph draws replay random.Random.shuffle (trials) and
-random.Random.sample (gates) through the generator's getrandbits, drawing
-each index as Random._randbelow does, so the streams and every seeded
-report are the ones the stdlib calls give, without their per-call overhead.
+The graph draws replay random.Random.shuffle through the generator's
+getrandbits, drawing each index as Random._randbelow does, so a trial's
+stream and its seeded report are the ones the stdlib call gives, without
+its per-call overhead.  A gate runs only the first w*l steps of that
+shuffle: they fix the last w*l entries of the list, a uniform ordered
+sample of its sockets (Knuth, TAOCP vol. 2, sec. 3.4.2, Algorithm P).
 
 Noiseless is the flip rate q = 0: the noiseless trials and gate run the
 noisy loop and gate at q = 0, which never draw a flip.
@@ -20,12 +22,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
-from operator import or_
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .bounds import _check_degrees
-from .ensemble import SystemParams, _shuffle, _shuffle_steps
+from .ensemble import SystemParams, _object_masks, _shuffle, _shuffle_steps, _test_bits
 from .errors import ConfigurationError, InputError
 from .estimators import (
     ENUMERATION_LIMIT,
@@ -65,36 +66,22 @@ class TrialReport:
     config: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "errors": self.errors,
-            "error_rate": self.error_rate,
-            "confidence_halfwidth": self.confidence_halfwidth,
-            "master_seed": self.master_seed,
-            "errors_source_atypical": self.errors_source_atypical,
-            "errors_noise_atypical": self.errors_noise_atypical,
-            "errors_ambiguous": self.errors_ambiguous,
-            "config": dict(self.config),
-        }
+        return asdict(self)
 
 
 def _mask_sampler(params: SystemParams) -> Callable[[int], list[int]]:
     """masks(seed): the object masks of sample_graph(params, seed), mask i
     having bit j set when object i feeds test j.  The shuffle moves each
-    left socket's test bit 1 << (k // r) in place of the socket index k,
-    so object i's mask is the OR of entries i*l .. i*l + l - 1 of the
-    shuffled list, and no PoolingGraph is built."""
+    right socket's test bit in place of the socket index, so the shuffled
+    list holds the left sockets' test bits, and no PoolingGraph is built."""
     l = params.l
-    test_bits = [1 << (k // params.r) for k in range(params.num_sockets)]
+    test_bits = _test_bits(params)
     steps = _shuffle_steps(len(test_bits))
 
     def masks(seed: int) -> list[int]:
         wiring = test_bits[:]
         _shuffle(random.Random(seed).getrandbits, wiring, steps)
-        objects = wiring[::l]
-        for t in range(1, l):
-            objects = list(map(or_, objects, wiring[t::l]))
-        return objects
+        return _object_masks(wiring, l)
 
     return masks
 
@@ -249,46 +236,6 @@ class EventRateCheck:
         }
 
 
-def _sample_replay(n: int, k: int) -> Callable:
-    """draw(getrandbits, values): values[j] for each position j, in order,
-    that random.Random.sample(range(n), k) picks on the generator that owns
-    getrandbits, leaving that generator in the same state.  Like the stdlib,
-    it takes the pool branch when an n-list is smaller than a k-set and the
-    set branch otherwise, and draws each index as Random._randbelow does:
-    random bits of the bound's length, redrawn until below the bound."""
-    setsize = 21  # the stdlib's crossover: a small set's size less an empty list's
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        steps = [(n - i, (n - i).bit_length()) for i in range(k)]
-
-        def draw(getrandbits, values):
-            pool = values[:]
-            chosen = []
-            for size, bits in steps:
-                j = getrandbits(bits)
-                while j >= size:
-                    j = getrandbits(bits)
-                chosen.append(pool[j])
-                pool[j] = pool[size - 1]
-            return chosen
-    else:
-        bits = n.bit_length()
-
-        def draw(getrandbits, values):
-            selected = set()
-            chosen = []
-            for _ in range(k):
-                j = getrandbits(bits)
-                while j >= n or j in selected:
-                    j = getrandbits(bits)
-                selected.add(j)
-                chosen.append(values[j])
-            return chosen
-
-    return draw
-
-
 def _gate(
     check: str,
     probability,
@@ -305,28 +252,30 @@ def _gate(
     probability(params, w, s).  `settings` holds the check's own config
     keys, which follow n.
 
-    A trial draws only what the event reads: the right sockets that the w*l
-    defect sockets land on, an ordered sample distributed exactly like the
-    first w*l entries of a uniform wiring, drawn as
-    random.Random.sample(range(n*l), w*l) would draw it (_sample_replay).
-    All trials draw their sockets from one "graph" stream and their flips
-    from one "noise" stream, each seeded once per call; q = 0 never reads
-    the noise stream, since no flip can fire then."""
+    A trial draws only what the event reads: the tests that the w*l
+    defect sockets land on.  It runs the first w*l steps of the trials'
+    shuffle on one list of test bits, kept across trials, and ORs the last
+    w*l entries, an ordered sample distributed exactly like the first w*l
+    entries of a uniform wiring whatever order the list starts in.  All
+    trials draw their sockets from one "graph" stream and their flips from
+    one "noise" stream, each seeded once per call; q = 0 never reads the
+    noise stream, since no flip can fire then."""
     if trials < 1:
         raise InputError("trials must be positive")
     _check_degrees(params.l, params.r)
     exact = float(probability(params, w, s))
     q = settings.get("q", 0.0)
-    m, nl = params.m, params.num_sockets
-    test_bits = [1 << (k // params.r) for k in range(nl)]
-    draw = _sample_replay(nl, w * params.l)
+    m, nl, wl = params.m, params.num_sockets, w * params.l
+    wiring = _test_bits(params)
+    steps = _shuffle_steps(nl)[:wl]
     getrandbits = random.Random(derive_seed(master_seed, "graph", 0)).getrandbits
     noise = random.Random(derive_seed(master_seed, "noise", 0))
     target = (1 << s) - 1
     hits = 0
     for _ in range(trials):
+        _shuffle(getrandbits, wiring, steps)
         mask = 0
-        for bit in draw(getrandbits, test_bits):
+        for bit in wiring[nl - wl:]:
             mask |= bit
         if q:
             for j in range(m):

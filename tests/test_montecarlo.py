@@ -1,6 +1,9 @@
+import itertools
 import json
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -20,9 +23,8 @@ from pooltest import (
     validate_event_probability,
     validate_noisy_event_probability,
 )
-from pooltest.ensemble import _shuffle, _shuffle_steps
-from pooltest.estimators import _object_masks
-from pooltest.montecarlo import _mask_sampler, _sample_replay
+from pooltest.ensemble import _object_masks, _shuffle, _shuffle_steps, _test_bits
+from pooltest.montecarlo import _mask_sampler
 
 
 class TestDeriveSeed:
@@ -203,13 +205,19 @@ class TestEventRateValidators:
     def replay_hits(params, w, s, trials, seed):
         """Hit count of a gate rebuilt from its two seeded streams, each
         seeded once and read by every trial in turn: the sockets the w*l
-        defect sockets land on, and the flip pattern."""
+        defect sockets land on, the last w*l entries of one socket list
+        after the first w*l steps of a Fisher-Yates shuffle, and the flip
+        pattern."""
         graphs = random.Random(derive_seed(seed, "graph", 0))
         noise = random.Random(derive_seed(seed, "noise", 0))
+        nl, wl = params.n * params.l, w * params.l
+        sockets = list(range(nl))
         hits = 0
         for _ in range(trials):
-            sockets = graphs.sample(range(params.n * params.l), w * params.l)
-            fired = {k // params.r for k in sockets}
+            for i in range(nl - 1, 0, -1)[:wl]:
+                j = graphs._randbelow(i + 1)
+                sockets[i], sockets[j] = sockets[j], sockets[i]
+            fired = {k // params.r for k in sockets[nl - wl:]}
             if params.q:
                 fired ^= {j for j in range(params.m) if noise.random() < params.q}
             if fired == set(range(s)):
@@ -223,6 +231,8 @@ class TestEventRateValidators:
             (SystemParams(2, 4, 8), 2, 3),
             (SystemParams(1, 2, 4, q=0.25), 2, 1),
             (SystemParams(2, 4, 6, q=0.1), 1, 2),
+            (SystemParams(2, 4, 8), 0, 0),
+            (SystemParams(1, 2, 4), 4, 2),
         ],
     )
     def test_hit_count_matches_replay(self, params, w, s):
@@ -254,9 +264,9 @@ class TestEventRateValidators:
 
 
 class TestStdlibReplay:
-    """The graph draws replay random.Random.shuffle and random.Random.sample
-    through getrandbits, so that seeded reports keep the stdlib's streams.
-    If a Python release changes how either draws, these fail."""
+    """The graph draws replay random.Random.shuffle through getrandbits, so
+    that seeded reports keep the stdlib's streams.  If a Python release
+    changes how it draws, these fail."""
 
     def test_shuffle_matches_stdlib(self):
         for length in range(1, 81):
@@ -269,26 +279,59 @@ class TestStdlibReplay:
                 assert got == expected
                 assert replay.getrandbits(64) == rng.getrandbits(64)
 
-    def test_sample_matches_stdlib(self):
-        # nl = 21/22 (wl <= 5) and nl = 85/86 (wl = 6, 7) straddle the
-        # crossover between the stdlib's pool and set branches
-        sizes = [(nl, wl) for nl in range(41) for wl in range(nl + 1)]
-        sizes += [(nl, wl) for nl in (85, 86, 100) for wl in (5, 6, 7)]
-        for nl, wl in sizes:
-            draw = _sample_replay(nl, wl)
-            sockets = list(range(nl))
-            for seed in range(20):
-                rng, replay = random.Random(seed), random.Random(seed)
-                assert draw(replay.getrandbits, sockets) == rng.sample(range(nl), wl)
-                assert replay.getrandbits(64) == rng.getrandbits(64)
-
     @pytest.mark.parametrize("l, r, n", [(1, 2, 4), (3, 6, 12), (2, 4, 18), (4, 8, 10), (2, 3, 9)])
     def test_trial_masks_are_the_sampled_graphs(self, l, r, n):
+        # the trials' masks and the decoder's fold of a graph's wiring, both
+        # against the tests each object feeds by PoolingGraph.object_tests
         params = SystemParams(l, r, n)
         masks = _mask_sampler(params)
+        bits = _test_bits(params)
         for i in range(20):
             seed = derive_seed(31, "graph", i)
-            assert masks(seed) == _object_masks(sample_graph(params, seed))
+            graph = sample_graph(params, seed)
+            expected = [reduce(or_, (1 << j for j in tests)) for tests in graph.object_tests()]
+            assert masks(seed) == expected
+            assert _object_masks([bits[k] for k in graph.wiring], l) == expected
+
+
+class TestPartialShuffle:
+    """The gates run the first k steps of _shuffle and read the last k
+    entries.  Fed every sequence of accepted indices, each after a rejected
+    draw where one exists, those k steps must give every ordered k-sample
+    of the list exactly once, from any starting arrangement."""
+
+    @staticmethod
+    def scripted(indices, steps):
+        draws = []
+        for j, (i, bits) in zip(indices, steps):
+            if i + 1 < 1 << bits:
+                draws.append((bits, (1 << bits) - 1))  # rejected: above i
+            draws.append((bits, j))
+        draws.reverse()
+
+        def getrandbits(bits):
+            expected_bits, value = draws.pop()
+            assert bits == expected_bits
+            return value
+
+        return getrandbits, draws
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_ordered_sample_comes_from_one_index_sequence(self, n):
+        for k in range(n + 1):
+            steps = _shuffle_steps(n)[:k]
+            expected = set(itertools.permutations(range(n), k))
+            for start in itertools.permutations(range(n)):
+                samples = []
+                for indices in itertools.product(*(range(i + 1) for i, _ in steps)):
+                    getrandbits, left = self.scripted(indices, steps)
+                    x = list(start)
+                    _shuffle(getrandbits, x, steps)
+                    assert not left
+                    assert sorted(x) == list(range(n))
+                    samples.append(tuple(x[n - k:]))
+                assert len(samples) == len(set(samples)) == len(expected)
+                assert set(samples) == expected
 
 
 class TestPinnedOutput:
