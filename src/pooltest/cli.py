@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import bounds as _bounds
@@ -156,29 +157,16 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    run = {"trials": args.trials, "master_seed": args.seed, "graph_mode": args.graph_mode,
+           "enumeration_limit": args.enum_limit}
     if args.mode == "noiseless":
         params = SystemParams(args.l, args.r, args.n, p=args.p)
-        report = _mc.run_noiseless_trials(
-            params,
-            epsilon=args.eps,
-            trials=args.trials,
-            master_seed=args.seed,
-            graph_mode=args.graph_mode,
-            enumeration_limit=args.enum_limit,
-        )
+        report = _mc.run_noiseless_trials(params, epsilon=args.eps, **run)
     else:
         if args.q is None:
             raise InputError("noisy mode needs --q")
         params = SystemParams(args.l, args.r, args.n, p=args.p, q=args.q)
-        report = _mc.run_noisy_trials(
-            params,
-            epsilon_input=args.eps,
-            epsilon_noise=args.eps2,
-            trials=args.trials,
-            master_seed=args.seed,
-            graph_mode=args.graph_mode,
-            enumeration_limit=args.enum_limit,
-        )
+        report = _mc.run_noisy_trials(params, epsilon_input=args.eps, epsilon_noise=args.eps2, **run)
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -438,13 +426,7 @@ def cmd_general(args: argparse.Namespace) -> int:
         "arity": f.arity,
         "converse_bound": converse,
         "outcome_distribution": outcome_dist,
-        "direct_margin": {
-            "value": margin.value,
-            "z": list(margin.z),
-            "sweeps": margin.sweeps,
-            "converged": margin.converged,
-            "gap": margin.gap,
-        },
+        "direct_margin": asdict(margin),
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK

@@ -31,6 +31,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterator, Mapping, Sequence
 
+from .bounds import _check_degrees
 from .errors import ConfigurationError, GuardError, InputError
 
 # enumerate_ensemble walks (n*l)! wirings; 10 sockets = 3628800 graphs is the ceiling.
@@ -55,8 +56,9 @@ class SystemParams:
     q: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.l < 1 or self.r < 1 or self.n < 1:
-            raise ConfigurationError("l, r and n must be positive integers")
+        _check_degrees(self.l, self.r)
+        if self.n < 1:
+            raise ConfigurationError("n must be a positive integer")
         if (self.n * self.l) % self.r != 0:
             raise ConfigurationError(
                 f"r={self.r} must divide n*l={self.n * self.l} to give a whole number of tests"
@@ -76,28 +78,18 @@ class SystemParams:
         return self.n * self.l
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True)
 class PoolingGraph:
     """A wired system: wiring[k] is the right socket fed by left socket k."""
 
     params: SystemParams
     wiring: tuple[int, ...]
 
-    def __init__(self, params: SystemParams, wiring: Sequence[int], check: bool = True):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "wiring", tuple(wiring))
-        if check:
-            nl = params.num_sockets
-            if len(self.wiring) != nl or sorted(self.wiring) != list(range(nl)):
-                raise InputError("wiring must be a permutation of range(n*l)")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PoolingGraph):
-            return NotImplemented
-        return self.params == other.params and self.wiring == other.wiring
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.wiring))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "wiring", tuple(self.wiring))
+        nl = self.params.num_sockets
+        if len(self.wiring) != nl or sorted(self.wiring) != list(range(nl)):
+            raise InputError("wiring must be a permutation of range(n*l)")
 
     def object_tests(self) -> list[tuple[int, ...]]:
         """For each object, the tests it feeds (repeats kept for parallel edges)."""
@@ -156,7 +148,7 @@ def sample_graph(params: SystemParams, seed: int) -> PoolingGraph:
     range(n*l), replayed through getrandbits by _shuffle."""
     wiring = list(range(params.num_sockets))
     _shuffle(random.Random(seed).getrandbits, wiring, _shuffle_steps(len(wiring)))
-    return PoolingGraph(params, wiring, check=False)
+    return PoolingGraph(params, wiring)
 
 
 def enumerate_ensemble(params: SystemParams) -> Iterator[PoolingGraph]:
@@ -171,7 +163,7 @@ def enumerate_ensemble(params: SystemParams) -> Iterator[PoolingGraph]:
             f"enumeration over {nl}! wirings refused (limit {ENUMERATION_SOCKET_LIMIT} sockets)"
         )
     for perm in itertools.permutations(range(nl)):
-        yield PoolingGraph(params, perm, check=False)
+        yield PoolingGraph(params, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +185,6 @@ def forward_or(graph: PoolingGraph, x: Sequence[int]) -> tuple[int, ...]:
         if x[k // l]:
             y[rk // r] = 1
     return tuple(y)
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Occurrence counts of each alphabet symbol among one test's inputs."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if any(c < 0 for c in self.counts):
-            raise InputError("type counts must be nonnegative")
-
-    @property
-    def length(self) -> int:
-        return sum(self.counts)
-
-    @classmethod
-    def of(cls, values: Sequence, alphabet: Sequence) -> "TypeVector":
-        idx = {a: i for i, a in enumerate(alphabet)}
-        counts = [0] * len(alphabet)
-        for v in values:
-            if v not in idx:
-                raise InputError(f"symbol {v!r} not in alphabet {tuple(alphabet)}")
-            counts[idx[v]] += 1
-        return cls(tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -362,11 +328,46 @@ def parity_function(r: int) -> TestFunction:
     return TestFunction((0, 1), (0, 1), r, table)
 
 
+# ---------------------------------------------------------------------------
+# input checks shared by the forward maps, the oracles and the exact formulas
+# ---------------------------------------------------------------------------
+
+
+def _check_arity(f: TestFunction, r: int) -> None:
+    if f.arity != r:
+        raise InputError(f"test function arity {f.arity} != r={r}")
+
+
+def _check_event(params: SystemParams, w: int, s: int) -> None:
+    """A binary event: input weight w and output weight s within the system."""
+    if not 0 <= w <= params.n:
+        raise InputError(f"input weight {w} outside [0, {params.n}]")
+    if not 0 <= s <= params.m:
+        raise InputError(f"output weight {s} outside [0, {params.m}]")
+
+
+def _check_types(
+    params: SystemParams, f: TestFunction, input_counts: Sequence[int], output_counts: Sequence[int]
+) -> None:
+    """A typed event: one nonnegative count per symbol of f's input and
+    output alphabets, totalling n inputs and m outputs."""
+    _check_arity(f, params.r)
+    if len(input_counts) != f.num_inputs:
+        raise InputError("input counts length must match the input alphabet")
+    if len(output_counts) != f.num_outputs:
+        raise InputError("output counts length must match the output alphabet")
+    if sum(input_counts) != params.n:
+        raise InputError(f"input counts must sum to n={params.n}")
+    if sum(output_counts) != params.m:
+        raise InputError(f"output counts must sum to m={params.m}")
+    if min((*input_counts, *output_counts)) < 0:
+        raise InputError("counts must be nonnegative")
+
+
 def forward_general(graph: PoolingGraph, f: TestFunction, x: Sequence) -> tuple:
     """Outcome of every pooled test under an arbitrary symmetric test function."""
     params = graph.params
-    if f.arity != params.r:
-        raise InputError(f"test function arity {f.arity} != r={params.r}")
+    _check_arity(f, params.r)
     if len(x) != params.n:
         raise InputError(f"x has length {len(x)}, expected n={params.n}")
     idx = {a: i for i, a in enumerate(f.input_alphabet)}
@@ -442,10 +443,7 @@ def _fired_mask_counts(params: SystemParams, w: int, s: int) -> tuple[Counter, i
     Returns the counts keyed by fired-test bitmask (bit j is test j) and the
     bitmask of the canonical weight-s outcome.
     """
-    if not 0 <= w <= params.n:
-        raise InputError(f"weight {w} outside [0, {params.n}]")
-    if not 0 <= s <= params.m:
-        raise InputError(f"outcome weight {s} outside [0, {params.m}]")
+    _check_event(params, w, s)
     nl, wl = params.num_sockets, w * params.l
     _check_budget(math.comb(nl, wl))
     masks = Counter(
@@ -506,13 +504,7 @@ def enumeration_fraction_general(
 ) -> Fraction:
     """Exact fraction of wirings with F_G(x) = y for canonical representatives
     of the given input/output type-count vectors."""
-    if f.arity != params.r:
-        raise InputError(f"test function arity {f.arity} != r={params.r}")
-    if sum(input_counts) != params.n:
-        raise InputError(f"input counts must sum to n={params.n}")
-    if sum(output_counts) != params.m:
-        raise InputError(f"output counts must sum to m={params.m}")
-    type_vector_representative(f.input_alphabet, input_counts)  # checks length and signs
+    _check_types(params, f, input_counts, output_counts)
     y = type_vector_representative(f.output_alphabet, output_counts)
     sizes = [params.l * c for c in input_counts]
     arrangements = math.factorial(params.num_sockets)

@@ -69,14 +69,16 @@ def weight_rate(spec: TypicalSetSpec, w: int) -> float:
     return (-w * math.log2(p) - (spec.n - w) * math.log2(1 - p)) / spec.n
 
 
+def _typical_weight(spec: TypicalSetSpec, h: float, w: int) -> bool:
+    """Whether weight-w sequences are typical, given h = spec.entropy:
+    h - epsilon <= rate <= h + epsilon."""
+    return h - spec.epsilon <= weight_rate(spec, w) <= h + spec.epsilon
+
+
 def typical_weight_set(spec: TypicalSetSpec) -> frozenset[int]:
     """All weights whose sequences are typical (contiguous; possibly empty)."""
     h = spec.entropy
-    return frozenset(
-        w
-        for w in range(spec.n + 1)
-        if h - spec.epsilon <= weight_rate(spec, w) <= h + spec.epsilon
-    )
+    return frozenset(w for w in range(spec.n + 1) if _typical_weight(spec, h, w))
 
 
 def typical_weights(spec: TypicalSetSpec) -> tuple[int, int]:
@@ -93,8 +95,7 @@ def typical_weights(spec: TypicalSetSpec) -> tuple[int, int]:
 def is_typical(spec: TypicalSetSpec, x: Sequence[int]) -> bool:
     if len(x) != spec.n:
         raise InputError(f"x has length {len(x)}, expected {spec.n}")
-    h = spec.entropy
-    return abs(weight_rate(spec, sum(x)) - h) <= spec.epsilon
+    return _typical_weight(spec, spec.entropy, sum(x))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import _check_degrees, binary_entropy, entropy, fixed_point_z
-from .ensemble import SystemParams, TestFunction
+from .ensemble import SystemParams, TestFunction, _check_arity, _check_event, _check_types
 from .errors import ConfigurationError, InputError, ReducedAlphabetError
 
 _LN2 = math.log(2)
@@ -98,12 +98,18 @@ def weight_enumerator(f: TestFunction, k: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _source_entropy(f: TestFunction, probs: Sequence[float]) -> float:
+    """Entropy of probs; InputError unless it is a distribution over f's
+    input symbols."""
+    if len(probs) != f.num_inputs:
+        raise InputError(f"got {len(probs)} probabilities for {f.num_inputs} input symbols")
+    return entropy(probs)
+
+
 def outcome_distribution(f: TestFunction, probs: Sequence[float]) -> list[float]:
     """Probability of each test outcome when the r pooled symbols are drawn
     independently from probs: each output's type enumerator at z = probs."""
-    if len(probs) != f.num_inputs:
-        raise InputError(f"got {len(probs)} probabilities for {f.num_inputs} input symbols")
-    entropy(probs)  # InputError unless probs is a distribution
+    _source_entropy(f, probs)
     dist = []
     for k in range(f.num_outputs):
         total = 0
@@ -118,13 +124,6 @@ def outcome_distribution(f: TestFunction, probs: Sequence[float]) -> list[float]
 # ---------------------------------------------------------------------------
 # exact ensemble-average event probabilities
 # ---------------------------------------------------------------------------
-
-
-def _check_event(params: SystemParams, w: int, s: int) -> None:
-    if not 0 <= w <= params.n:
-        raise InputError(f"input weight {w} outside [0, {params.n}]")
-    if not 0 <= s <= params.m:
-        raise InputError(f"output weight {s} outside [0, {params.m}]")
 
 
 def _truncated_power(coeffs: Sequence[int], e: int, top: int) -> list[int]:
@@ -200,6 +199,18 @@ def _round_from_bounds(fired: list[int], quieted: list[int], denom: int) -> floa
     return low if low == (hi << cut) / denom else None
 
 
+def _fire_quiet(r: int, flip, keep) -> tuple[list, list]:
+    """Enumerators of a size-r OR pool's inputs seen as a firing and as a
+    quiet test when the outcome is flipped at weight `flip` and kept at
+    weight `keep`: fire = keep*pool + flip and quiet = flip*pool + keep."""
+    pool = or_pool_poly(r)
+    fire = [c * keep for c in pool]
+    quiet = [c * flip for c in pool]
+    fire[0] += flip
+    quiet[0] += keep
+    return fire, quiet
+
+
 def noisy_ensemble_event_probability(params: SystemParams, w: int, s: int):
     """Same event with every test outcome flipped independently with
     probability q: [z^{lw}] fire^s quiet^(m-s) / C(nl, lw), with
@@ -212,11 +223,7 @@ def noisy_ensemble_event_probability(params: SystemParams, w: int, s: int):
     q = Fraction(params.q)
     big_p, big_q = q.numerator, q.denominator
     # fire and quiet scaled by the denominator Q, so both have integer coefficients
-    pool = or_pool_poly(params.r)
-    fire = [c * (big_q - big_p) for c in pool]
-    quiet = [c * big_p for c in pool]
-    fire[0] += big_p
-    quiet[0] += big_q - big_p
+    fire, quiet = _fire_quiet(params.r, big_p, big_q - big_p)
     lw = params.l * w
     fired = _truncated_power(fire, s, lw)
     quieted = _truncated_power(quiet, params.m - s, lw)
@@ -237,18 +244,7 @@ def general_ensemble_event_probability(
 ) -> Fraction:
     """Probability, over a uniform wiring, that the outcome of a fixed input
     of the given type equals a fixed output of the given type.  Exact."""
-    if f.arity != params.r:
-        raise InputError(f"test function arity {f.arity} != r={params.r}")
-    if len(input_counts) != f.num_inputs:
-        raise InputError("input counts length must match the input alphabet")
-    if len(output_counts) != f.num_outputs:
-        raise InputError("output counts length must match the output alphabet")
-    if sum(input_counts) != params.n:
-        raise InputError(f"input counts must sum to n={params.n}")
-    if sum(output_counts) != params.m:
-        raise InputError(f"output counts must sum to m={params.m}")
-    if min((*input_counts, *output_counts)) < 0:
-        raise InputError("counts must be nonnegative")
+    _check_types(params, f, input_counts, output_counts)
     corner = [params.l * w for w in input_counts]
     # every type has r symbols and the outputs total m, so symbol 0's
     # exponent is implied by the others: drop it from each monomial
@@ -289,8 +285,7 @@ def general_converse_bound(
     source entropy minus the per-object entropy of a single test outcome.
     Positive means reliable recovery is impossible."""
     _check_degrees(l, r)
-    if f.arity != r:
-        raise InputError(f"test function arity {f.arity} != r={r}")
+    _check_arity(f, r)
     dist = outcome_distribution(f, probs)
     value = entropy(probs)
     for a_k in dist:
@@ -593,11 +588,7 @@ def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
     _check_exponent_args(l, r, p)
     if not 0 <= q < 1:
         raise InputError(f"q={q} outside [0, 1)")
-    pool = or_pool_poly(r)
-    fire = [c * (1.0 - q) for c in pool]
-    quiet = [c * q for c in pool]
-    fire[0] += q
-    quiet[0] += 1.0 - q
+    fire, quiet = _fire_quiet(r, q, 1.0 - q)
     fire_terms, quiet_terms = _log_terms(fire), _log_terms(quiet)
     base = -(l - 1) * binary_entropy(p) + (l / r) * binary_entropy(q)
     ratio, lp = l / r, l * p
@@ -679,11 +670,8 @@ def general_direct_margin(
     interior-point iteration, which does not stall where enumerators tie.
     """
     _check_degrees(l, r)
-    if f.arity != r:
-        raise InputError(f"test function arity {f.arity} != r={r}")
-    if len(probs) != f.num_inputs:
-        raise InputError(f"got {len(probs)} probabilities for {f.num_inputs} input symbols")
-    base = -(l - 1) * entropy(probs)  # InputError unless probs is a distribution
+    _check_arity(f, r)
+    base = -(l - 1) * _source_entropy(f, probs)
     if 0 in probs:
         raise ReducedAlphabetError("a symbol probability is 0; drop the symbol first")
     if len(probs) == 2:

@@ -25,7 +25,6 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .bounds import _check_degrees
 from .ensemble import SystemParams, _object_masks, _shuffle, _shuffle_steps, _test_bits
 from .errors import ConfigurationError, InputError
 from .estimators import (
@@ -35,6 +34,7 @@ from .estimators import (
     _scan_or_consistent,
     typical_weight_set,
 )
+from .genfunc import ensemble_event_probability, noisy_ensemble_event_probability
 
 Z_GATE = 4.0
 CONFIDENCE_FACTOR = 1.96  # two-sided 95% normal quantile
@@ -110,7 +110,6 @@ def _run_trials(
         raise ConfigurationError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
     if trials < 0:
         raise InputError("trials must be nonnegative")
-    _check_degrees(params.l, params.r)
     _check_guard(params.n, enumeration_limit)
     x_weights = typical_weight_set(TypicalSetSpec(params.n, params.p, epsilon_input))
     e_weights = typical_weight_set(TypicalSetSpec(params.m, q, epsilon_noise))
@@ -262,7 +261,6 @@ def _gate(
     noise stream, since no flip can fire then."""
     if trials < 1:
         raise InputError("trials must be positive")
-    _check_degrees(params.l, params.r)
     exact = float(probability(params, w, s))
     q = settings.get("q", 0.0)
     m, nl, wl = params.m, params.num_sockets, w * params.l
@@ -313,8 +311,6 @@ def validate_event_probability(
 ) -> EventRateCheck:
     """Check the exact noiseless event probability for canonical weight-w
     input and weight-s output against sampling of the ensemble."""
-    from .genfunc import ensemble_event_probability
-
     return _gate(
         "noiseless-event-rate", ensemble_event_probability, params, w, s, trials,
         master_seed, {},
@@ -330,8 +326,6 @@ def validate_noisy_event_probability(
 ) -> EventRateCheck:
     """Check the exact noisy event probability against sampling of both the
     ensemble and the flip pattern."""
-    from .genfunc import noisy_ensemble_event_probability
-
     return _gate(
         "noisy-event-rate", noisy_ensemble_event_probability, params, w, s, trials,
         master_seed, {"q": float(params.q)},

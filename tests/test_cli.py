@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pooltest
 from pooltest import TestFunction as PoolFunction
 from pooltest import (
     achievable_margin,
@@ -555,3 +560,15 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("argv,code", [
+        (("thresholds", "--pairs", "3:6"), 0),
+        (("simulate", "--mode", "noisy", "--l", "3", "--r", "6", "--n", "12", "--p", "0.1",
+          "--trials", "1", "--seed", "1"), 2),
+    ], ids=["thresholds", "noisy-without-q"])
+    def test_module_entry_point_exit_codes(self, argv, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(pooltest.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pooltest", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == code, proc.stderr

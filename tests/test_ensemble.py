@@ -14,7 +14,6 @@ from pooltest import (
     InputError,
     PoolingGraph,
     SystemParams,
-    TypeVector,
     compositions,
     count_function,
     enumerate_ensemble,
@@ -157,22 +156,6 @@ class TestForwardOr:
             forward_or(graph, (0, 1, 2, 0))
 
 
-class TestTypeVector:
-    def test_of_counts_symbols(self):
-        tv = TypeVector.of((0, 1, 1, 2), (0, 1, 2))
-        assert tv.counts == (1, 2, 1)
-        assert tv.length == 4
-
-    def test_rejects_foreign_symbols(self):
-        with pytest.raises(InputError):
-            TypeVector.of((0, 3), (0, 1))
-
-    def test_representative_roundtrip(self):
-        rep = type_vector_representative(("a", "b"), (2, 1))
-        assert rep == ("a", "a", "b")
-        assert TypeVector.of(rep, ("a", "b")).counts == (2, 1)
-
-
 class TestPoolFunction:
     def test_or_function_table(self):
         f = or_function(3)
@@ -251,6 +234,9 @@ class TestCompositions:
 
     def test_all_sum_to_total(self):
         assert all(sum(c) == 5 for c in compositions(5, 4))
+
+    def test_representative_spells_out_the_counts(self):
+        assert type_vector_representative(("a", "b"), (2, 1)) == ("a", "a", "b")
 
 
 class TestGraphJson:

@@ -113,6 +113,13 @@ class TestTypicalSet:
         assert not is_typical(spec, weight_vector(12, 0))
         assert not is_typical(spec, weight_vector(12, 5))
 
+    @pytest.mark.parametrize("n,p,epsilon,w", [(40, 0.2, 0.05, 7), (40, 0.8, 0.05, 31)])
+    def test_is_typical_agrees_with_the_weight_window(self, n, p, epsilon, w):
+        # the rate of weight w lands on the window's edge up to rounding, so
+        # only the same comparison as typical_weight_set gives the same answer
+        spec = TypicalSetSpec(n, p, epsilon)
+        assert is_typical(spec, weight_vector(n, w)) == (w in typical_weight_set(spec))
+
     def test_is_typical_validates_length(self):
         spec = TypicalSetSpec(12, 0.1, 0.3)
         with pytest.raises(InputError):

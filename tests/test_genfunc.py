@@ -688,6 +688,15 @@ class TestMinimax1D:
             assert gm.value <= objective + 1e-12
 
 
+    def test_step_cap_gives_up(self):
+        # one linear piece falling without bound: every step only doubles u
+        *_, steps, converged = genfunc._minimax_1d([[(0, 0.0)]], 1.0, 1.0)
+        assert (steps, converged) == (genfunc.MAX_NEWTON_STEPS, False)
+
+    def test_solve_linear_refuses_a_zero_pivot(self):
+        assert genfunc._solve_linear([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]) is None
+
+
 class TestGeneralDirectMargin:
     def test_matches_binary_for_or(self):
         for l, r, p in ((3, 6, 0.08), (2, 4, 0.05)):
