@@ -223,15 +223,18 @@ def _verify_exact(checks: _Checks) -> None:
             enumeration_fraction_noisy,
         )
 
-    rounded = _genfunc.noisy_ensemble_event_probability(SystemParams(3, 6, 120, q=0.1), 60, 15)
-    exact = _genfunc.noisy_ensemble_event_probability(
-        SystemParams(3, 6, 120, q=Fraction(0.1)), 60, 15
-    )
-    checks.record(
-        "float-q noisy formula is the exact value rounded once (l=3, r=6, n=120, q=0.1)",
-        rounded == float(exact),
-        f"w=60, s=15: {rounded!r} vs {float(exact)!r}",
-    )
+    # at w=60 both powers are exact; at w=24 quiet's is a certified bound
+    for n, w, s, route in ((120, 60, 15, ""), (240, 24, 30, " via certified power bounds")):
+        rounded = _genfunc.noisy_ensemble_event_probability(SystemParams(3, 6, n, q=0.1), w, s)
+        exact = _genfunc.noisy_ensemble_event_probability(
+            SystemParams(3, 6, n, q=Fraction(0.1)), w, s
+        )
+        checks.record(
+            f"float-q noisy formula{route} is the exact value rounded once"
+            f" (l=3, r=6, n={n}, q=0.1)",
+            rounded == float(exact),
+            f"w={w}, s={s}: {rounded!r} vs {float(exact)!r}",
+        )
 
     for l, r, n in ((1, 2, 4), (2, 4, 4)):
         checks.all_events_equal(

@@ -273,25 +273,50 @@ class TestFunction:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TestFunction":
+        """The function that to_json_dict wrote; ConfigurationError names the
+        first field of the wrong type: the alphabets are lists of strings or
+        numbers, the arity an integer, and the table a list of objects
+        whose type is a list of integers and whose output is an integer."""
+        if not isinstance(data, Mapping):
+            raise ConfigurationError("test function file must hold a JSON object")
         for key in ("input_alphabet", "output_alphabet", "arity", "table"):
             if key not in data:
                 raise ConfigurationError(f"test function file is missing key {key!r}")
+        for key in ("input_alphabet", "output_alphabet"):
+            symbols = data[key]
+            if not isinstance(symbols, list) or not all(
+                isinstance(x, (str, int, float)) for x in symbols
+            ):
+                raise ConfigurationError(f"{key} must be a list of strings or numbers")
+        if not _is_int(data["arity"]):
+            raise ConfigurationError("arity must be an integer")
         entries = data["table"]
+        if not isinstance(entries, list):
+            raise ConfigurationError("table must be a list of entries")
         table = {}
         for i, entry in enumerate(entries):
-            if "type" not in entry or "output" not in entry:
+            if not isinstance(entry, Mapping) or "type" not in entry or "output" not in entry:
                 raise ConfigurationError(
                     f"table entry {i}: needs 'type' and 'output' fields"
                 )
-            table[tuple(entry["type"])] = entry["output"]
+            t, k = entry["type"], entry["output"]
+            if not isinstance(t, list) or not all(map(_is_int, t)):
+                raise ConfigurationError(f"table entry {i}: type must be a list of integers")
+            if not _is_int(k):
+                raise ConfigurationError(f"table entry {i}: output must be an integer")
+            table[tuple(t)] = k
         if len(table) != len(entries):
             raise ConfigurationError("table contains a duplicate type")
         return cls(
             tuple(data["input_alphabet"]),
             tuple(data["output_alphabet"]),
-            int(data["arity"]),
+            data["arity"],
             table,
         )
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

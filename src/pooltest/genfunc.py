@@ -7,17 +7,24 @@ polynomials, divided by a count of socket arrangements.  Enumerators are
 plain data: coefficient tuples indexed by degree, or {type: multiplicity}
 dicts.  For binary inputs that coefficient comes from powers truncated at
 the target degree, by the power-series power recurrence over exact
-integers; a noise rate q = P/Q enters as the integer polynomials Q*fire and
-Q*quiet.  For a general alphabet, every type enumerator is homogeneous of
-degree r, so symbol 0's exponent is implied and dropped; each output's
-enumerator is raised to its count by squaring, and every product drops the
-monomials past a target exponent in any symbol (the box l*counts), which
-cannot reach the target coefficient.  Results are exact
+integers, with the common factor of the non-constant coefficients taken
+out of each step; a noise rate q = P/Q enters as the integer polynomials
+Q*fire and Q*quiet.  For a general alphabet, every type enumerator is
+homogeneous of degree r, so symbol 0's exponent is implied and dropped;
+each output's enumerator is raised to its count by squaring, and every
+product drops the monomials past a target exponent in any symbol (the box
+l*counts), which cannot reach the target coefficient.  Results are exact
 Fractions, or that exact value rounded once to a float when q is a float.
 The float is certified without forming the exact numerator, a sum of
-products of thousands-of-bits integers: the leading bits of every factor
-bound that sum from both sides, and when both bounds round to one float so
-does the exact value (Ziv's rounding test); otherwise the sum is formed.
+products of thousands-of-bits integers, by the first of three routes that
+decides it.  Bounds when stable: a power a^e whose truncation, after the
+z^order split, stops by z^(e+1) has only nonnegative recurrence weights, so
+certified floor and ceiling mantissas of 2 * _ROUND_BITS bits stand in for
+its exact coefficients.  Exact factors: an unstable power enters as its
+exact coefficients.  The leading bits of every factor bound the sum from
+both sides, and when both bounds round to one float so does the exact
+value (Ziv's rounding test).  Exact sum: otherwise both powers are formed
+exactly and the sum is rounded.
 
 Every direct-part margin minimizes one shape over u = log2(z): a pointwise
 max of weighted log-enumerators, each a log-sum-exp and hence convex, minus
@@ -126,27 +133,105 @@ def outcome_distribution(f: TestFunction, probs: Sequence[float]) -> list[float]
 # ---------------------------------------------------------------------------
 
 
+def _power_shape(coeffs: Sequence[int], e: int, top: int) -> tuple[int, Sequence[int], int]:
+    """(order, a, size) with coeffs = z^order a(z), a[0] and a[-1] nonzero:
+    [z^0 .. z^top] of coeffs^e is order*e zeros, the first `size`
+    coefficients of a^e, then zeros.  size stops at the degree of a^e, and
+    is <= 0 when z^top lies below z^(order*e)."""
+    order, end = 0, len(coeffs)
+    while not coeffs[order]:
+        order += 1
+    while not coeffs[end - 1]:
+        end -= 1
+    return order, coeffs[order:end], min(top + 1 - order * e, (end - 1 - order) * e + 1)
+
+
 def _truncated_power(coeffs: Sequence[int], e: int, top: int) -> list[int]:
     """Coefficients [z^0 .. z^top] of the integer polynomial `coeffs` raised to
     the power e, by the power-series power recurrence (J.C.P. Miller; Knuth,
     TAOCP vol. 2, 4.7): b_0 = a_0^e and
     k a_0 b_k = sum_{j=1}^{min(k, deg)} ((e+1) j - k) a_j b_{k-j}.
     The lowest-order factor z^o is split off first so that a_0 != 0; every
-    b_k is an integer, so the division by k a_0 is exact."""
-    order = next(j for j, c in enumerate(coeffs) if c)
-    a = coeffs[order:]
-    out = [0] * min(order * e, top + 1)
-    size = top + 1 - len(out)
+    b_k is an integer, so the division by k a_0 is exact.  The common factor
+    g of a_1 .. a_deg is taken out of the sum, so each term multiplies b_{k-j}
+    by a small integer and each b_k costs one more multiply by g."""
+    order, a, size = _power_shape(coeffs, e, top)
     if size <= 0:
-        return out
+        return [0] * (top + 1)
     a0, deg, e1 = a[0], len(a) - 1, e + 1
+    g = math.gcd(*a[1:])
+    if g > 1:
+        a = [a0, *(c // g for c in a[1:])]
     b = [a0**e]
     for k in range(1, size):
         acc = 0
         for j in range(1, min(k, deg) + 1):
             acc += (e1 * j - k) * a[j] * b[k - j]
+        if g > 1:
+            acc *= g
         b.append(acc // (k * a0))
-    return out + b
+    return [0] * (order * e) + b + [0] * (top + 1 - order * e - size)
+
+
+def _trim(lo: int, hi: int, x: int) -> tuple[int, int, int]:
+    """lo * 2^x <= v <= hi * 2^x cut to 2 * _ROUND_BITS bits: lo rounded
+    down and hi up."""
+    cut = max(hi.bit_length() - 2 * _ROUND_BITS, 0)
+    return lo >> cut, -(-hi >> cut), x + cut
+
+
+def _power_bounds(coeffs: Sequence[int], e: int, top: int) -> list[tuple[int, int, int]] | None:
+    """Certified bounds on _truncated_power(coeffs, e, top) for nonnegative
+    coeffs: each coefficient as (lo, hi, x) with lo * 2^x <= b_k <= hi * 2^x,
+    lo and hi of about 2 * _ROUND_BITS bits.  None unless the power is
+    stable: its recurrence stops by k = e + 1.
+
+    There every weight (e+1) j - k is nonnegative, so b_k is monotone in
+    b_{k-1} .. b_{k-deg}: their floors, summed in units of 2^cut and divided
+    rounding down, bound it from below, and their ceilings, rounding up, from
+    above.  Each step widens the bounds by a few units in their last place,
+    so after thousands of steps they still agree far beyond the _ROUND_BITS
+    leading bits that _round_from_bounds keeps."""
+    order, a, size = _power_shape(coeffs, e, top)
+    if size > e + 2:
+        return None
+    zero = (0, 0, 0)
+    if size <= 0:
+        return [zero] * (top + 1)
+    a0, deg, e1 = a[0], len(a) - 1, e + 1
+    # b_0 = a_0^e by squaring, trimmed after every product
+    power, base, n = (1, 1, 0), _trim(a0, a0, 0), e
+    while n:
+        if n & 1:
+            power = _trim(power[0] * base[0], power[1] * base[1], power[2] + base[2])
+        n >>= 1
+        if n:
+            base = _trim(base[0] * base[0], base[1] * base[1], 2 * base[2])
+    b = [power]
+    for k in range(1, size):
+        terms = []
+        for j in range(1, min(k, deg) + 1):
+            c = (e1 * j - k) * a[j]
+            lo, hi, x = b[k - j]
+            if c and hi:
+                terms.append((c * lo, c * hi, x))
+        if not terms:
+            b.append(zero)
+            continue
+        # cut lies 2 * _ROUND_BITS bits below the largest term over the divisor
+        div = k * a0
+        peak = max(hi.bit_length() + x for _, hi, x in terms)
+        cut = peak - div.bit_length() - 2 * _ROUND_BITS
+        acc_lo = acc_hi = 0
+        for lo, hi, x in terms:
+            if x >= cut:
+                acc_lo += lo << (x - cut)
+                acc_hi += hi << (x - cut)
+            else:
+                acc_lo += lo >> (cut - x)
+                acc_hi -= -hi >> (cut - x)
+        b.append((acc_lo // div, -(-acc_hi // div), cut))
+    return [zero] * (order * e) + b + [zero] * (top + 1 - order * e - size)
 
 
 def ensemble_event_probability(params: SystemParams, w: int, s: int) -> Fraction:
@@ -165,30 +250,32 @@ def _dot_reversed(fired: list[int], quieted: list[int]) -> int:
     return sum(a * b for a, b in zip(fired, reversed(quieted)))
 
 
-def _round_from_bounds(fired: list[int], quieted: list[int], denom: int) -> float | None:
-    """The float nearest _dot_reversed(fired, quieted) / denom, or None when
-    truncated factors cannot decide it (Ziv's rounding test).
+def _round_from_bounds(fired: list[tuple], quieted: list[tuple], denom: int) -> float | None:
+    """The float nearest sum_k fired[k] quieted[-1 - k] / denom, from factor
+    bounds (lo, hi, x), lo * 2^x <= factor <= hi * 2^x (an exact factor v is
+    (v, v, 0)), or None when they cannot decide it (Ziv's rounding test).
 
     Every term is a nonnegative product.  In units of 2^cut, cut lying
-    2 * _ROUND_BITS bits below the largest term, the factors cut to their
-    leading _ROUND_BITS bits with each product floored bound the numerator
-    from below, and the cut factors plus one with each product rounded up
-    bound it from above.  int / int rounds correctly and rounding is
-    monotone, so when both bounds round to one float the exact quotient
-    rounds to it too."""
-    terms = [(a, b) for a, b in zip(fired, reversed(quieted)) if a and b]
+    2 * _ROUND_BITS bits below the largest term, the lower bounds cut to
+    their leading _ROUND_BITS bits with each product floored bound the
+    numerator from below, and the upper bounds cut rounding up with each
+    product rounded up bound it from above.  int / int rounds correctly and
+    rounding is monotone, so when both bounds round to one float the exact
+    quotient rounds to it too."""
+    terms = [(a, b) for a, b in zip(fired, reversed(quieted)) if a[1] and b[1]]
     if not terms:
         return None
-    cut = max(a.bit_length() + b.bit_length() for a, b in terms) - 2 * _ROUND_BITS
+    peak = max(a[1].bit_length() + a[2] + b[1].bit_length() + b[2] for a, b in terms)
+    cut = peak - 2 * _ROUND_BITS
     if cut <= 0:
         return None
     lo = hi = 0
-    for a, b in terms:
-        sa = max(a.bit_length() - _ROUND_BITS, 0)
-        sb = max(b.bit_length() - _ROUND_BITS, 0)
-        a, b = a >> sa, b >> sb
-        floor, ceil = a * b, (a + (sa > 0)) * (b + (sb > 0))
-        shift = sa + sb - cut
+    for (a_lo, a_hi, a_x), (b_lo, b_hi, b_x) in terms:
+        sa = max(a_hi.bit_length() - _ROUND_BITS, 0)
+        sb = max(b_hi.bit_length() - _ROUND_BITS, 0)
+        floor = (a_lo >> sa) * (b_lo >> sb)
+        ceil = (-(-a_hi >> sa)) * (-(-b_hi >> sb))
+        shift = a_x + sa + b_x + sb - cut
         if shift >= 0:
             lo += floor << shift
             hi += ceil << shift
@@ -217,23 +304,31 @@ def noisy_ensemble_event_probability(params: SystemParams, w: int, s: int):
     fire = (1-q) pool + q and quiet = q pool + (1-q).  A Fraction q gives the
     exact Fraction.  Any other q is taken as the exact rational it stores
     (Fraction(q); for a float, its binary value), and the exact result is
-    rounded once to the nearest float, by _round_from_bounds when its bounds
-    decide it and from the exact numerator otherwise."""
+    rounded once to the nearest float.  _round_from_bounds decides it from
+    certified bounds on each stable power (_power_bounds: after the z^order
+    split the truncation stops by z^(e+1) of the e-th power) and from the
+    other power exact; when they cannot, both powers are formed exactly and
+    the exact sum _dot_reversed is rounded."""
     _check_event(params, w, s)
     q = Fraction(params.q)
     big_p, big_q = q.numerator, q.denominator
     # fire and quiet scaled by the denominator Q, so both have integer coefficients
     fire, quiet = _fire_quiet(params.r, big_p, big_q - big_p)
     lw = params.l * w
-    fired = _truncated_power(fire, s, lw)
-    quieted = _truncated_power(quiet, params.m - s, lw)
+    powers = ((fire, s), (quiet, params.m - s))
     denom = big_q**params.m * math.comb(params.num_sockets, lw)
-    if isinstance(params.q, Fraction):
-        return Fraction(_dot_reversed(fired, quieted), denom)
-    rounded = _round_from_bounds(fired, quieted, denom)
-    if rounded is not None:
-        return rounded
-    return _dot_reversed(fired, quieted) / denom
+    exact = isinstance(params.q, Fraction)
+    if not exact:
+        # certified bounds of each stable power, the exact power otherwise
+        factors = [
+            _power_bounds(c, e, lw) or [(v, v, 0) for v in _truncated_power(c, e, lw)]
+            for c, e in powers
+        ]
+        rounded = _round_from_bounds(*factors, denom)
+        if rounded is not None:
+            return rounded
+    numer = _dot_reversed(*(_truncated_power(c, e, lw) for c, e in powers))
+    return Fraction(numer, denom) if exact else numer / denom
 
 
 def general_ensemble_event_probability(
@@ -555,12 +650,16 @@ def _check_exponent_args(l: int, r: int, p: float) -> None:
 class DirectExponent:
     """A maximized error exponent, the outcome-weight fraction sigma and the
     argument z (inf when the infimum is the limit z -> inf) at its saddle
-    point, and whether z is the fixed-point kink 2^(1/r) - 1."""
+    point, and whether z is the fixed-point kink 2^(1/r) - 1; with the 1-D
+    solver's evaluated points and whether it converged (0 and True for the
+    closed-form limit)."""
 
     value: float
     sigma: float
     z: float
     at_kink: bool
+    steps: int
+    converged: bool
 
 
 def noiseless_direct_exponent(l: int, r: int, p: float) -> DirectExponent:
@@ -603,8 +702,8 @@ def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
         raise InputError("the exponent is unbounded for every outcome weight")
     if slope == 0:
         # convex and leveling off: the infimum is the limit at z -> inf
-        return DirectExponent(base + limit, sigma, math.inf, False)
-    u_star, val, at_kink, *_ = _minimax_1d(
+        return DirectExponent(base + limit, sigma, math.inf, False, 0, True)
+    u_star, val, at_kink, steps, converged = _minimax_1d(
         [quiet_terms, fire_terms], ratio, lp, 1.0 - ratio, math.log2(fixed_point_z(r))
     )
     if at_kink:
@@ -614,7 +713,7 @@ def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
             sigma = min(max((lp - q_slope) / (f_slope - q_slope), 0.0), ratio)
     else:
         sigma = ratio if _lse_1d(fire_terms, u_star)[0] > _lse_1d(quiet_terms, u_star)[0] else 0.0
-    return DirectExponent(base + val, sigma, 2.0**u_star, at_kink)
+    return DirectExponent(base + val, sigma, 2.0**u_star, at_kink, steps, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +723,13 @@ def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
 
 @dataclass(frozen=True)
 class Margin:
-    """A direct-part margin and the generating-variable argument achieving it."""
+    """A direct-part margin and the generating-variable argument achieving
+    it, with the 1-D solver's evaluated points and whether it converged."""
 
     value: float
     z: float
+    steps: int
+    converged: bool
 
 
 def binary_direct_margin(f: TestFunction, l: int, r: int, p: float) -> Margin:
@@ -637,7 +739,7 @@ def binary_direct_margin(f: TestFunction, l: int, r: int, p: float) -> Margin:
     general_direct_margin at probs (1 - p, p), with p = 0 or 1 refused."""
     _check_exponent_args(l, r, p)
     g = general_direct_margin(f, l, r, (1 - p, p))
-    return Margin(g.value, g.z[1])
+    return Margin(g.value, g.z[1], g.sweeps, g.converged)
 
 
 @dataclass(frozen=True)

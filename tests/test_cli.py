@@ -536,6 +536,45 @@ class TestGeneralCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("field, value", [
+        (None, [1, 2]),
+        ("input_alphabet", 5),
+        ("input_alphabet", "01"),
+        ("input_alphabet", [[0], 1]),
+        ("output_alphabet", {"0": 1}),
+        ("output_alphabet", [0, None]),
+        ("arity", "abc"),
+        ("arity", "2"),
+        ("arity", 2.7),
+        ("arity", 2.0),
+        ("arity", True),
+        ("table", 5),
+        ("table", [5]),
+        ("type", 5),
+        ("type", [1.0, 1.0]),
+        ("type", [1, "1"]),
+        ("output", "0"),
+        ("output", 0.0),
+        ("output", False),
+    ])
+    def test_malformed_function_file_is_usage_error(self, capsys, tmp_path, field, value):
+        # one wrong-typed field per file, each refused before it is used
+        data = or_function(2).to_json_dict()
+        if field is None:
+            data = value
+        elif field in ("type", "output"):
+            data["table"][1][field] = value
+        else:
+            data[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "general", "--function", str(bad), "--l", "2", "--r", "2",
+            "--probs", "0.9,0.1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and (field or "object") in err
+
     def test_wrong_probability_count_is_usage_error(self, capsys, tmp_path):
         fn = self.write_function(tmp_path / "or6.json", or_function(6))
         code, _, err = run(

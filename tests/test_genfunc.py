@@ -300,11 +300,116 @@ class TestNoisyEventProbability:
         assert values == exact_values
         assert len(fallbacks) == len(values)
 
+    @staticmethod
+    def _powers_formed(monkeypatch):
+        # the exponents e of every exact truncated power formed
+        formed = []
+        power = genfunc._truncated_power
+
+        def recorded(coeffs, e, top):
+            formed.append(e)
+            return power(coeffs, e, top)
+
+        monkeypatch.setattr(genfunc, "_truncated_power", recorded)
+        return formed
+
+    @pytest.mark.parametrize("n, w, s", [(1200, 121, 150), (720, 72, 90)])
+    def test_stable_quiet_power_is_bounded_not_formed(self, monkeypatch, n, w, s):
+        # l*w <= (m - s) + 1: quiet's recurrence stays where every weight is
+        # nonnegative, so its certified bounds decide the float
+        exact = noisy_ensemble_event_probability(SystemParams(3, 6, n, q=Fraction(0.1)), w, s)
+        formed = self._powers_formed(monkeypatch)
+        value = noisy_ensemble_event_probability(SystemParams(3, 6, n, q=0.1), w, s)
+        assert value == float(exact)
+        assert formed == [s]  # fire's power is exact, quiet's (m - s) is not formed
+
+    def test_unstable_powers_take_the_exact_route(self, monkeypatch):
+        # l*w = 1083 passes both (m - s) + 1 = 271 and s + 1 = 91
+        n, w, s = 720, 361, 90
+        exact = noisy_ensemble_event_probability(SystemParams(3, 6, n, q=Fraction(0.1)), w, s)
+        formed = self._powers_formed(monkeypatch)
+        value = noisy_ensemble_event_probability(SystemParams(3, 6, n, q=0.1), w, s)
+        assert value == float(exact)
+        assert formed == [s, n // 2 - s]
+
     @pytest.mark.parametrize("n, w, s", [(12, 2, 3), (720, 360, 90), (1200, 120, 150)])
     def test_default_float_q_is_the_rounded_noiseless_value(self, n, w, s):
         value = noisy_ensemble_event_probability(SystemParams(3, 6, n), w, s)
         assert isinstance(value, float)
         assert value == float(ensemble_event_probability(SystemParams(3, 6, n), w, s))
+
+
+def _schoolbook_power(coeffs, e, top):
+    out = [1] + [0] * top
+    for _ in range(e):
+        out = [sum(out[k - j] * c for j, c in enumerate(coeffs) if j <= k) for k in range(top + 1)]
+    return out
+
+
+# flip rates at the edges of the float range and around 1/2
+EDGE_Q = (0.0, 5e-324, 1e-300, 1e-3, 0.5 - 2**-53, 0.5, 0.5 + 2**-53, 1 - 1e-16, 1.0)
+
+
+class TestTruncatedPowers:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_power_is_the_schoolbook_power(self, data):
+        # zeros at either end, common factors and truncations past the degree
+        coeffs = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=5), label="coeffs")
+        coeffs = [0] * data.draw(st.integers(0, 2)) + [data.draw(st.integers(1, 40))] + coeffs
+        scale = data.draw(st.sampled_from((1, 2, 6, 2**70 + 1)), label="scale")
+        coeffs = [c * scale for c in coeffs]
+        e, top = data.draw(st.integers(0, 12), label="e"), data.draw(st.integers(0, 40), label="top")
+        assert genfunc._truncated_power(coeffs, e, top) == _schoolbook_power(coeffs, e, top)
+
+    @staticmethod
+    def _check_bounds(coeffs, e, top):
+        bounds = genfunc._power_bounds(coeffs, e, top)
+        exact = genfunc._truncated_power(coeffs, e, top)
+        assert len(bounds) == len(exact) == top + 1
+        for k, ((lo, hi, x), v) in enumerate(zip(bounds, exact)):
+            lo_v, hi_v = (lo << x, hi << x) if x >= 0 else (lo, hi)
+            v_x = v if x >= 0 else v << -x
+            assert lo_v <= v_x <= hi_v, k
+            # far narrower than the _ROUND_BITS leading bits the rounding keeps
+            assert hi - lo <= hi >> (genfunc._ROUND_BITS + 32), k
+
+    @staticmethod
+    def _stable_top(coeffs, e):
+        # the recurrence stops by z^(e+1) of a^e, after the z^order split
+        # (order 1 for fire at q = 0)
+        return next(j for j, c in enumerate(coeffs) if c) * e + e + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_bounds_contain_every_coefficient_of_a_stable_power(self, data):
+        r = data.draw(st.integers(1, 9), label="r")
+        q = data.draw(st.sampled_from(EDGE_Q) | st.floats(0, 1), label="q")
+        big_p, big_q = Fraction(q).numerator, Fraction(q).denominator
+        coeffs = data.draw(st.sampled_from(genfunc._fire_quiet(r, big_p, big_q - big_p)))
+        e = data.draw(st.integers(0, 150), label="e")
+        top = data.draw(st.integers(0, self._stable_top(coeffs, e)), label="top")
+        self._check_bounds(coeffs, e, top)
+
+    @pytest.mark.parametrize("q", EDGE_Q)
+    @pytest.mark.parametrize("e", [1, 2, 45])
+    def test_bounds_at_the_edge_of_the_stable_range(self, q, e):
+        # at k = e + 1 the weight of b_{k-1} is 0, so the largest earlier
+        # coefficient need not lead the sum
+        big_p, big_q = Fraction(q).numerator, Fraction(q).denominator
+        for coeffs in genfunc._fire_quiet(6, big_p, big_q - big_p):
+            self._check_bounds(coeffs, e, self._stable_top(coeffs, e))
+
+    @pytest.mark.parametrize("q", EDGE_Q)
+    def test_bounds_refuse_a_truncation_past_the_stable_range(self, q):
+        big_p, big_q = Fraction(q).numerator, Fraction(q).denominator
+        for coeffs in genfunc._fire_quiet(6, big_p, big_q - big_p):
+            order = next(j for j, c in enumerate(coeffs) if c)
+            deg = max(j for j, c in enumerate(coeffs) if c) - order
+            e = 20
+            stable = order * e + min(e + 1, deg * e)
+            assert genfunc._power_bounds(coeffs, e, stable) is not None
+            assert (genfunc._power_bounds(coeffs, e, stable + 1) is None) == (deg * e > e + 1)
 
 
 class TestGeneralEventProbability:
@@ -517,6 +622,16 @@ class TestDirectExponent:
         direct = noisy_direct_exponent(l, r, p, q)
         assert direct.value <= noisy_achievable_margin(l, r, p, q) + 1e-9
 
+    def test_reports_the_solver_steps(self):
+        # the 1-D Newton iteration's evaluated points; the z -> inf limit
+        # (slope r - l*p = 0 at l = 4, r = 2, p = 1/2) is a closed form
+        for direct in (noiseless_direct_exponent(3, 6, 0.08), noisy_direct_exponent(3, 6, 0.27, 0.1)):
+            assert direct.converged is True
+            assert 1 <= direct.steps <= 20
+        limit = noisy_direct_exponent(4, 2, 0.5, 0.1)
+        assert limit.z == math.inf
+        assert (limit.steps, limit.converged) == (0, True)
+
     def test_recoverable_regime_is_negative(self):
         assert noiseless_direct_exponent(3, 6, 0.05).value < 0
         assert noisy_direct_exponent(3, 6, 0.05, 0.01).value < 0
@@ -617,6 +732,13 @@ class TestBinaryDirectMargin:
             closed = achievable_margin(l, r, p)
             assert abs(binary_direct_margin(f, l, r, p).value - closed) <= 1e-12
             assert abs(general_direct_margin(f, l, r, (1 - p, p)).value - closed) <= 1e-12
+
+    def test_reports_the_solver_steps(self):
+        f = count_function(6)
+        margin = binary_direct_margin(f, 3, 6, 0.2)
+        general = general_direct_margin(f, 3, 6, (0.8, 0.2))
+        assert (margin.steps, margin.converged) == (general.sweeps, general.converged)
+        assert margin.converged is True and 1 <= margin.steps <= 20
 
     def test_improves_on_closed_form_at_large_p(self):
         # past the crossover weight the interior optimum beats the fixed point
