@@ -274,14 +274,13 @@ CURVES = {
         ],
     ),
 }
-CURVE_IDS = tuple(CURVES)
 
 
 def emit_curve(curve: str, grid: Iterable[float], **fixed) -> list[tuple[float, float]]:
     """Evaluate one named bound curve of CURVES on a grid of abscissa
     values; converse-vs-l also takes ratio = r/l (default 2)."""
     if curve not in CURVES:
-        raise InputError(f"unknown curve {curve!r}; choose from {', '.join(CURVE_IDS)}")
+        raise InputError(f"unknown curve {curve!r}; choose from {', '.join(CURVES)}")
     _, _, required, rows = CURVES[curve]
     for key in required:
         if fixed.get(key) is None:

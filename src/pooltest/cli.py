@@ -27,12 +27,12 @@ from .ensemble import (
 )
 from .errors import (
     ConfigurationError,
-    EmptyTypicalSetError,
     GuardError,
     InputError,
     NoThresholdError,
     ReducedAlphabetError,
 )
+from .estimators import DEFAULT_EPSILON, ENUMERATION_LIMIT
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     b = sub.add_parser("bounds", help="emit one bound curve on a parameter grid")
-    b.add_argument("--curve", required=True, choices=sorted(_bounds.CURVE_IDS))
+    b.add_argument("--curve", required=True, choices=sorted(_bounds.CURVES))
     b.add_argument("--l", type=int)
     b.add_argument("--r", type=int)
     b.add_argument("--p", type=float)
@@ -482,12 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--q", type=float, help="test flip rate (noisy mode)")
-    s.add_argument("--eps", type=float, default=0.1, help="input typicality half-width")
-    s.add_argument("--eps2", type=float, default=0.1, help="noise typicality half-width")
+    s.add_argument("--eps", type=float, default=DEFAULT_EPSILON, help="input typicality half-width")
+    s.add_argument("--eps2", type=float, default=DEFAULT_EPSILON, help="noise typicality half-width")
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--graph-mode", choices=("fixed", "fresh"), default="fresh")
-    s.add_argument("--enum-limit", type=int, default=24,
+    s.add_argument("--enum-limit", type=int, default=ENUMERATION_LIMIT,
                    help="refuse exhaustive decoding beyond this many objects")
     s.add_argument("--out", help="output path (default: stdout)")
     s.set_defaults(func=cmd_simulate)
@@ -520,13 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (
-        ConfigurationError,
-        InputError,
-        NoThresholdError,
-        EmptyTypicalSetError,
-        ReducedAlphabetError,
-    ) as exc:
+    except (ConfigurationError, InputError, NoThresholdError, ReducedAlphabetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,21 +7,20 @@ is a bijection from left sockets onto right sockets.  Drawing that
 bijection uniformly at random defines the ensemble; parallel edges are
 allowed and contribute multiplicity.
 
-Besides sampling and the forward test maps, this module can enumerate
-the whole ensemble at toy sizes and compute exact event fractions over
-it, which the rest of the package uses as ground truth.  The event
-oracles do not walk the wirings themselves: the outcome of a fixed input
-depends only on which right sockets each symbol's left sockets land on,
-and every such arrangement is hit by the same number of wirings.  So
-they walk the C(nl, wl) images of the defect sockets (binary inputs) or
-the multinomial arrangements of the symbol classes (general alphabets),
-and give the same exact fractions as a walk over all (nl)! wirings.
+Besides sampling and the OR forward map, this module computes exact
+event fractions over the whole ensemble at toy sizes, which the rest of
+the package uses as ground truth.  The event oracles do not walk the
+wirings themselves: the outcome of a fixed input depends only on which
+right sockets each symbol's left sockets land on, and every such
+arrangement is hit by the same number of wirings.  So they walk the
+C(nl, wl) images of the defect sockets (binary inputs) or the
+multinomial arrangements of the symbol classes (general alphabets), and
+give the same exact fractions as a walk over all (nl)! wirings.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from collections import Counter
@@ -34,8 +33,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .bounds import _check_degrees
 from .errors import ConfigurationError, GuardError, InputError
 
-# enumerate_ensemble walks (n*l)! wirings; 10 sockets = 3628800 graphs is the ceiling.
-# The same count, 10!, is the event oracles' budget of socket arrangements.
+# The event oracles walk at most 10! = 3628800 socket arrangements per call,
+# the number of wirings of a 10-socket system.
 ENUMERATION_SOCKET_LIMIT = 10
 _ARRANGEMENT_BUDGET = math.factorial(ENUMERATION_SOCKET_LIMIT)
 
@@ -91,22 +90,6 @@ class PoolingGraph:
         if len(self.wiring) != nl or sorted(self.wiring) != list(range(nl)):
             raise InputError("wiring must be a permutation of range(n*l)")
 
-    def object_tests(self) -> list[tuple[int, ...]]:
-        """For each object, the tests it feeds (repeats kept for parallel edges)."""
-        l, r = self.params.l, self.params.r
-        return [
-            tuple(self.wiring[k] // r for k in range(i * l, (i + 1) * l))
-            for i in range(self.params.n)
-        ]
-
-    def test_pools(self) -> list[list[int]]:
-        """For each test, the objects pooled into it (repeats kept)."""
-        l, r = self.params.l, self.params.r
-        pools: list[list[int]] = [[] for _ in range(self.params.m)]
-        for k, rk in enumerate(self.wiring):
-            pools[rk // r].append(k // l)
-        return pools
-
 
 def _shuffle_steps(length: int) -> tuple[tuple[int, int], ...]:
     """The (i, bits) steps that _shuffle takes on a list of this length."""
@@ -151,23 +134,8 @@ def sample_graph(params: SystemParams, seed: int) -> PoolingGraph:
     return PoolingGraph(params, wiring)
 
 
-def enumerate_ensemble(params: SystemParams) -> Iterator[PoolingGraph]:
-    """Yield every wiring exactly once, in lexicographic order.
-
-    Refuses systems with more than ENUMERATION_SOCKET_LIMIT sockets; the
-    count is (n*l)! and grows out of reach immediately after that.
-    """
-    nl = params.num_sockets
-    if nl > ENUMERATION_SOCKET_LIMIT:
-        raise GuardError(
-            f"enumeration over {nl}! wirings refused (limit {ENUMERATION_SOCKET_LIMIT} sockets)"
-        )
-    for perm in itertools.permutations(range(nl)):
-        yield PoolingGraph(params, perm)
-
-
 # ---------------------------------------------------------------------------
-# forward maps
+# forward map
 # ---------------------------------------------------------------------------
 
 
@@ -212,10 +180,15 @@ class TestFunction:
         if self.arity < 1:
             raise ConfigurationError("arity must be positive")
         u, v = len(self.input_alphabet), len(self.output_alphabet)
-        expected = set(compositions(self.arity, u))
-        seen = set()
+        if u == 0:
+            raise ConfigurationError("input alphabet must not be empty")
         for i, (t, k) in enumerate(self.table.items()):
-            if tuple(t) not in expected:
+            if (
+                len(t) != u
+                or not all(map(_is_int, t))
+                or sum(t) != self.arity
+                or min(t) < 0
+            ):
                 raise ConfigurationError(
                     f"table entry {i}: type {t} is not a length-{u} type of arity {self.arity}"
                 )
@@ -223,10 +196,12 @@ class TestFunction:
                 raise ConfigurationError(
                     f"table entry {i}: output index {k} outside [0, {v})"
                 )
-            seen.add(tuple(t))
-        missing = expected - seen
-        if missing:
-            raise ConfigurationError(f"table is missing type {sorted(missing)[0]}")
+        # the keys are now distinct types of this arity, so the table is total
+        # iff it holds as many as there are; only a short one is walked, and
+        # only up to its first missing type in compositions order
+        if len(self.table) != math.comb(self.arity + u - 1, u - 1):
+            missing = next(t for t in compositions(self.arity, u) if t not in self.table)
+            raise ConfigurationError(f"table is missing type {missing}")
 
     @property
     def num_inputs(self) -> int:
@@ -335,26 +310,14 @@ def or_function(r: int) -> TestFunction:
     return TestFunction((0, 1), (0, 1), r, table)
 
 
-def threshold_function(r: int, threshold: int) -> TestFunction:
-    """Fires iff at least `threshold` pooled objects are defective."""
-    table = {(r - w, w): (1 if w >= threshold else 0) for w in range(r + 1)}
-    return TestFunction((0, 1), (0, 1), r, table)
-
-
 def count_function(r: int) -> TestFunction:
     """Reports the exact number of defective objects in the pool."""
     table = {(r - w, w): w for w in range(r + 1)}
     return TestFunction((0, 1), tuple(range(r + 1)), r, table)
 
 
-def parity_function(r: int) -> TestFunction:
-    """Reports the parity of the number of defective objects in the pool."""
-    table = {(r - w, w): w % 2 for w in range(r + 1)}
-    return TestFunction((0, 1), (0, 1), r, table)
-
-
 # ---------------------------------------------------------------------------
-# input checks shared by the forward maps, the oracles and the exact formulas
+# input checks shared by the oracles and the exact formulas
 # ---------------------------------------------------------------------------
 
 
@@ -389,35 +352,9 @@ def _check_types(
         raise InputError("counts must be nonnegative")
 
 
-def forward_general(graph: PoolingGraph, f: TestFunction, x: Sequence) -> tuple:
-    """Outcome of every pooled test under an arbitrary symmetric test function."""
-    params = graph.params
-    _check_arity(f, params.r)
-    if len(x) != params.n:
-        raise InputError(f"x has length {len(x)}, expected n={params.n}")
-    idx = {a: i for i, a in enumerate(f.input_alphabet)}
-    try:
-        xi = [idx[v] for v in x]
-    except KeyError as e:
-        raise InputError(f"symbol {e.args[0]!r} not in input alphabet") from None
-    l, r = params.l, params.r
-    u = f.num_inputs
-    counts = [[0] * u for _ in range(params.m)]
-    for k, rk in enumerate(graph.wiring):
-        counts[rk // r][xi[k // l]] += 1
-    return tuple(f.value_for_type(tuple(c)) for c in counts)
-
-
 # ---------------------------------------------------------------------------
-# canonical representatives and serialization
+# canonical representatives
 # ---------------------------------------------------------------------------
-
-
-def weight_vector(n: int, w: int) -> tuple[int, ...]:
-    """The canonical 0/1 vector of length n and weight w (ones first)."""
-    if not 0 <= w <= n:
-        raise InputError(f"weight {w} outside [0, {n}]")
-    return (1,) * w + (0,) * (n - w)
 
 
 def type_vector_representative(alphabet: Sequence, counts: Sequence[int]) -> tuple:
@@ -430,22 +367,6 @@ def type_vector_representative(alphabet: Sequence, counts: Sequence[int]) -> tup
             raise InputError("counts must be nonnegative")
         out.extend([sym] * c)
     return tuple(out)
-
-
-def graph_to_json(graph: PoolingGraph) -> str:
-    p = graph.params
-    return json.dumps(
-        {"l": p.l, "r": p.r, "n": p.n, "wiring": list(graph.wiring)}
-    )
-
-
-def graph_from_json(text: str) -> PoolingGraph:
-    data = json.loads(text)
-    for key in ("l", "r", "n", "wiring"):
-        if key not in data:
-            raise InputError(f"graph JSON is missing key {key!r}")
-    params = SystemParams(l=data["l"], r=data["r"], n=data["n"])
-    return PoolingGraph(params, tuple(data["wiring"]))
 
 
 # ---------------------------------------------------------------------------

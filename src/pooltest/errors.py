@@ -23,9 +23,5 @@ class NoThresholdError(RuntimeError):
     """A root finder found no sign change on its search interval."""
 
 
-class EmptyTypicalSetError(RuntimeError):
-    """No sequence weight satisfies the typicality window."""
-
-
 class ReducedAlphabetError(ValueError):
     """A symbol probability is zero; drop the symbol and retry with a smaller alphabet."""

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import binary_entropy
-from .ensemble import PoolingGraph, _object_masks, _test_bits, forward_or
-from .errors import EmptyTypicalSetError, GuardError, InputError
+from .ensemble import PoolingGraph, _object_masks, _test_bits
+from .errors import GuardError, InputError
 
 DEFAULT_EPSILON = 0.1
 ENUMERATION_LIMIT = 24
@@ -69,33 +69,15 @@ def weight_rate(spec: TypicalSetSpec, w: int) -> float:
     return (-w * math.log2(p) - (spec.n - w) * math.log2(1 - p)) / spec.n
 
 
-def _typical_weight(spec: TypicalSetSpec, h: float, w: int) -> bool:
-    """Whether weight-w sequences are typical, given h = spec.entropy:
-    h - epsilon <= rate <= h + epsilon."""
-    return h - spec.epsilon <= weight_rate(spec, w) <= h + spec.epsilon
-
-
 def typical_weight_set(spec: TypicalSetSpec) -> frozenset[int]:
-    """All weights whose sequences are typical (contiguous; possibly empty)."""
+    """All weights whose sequences are typical, h - epsilon <= rate <= h + epsilon
+    with h the source entropy (contiguous; possibly empty)."""
     h = spec.entropy
-    return frozenset(w for w in range(spec.n + 1) if _typical_weight(spec, h, w))
-
-
-def typical_weights(spec: TypicalSetSpec) -> tuple[int, int]:
-    """Smallest and largest typical weight.  Raises when no weight qualifies,
-    which genuinely happens for small n and tight epsilon."""
-    weights = typical_weight_set(spec)
-    if not weights:
-        raise EmptyTypicalSetError(
-            f"no weight in [0, {spec.n}] is typical for p={spec.p}, eps={spec.epsilon}"
-        )
-    return min(weights), max(weights)
-
-
-def is_typical(spec: TypicalSetSpec, x: Sequence[int]) -> bool:
-    if len(x) != spec.n:
-        raise InputError(f"x has length {len(x)}, expected {spec.n}")
-    return _typical_weight(spec, spec.entropy, sum(x))
+    return frozenset(
+        w
+        for w in range(spec.n + 1)
+        if h - spec.epsilon <= weight_rate(spec, w) <= h + spec.epsilon
+    )
 
 
 @dataclass(frozen=True)
@@ -262,19 +244,3 @@ def estimate_noisy(
     return _to_estimate(
         decision_set_noisy(graph, spec, noise_spec, y, enumeration_limit, cap)
     )
-
-
-def brute_force_decision_set_noiseless(
-    graph: PoolingGraph, spec: TypicalSetSpec, y: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """Reference implementation: scan all 2^n inputs with no weight pruning.
-    Only for cross-checking the pruned scan in tests."""
-    params = graph.params
-    _check_guard(params.n, 20)
-    y = tuple(y)
-    members = []
-    for bits in range(2**params.n):
-        x = tuple((bits >> i) & 1 for i in range(params.n))
-        if is_typical(spec, x) and forward_or(graph, x) == y:
-            members.append(x)
-    return members

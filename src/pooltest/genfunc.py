@@ -606,40 +606,6 @@ def _minimax_interior_point(pieces: list, ratio: float, lp: list[float], u: list
     return x[:-1], max(v for v, _, _ in g), steps, gap, converged
 
 
-@dataclass(frozen=True)
-class Infimum:
-    """Result of a 1-D infimum: `bounded` is False when the objective is
-    unbounded below, in which case `value` is -inf and must not be compared
-    against finite results without checking the flag."""
-
-    value: float
-    z: float | None
-    bounded: bool
-
-
-def exponent_infimum(sigma: float, l: int, r: int, p: float) -> Infimum:
-    """inf over z > 0 of sigma*log2((1+z)^r - 1) - l*p*log2(z).
-
-    Unbounded below (flagged sentinel) whenever sigma falls outside
-    [l*p/r, l*p]; in particular at sigma = 0 for any p > 0.  At either end
-    of that window the slope in u = log2 z levels off toward a boundary and
-    the infimum is the limit there.
-    """
-    _check_exponent_args(l, r, p)
-    if not 0 <= sigma <= l / r:
-        raise InputError(f"sigma={sigma} outside [0, l/r]")
-    lp = l * p
-    # slopes in u: sigma - lp as z -> 0, sigma*r - lp as z -> inf
-    if sigma > lp or sigma * r < lp:
-        return Infimum(-math.inf, None, False)
-    if sigma == lp:
-        return Infimum(sigma * math.log2(r), None, True)
-    if sigma * r == lp:
-        return Infimum(0.0, None, True)
-    u_star, val, *_ = _minimax_1d([_log_terms(or_pool_poly(r))], sigma, lp)
-    return Infimum(val, 2.0**u_star, True)
-
-
 def _check_exponent_args(l: int, r: int, p: float) -> None:
     _check_degrees(l, r)
     if not 0 < p < 1:

@@ -1,0 +1,166 @@
+"""Brute-force references that the tests check the package against.
+
+None of these is part of pooltest.  Each is the direct form of something
+the package computes by a faster route: every wiring of the ensemble,
+every input of the decoder, the exponent's inner infimum one sigma at a
+time.  The tests compare the two at toy sizes.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Iterator, Sequence
+
+from pooltest import (
+    GuardError,
+    InputError,
+    PoolingGraph,
+    SystemParams,
+    TestFunction,
+    TypicalSetSpec,
+    forward_or,
+    typical_weight_set,
+)
+from pooltest.ensemble import ENUMERATION_SOCKET_LIMIT, _check_arity
+from pooltest.estimators import _check_guard
+from pooltest.genfunc import _check_exponent_args, _log_terms, _minimax_1d, or_pool_poly
+
+
+def weight_vector(n: int, w: int) -> tuple[int, ...]:
+    """The canonical 0/1 vector of length n and weight w (ones first)."""
+    return (1,) * w + (0,) * (n - w)
+
+
+# ---------------------------------------------------------------------------
+# the ensemble, wiring by wiring
+# ---------------------------------------------------------------------------
+
+
+def enumerate_ensemble(params: SystemParams) -> Iterator[PoolingGraph]:
+    """Yield every wiring exactly once, in lexicographic order.
+
+    Refuses systems with more than ENUMERATION_SOCKET_LIMIT sockets; the
+    count is (n*l)! and grows out of reach immediately after that.
+    """
+    nl = params.num_sockets
+    if nl > ENUMERATION_SOCKET_LIMIT:
+        raise GuardError(
+            f"enumeration over {nl}! wirings refused (limit {ENUMERATION_SOCKET_LIMIT} sockets)"
+        )
+    for perm in itertools.permutations(range(nl)):
+        yield PoolingGraph(params, perm)
+
+
+def object_tests(graph: PoolingGraph) -> list[tuple[int, ...]]:
+    """For each object, the tests it feeds (repeats kept for parallel edges)."""
+    l, r = graph.params.l, graph.params.r
+    return [
+        tuple(graph.wiring[k] // r for k in range(i * l, (i + 1) * l))
+        for i in range(graph.params.n)
+    ]
+
+
+def test_pools(graph: PoolingGraph) -> list[list[int]]:
+    """For each test, the objects pooled into it (repeats kept)."""
+    l, r = graph.params.l, graph.params.r
+    pools: list[list[int]] = [[] for _ in range(graph.params.m)]
+    for k, rk in enumerate(graph.wiring):
+        pools[rk // r].append(k // l)
+    return pools
+
+
+test_pools.__test__ = False  # a helper, not a pytest test
+
+
+def forward_general(graph: PoolingGraph, f: TestFunction, x: Sequence) -> tuple:
+    """Outcome of every pooled test under an arbitrary symmetric test function."""
+    params = graph.params
+    _check_arity(f, params.r)
+    if len(x) != params.n:
+        raise InputError(f"x has length {len(x)}, expected n={params.n}")
+    idx = {a: i for i, a in enumerate(f.input_alphabet)}
+    try:
+        xi = [idx[v] for v in x]
+    except KeyError as e:
+        raise InputError(f"symbol {e.args[0]!r} not in input alphabet") from None
+    l, r = params.l, params.r
+    u = f.num_inputs
+    counts = [[0] * u for _ in range(params.m)]
+    for k, rk in enumerate(graph.wiring):
+        counts[rk // r][xi[k // l]] += 1
+    return tuple(f.value_for_type(tuple(c)) for c in counts)
+
+
+def threshold_function(r: int, threshold: int) -> TestFunction:
+    """Fires iff at least `threshold` pooled objects are defective."""
+    table = {(r - w, w): (1 if w >= threshold else 0) for w in range(r + 1)}
+    return TestFunction((0, 1), (0, 1), r, table)
+
+
+def parity_function(r: int) -> TestFunction:
+    """Reports the parity of the number of defective objects in the pool."""
+    table = {(r - w, w): w % 2 for w in range(r + 1)}
+    return TestFunction((0, 1), (0, 1), r, table)
+
+
+# ---------------------------------------------------------------------------
+# the decoder, input by input
+# ---------------------------------------------------------------------------
+
+
+def brute_force_decision_set_noiseless(
+    graph: PoolingGraph, spec: TypicalSetSpec, y: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Scan all 2^n inputs with no weight pruning: the typical ones whose
+    OR outcome is y."""
+    params = graph.params
+    _check_guard(params.n, 20)
+    y = tuple(y)
+    weights = typical_weight_set(spec)
+    members = []
+    for bits in range(2**params.n):
+        x = tuple((bits >> i) & 1 for i in range(params.n))
+        if sum(x) in weights and forward_or(graph, x) == y:
+            members.append(x)
+    return members
+
+
+# ---------------------------------------------------------------------------
+# the inner infimum of the noiseless direct exponent, one sigma at a time
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Infimum:
+    """Result of a 1-D infimum: `bounded` is False when the objective is
+    unbounded below, in which case `value` is -inf and must not be compared
+    against finite results without checking the flag."""
+
+    value: float
+    z: float | None
+    bounded: bool
+
+
+def exponent_infimum(sigma: float, l: int, r: int, p: float) -> Infimum:
+    """inf over z > 0 of sigma*log2((1+z)^r - 1) - l*p*log2(z).
+
+    Unbounded below (flagged sentinel) whenever sigma falls outside
+    [l*p/r, l*p]; in particular at sigma = 0 for any p > 0.  At either end
+    of that window the slope in u = log2 z levels off toward a boundary and
+    the infimum is the limit there.
+    """
+    _check_exponent_args(l, r, p)
+    if not 0 <= sigma <= l / r:
+        raise InputError(f"sigma={sigma} outside [0, l/r]")
+    lp = l * p
+    # slopes in u: sigma - lp as z -> 0, sigma*r - lp as z -> inf
+    if sigma > lp or sigma * r < lp:
+        return Infimum(-math.inf, None, False)
+    if sigma == lp:
+        return Infimum(sigma * math.log2(r), None, True)
+    if sigma * r == lp:
+        return Infimum(0.0, None, True)
+    u_star, val, *_ = _minimax_1d([_log_terms(or_pool_poly(r))], sigma, lp)
+    return Infimum(val, 2.0**u_star, True)

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from pooltest import (
-    CURVE_IDS,
     InputError,
     NoThresholdError,
     ThresholdPair,
@@ -17,7 +16,6 @@ from pooltest import (
     emit_curve,
     entropy,
     fixed_point_z,
-    linspace,
     noisy_achievable_margin,
     noisy_collision_factor,
     noisy_converse_margin,
@@ -25,6 +23,7 @@ from pooltest import (
     threshold_pair,
     threshold_upper,
 )
+from pooltest.bounds import CURVES, linspace
 
 # thresholds below were frozen from an independent high-precision run and
 # cross-checked by bisection against the margin sign changes
@@ -246,9 +245,9 @@ class TestCurves:
             linspace(0.0, 1.0, 0)
 
     def test_curve_ids_cover_five_families(self):
-        assert len(CURVE_IDS) == 5
-        assert "converse-vs-p" in CURVE_IDS
-        assert "collision-vs-z" in CURVE_IDS
+        assert len(CURVES) == 5
+        assert "converse-vs-p" in CURVES
+        assert "collision-vs-z" in CURVES
 
     def test_converse_curve_rows(self):
         rows = emit_curve("converse-vs-p", linspace(0.01, 0.2, 19), l=3, r=6)

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import pooltest
+from brute_force import threshold_function
 from pooltest import TestFunction as PoolFunction
 from pooltest import (
     achievable_margin,
     converse_margin,
     or_function,
-    threshold_function,
     threshold_lower,
     threshold_upper,
 )
@@ -574,6 +574,24 @@ class TestGeneralCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and (field or "object") in err
+
+    @pytest.mark.parametrize("alphabet, arity, table, message", [
+        # the first missing type is named without building every type
+        ([0, 1, 2], 1200, [{"type": [1200, 0, 0], "output": 0}],
+         "table is missing type (0, 0, 1200)"),
+        ([], 6, [], "input alphabet must not be empty"),
+    ])
+    def test_incomplete_function_file_is_usage_error(
+        self, capsys, tmp_path, alphabet, arity, table, message
+    ):
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps({"input_alphabet": alphabet, "output_alphabet": [0, 1],
+                                   "arity": arity, "table": table}))
+        code, out, err = run(
+            capsys, "general", "--function", str(bad), "--l", "3", "--r", "6",
+            "--probs", "0.9,0.06,0.04",
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_wrong_probability_count_is_usage_error(self, capsys, tmp_path):
         fn = self.write_function(tmp_path / "or6.json", or_function(6))

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +6,15 @@ from fractions import Fraction
 import pytest
 
 import pooltest.ensemble as ensemble_module
+from brute_force import (
+    enumerate_ensemble,
+    forward_general,
+    object_tests,
+    parity_function,
+    test_pools,
+    threshold_function,
+    weight_vector,
+)
 from pooltest import TestFunction as PoolFunction
 from pooltest import (
     ConfigurationError,
@@ -14,23 +22,15 @@ from pooltest import (
     InputError,
     PoolingGraph,
     SystemParams,
-    compositions,
     count_function,
-    enumerate_ensemble,
     enumeration_fraction_general,
     enumeration_fraction_noiseless,
     enumeration_fraction_noisy,
-    forward_general,
     forward_or,
-    graph_from_json,
-    graph_to_json,
     or_function,
-    parity_function,
     sample_graph,
-    threshold_function,
-    type_vector_representative,
-    weight_vector,
 )
+from pooltest.ensemble import compositions, type_vector_representative
 
 
 class TestSystemParams:
@@ -61,8 +61,8 @@ class TestPoolingGraph:
         params = SystemParams(1, 2, 4)
         graph = PoolingGraph(params, range(4))
         # object i owns socket i; test j owns sockets 2j, 2j+1
-        assert graph.test_pools() == [[0, 1], [2, 3]]
-        assert graph.object_tests() == [(0,), (0,), (1,), (1,)]
+        assert test_pools(graph) == [[0, 1], [2, 3]]
+        assert object_tests(graph) == [(0,), (0,), (1,), (1,)]
 
     def test_wiring_must_be_permutation(self):
         params = SystemParams(1, 2, 4)
@@ -76,7 +76,7 @@ class TestPoolingGraph:
         params = SystemParams(2, 4, 4)
         wiring = [0, 1, 2, 3, 4, 5, 6, 7]
         graph = PoolingGraph(params, wiring)
-        assert graph.test_pools()[0] == [0, 0, 1, 1]
+        assert test_pools(graph)[0] == [0, 0, 1, 1]
 
     def test_equality_and_hash(self):
         params = SystemParams(1, 2, 4)
@@ -143,7 +143,7 @@ class TestForwardOr:
         graph = sample_graph(params, 5)
         x = weight_vector(12, 3)
         y = forward_or(graph, x)
-        pools = graph.test_pools()
+        pools = test_pools(graph)
         for j, pool in enumerate(pools):
             assert y[j] == (1 if any(x[i] for i in pool) else 0)
 
@@ -181,6 +181,27 @@ class TestPoolFunction:
     def test_output_range_is_enforced(self):
         with pytest.raises(ConfigurationError):
             PoolFunction((0, 1), (0, 1), 1, {(1, 0): 0, (0, 1): 2})
+
+    def test_missing_type_is_found_without_walking_every_type(self, monkeypatch):
+        # arity 1000 has C(1002, 2) = 501,501 three-symbol types; the table
+        # check names the first one missing after walking only up to it
+        real, walked = ensemble_module.compositions, []
+
+        def counting(total, parts):
+            for t in real(total, parts):
+                if parts == 3:  # not the recursion's shorter tails
+                    walked.append(t)
+                yield t
+
+        monkeypatch.setattr(ensemble_module, "compositions", counting)
+        with pytest.raises(ConfigurationError, match=r"^table is missing type \(0, 0, 1000\)$"):
+            PoolFunction((0, 1, 2), (0,), 1000, {(1000, 0, 0): 0})
+        assert walked == [(0, 0, 1000)]
+
+    def test_types_are_checked_by_length_sum_and_sign(self):
+        for t in ((1, 1, 0), (2,), (3, 0), (3, -1), (1.0, 1.0)):
+            with pytest.raises(ConfigurationError, match=r"^table entry 0: type "):
+                PoolFunction((0, 1), (0, 1), 2, {t: 0})
 
     def test_from_callable_matches_table(self):
         f = PoolFunction.from_callable(lambda vals: int(any(vals)), (0, 1), (0, 1), 3)
@@ -237,26 +258,6 @@ class TestCompositions:
 
     def test_representative_spells_out_the_counts(self):
         assert type_vector_representative(("a", "b"), (2, 1)) == ("a", "a", "b")
-
-
-class TestGraphJson:
-    def test_roundtrip(self):
-        params = SystemParams(3, 6, 12)
-        graph = sample_graph(params, 99)
-        again = graph_from_json(graph_to_json(graph))
-        assert again == graph
-
-    def test_payload_fields(self):
-        graph = sample_graph(SystemParams(1, 2, 4), 3)
-        data = json.loads(graph_to_json(graph))
-        assert set(data) == {"l", "r", "n", "wiring"}
-
-    def test_rejects_corrupt_wiring(self):
-        graph = sample_graph(SystemParams(1, 2, 4), 3)
-        data = json.loads(graph_to_json(graph))
-        data["wiring"][0] = data["wiring"][1]
-        with pytest.raises(InputError):
-            graph_from_json(json.dumps(data))
 
 
 class TestEnumerationFractions:

@@ -4,27 +4,23 @@ import random
 
 import pytest
 
+from brute_force import brute_force_decision_set_noiseless, weight_vector
 from pooltest import (
-    EmptyTypicalSetError,
     Estimate,
     GuardError,
     InputError,
     SystemParams,
     TypicalSetSpec,
     binary_entropy,
-    brute_force_decision_set_noiseless,
     decision_set_noiseless,
     decision_set_noisy,
     estimate_noiseless,
     estimate_noisy,
     forward_or,
-    is_typical,
     sample_graph,
     typical_weight_set,
-    typical_weights,
-    weight_rate,
-    weight_vector,
 )
+from pooltest.estimators import weight_rate
 
 
 class TestWeightRate:
@@ -78,8 +74,7 @@ class TestTypicalSet:
     def test_fair_source_accepts_everything(self):
         # at p = 1/2 every vector has rate exactly 1 = h(1/2)
         spec = TypicalSetSpec(12, 0.5, 0.1)
-        assert typical_weights(spec) == (0, 12)
-        assert len(typical_weight_set(spec)) == 13
+        assert typical_weight_set(spec) == frozenset(range(13))
 
     def test_deterministic_sources(self):
         assert typical_weight_set(TypicalSetSpec(8, 0.0, 0.1)) == frozenset({0})
@@ -100,30 +95,8 @@ class TestTypicalSet:
         large = typical_weight_set(TypicalSetSpec(20, 0.1, 0.3))
         assert small <= large
 
-    def test_empty_window_raises(self):
-        spec = TypicalSetSpec(18, 0.02, 0.1)
-        assert typical_weight_set(spec) == frozenset()
-        with pytest.raises(EmptyTypicalSetError):
-            typical_weights(spec)
-
-    def test_is_typical(self):
-        spec = TypicalSetSpec(12, 0.1, 0.3)
-        assert is_typical(spec, weight_vector(12, 1))
-        assert is_typical(spec, weight_vector(12, 2))
-        assert not is_typical(spec, weight_vector(12, 0))
-        assert not is_typical(spec, weight_vector(12, 5))
-
-    @pytest.mark.parametrize("n,p,epsilon,w", [(40, 0.2, 0.05, 7), (40, 0.8, 0.05, 31)])
-    def test_is_typical_agrees_with_the_weight_window(self, n, p, epsilon, w):
-        # the rate of weight w lands on the window's edge up to rounding, so
-        # only the same comparison as typical_weight_set gives the same answer
-        spec = TypicalSetSpec(n, p, epsilon)
-        assert is_typical(spec, weight_vector(n, w)) == (w in typical_weight_set(spec))
-
-    def test_is_typical_validates_length(self):
-        spec = TypicalSetSpec(12, 0.1, 0.3)
-        with pytest.raises(InputError):
-            is_typical(spec, (0, 1))
+    def test_empty_window(self):
+        assert typical_weight_set(TypicalSetSpec(18, 0.02, 0.1)) == frozenset()
 
 
 class TestDecisionSetNoiseless:
@@ -163,7 +136,7 @@ class TestDecisionSetNoiseless:
         y = forward_or(graph, weight_vector(12, 2))
         for x in decision_set_noiseless(graph, spec, y):
             assert forward_or(graph, x) == y
-            assert is_typical(spec, x)
+            assert sum(x) in typical_weight_set(spec)
 
     def test_cap_truncates_search(self):
         params = SystemParams(3, 6, 12)
@@ -192,10 +165,10 @@ class TestDecisionSetNoisy:
     @staticmethod
     def brute_force(graph, spec, noise_spec, y):
         n = spec.n
-        noise_window = typical_weight_set(noise_spec)
+        window, noise_window = typical_weight_set(spec), typical_weight_set(noise_spec)
         out = []
         for bits in itertools.product((0, 1), repeat=n):
-            if not is_typical(spec, bits):
+            if sum(bits) not in window:
                 continue
             clean = forward_or(graph, bits)
             flips = sum(a != b for a, b in zip(clean, y))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import exponent_infimum, threshold_function
 from pooltest import TestFunction as PoolFunction
 from pooltest import genfunc
 from pooltest import (
@@ -15,7 +16,6 @@ from pooltest import (
     achievable_margin,
     binary_direct_margin,
     binary_entropy,
-    compositions,
     converse_margin,
     count_function,
     ensemble_event_probability,
@@ -23,12 +23,10 @@ from pooltest import (
     enumeration_fraction_noiseless,
     enumeration_fraction_noisy,
     entropy,
-    exponent_infimum,
     fixed_point_z,
     general_converse_bound,
     general_direct_margin,
     general_ensemble_event_probability,
-    multinomial,
     noiseless_direct_exponent,
     noisy_achievable_margin,
     noisy_direct_exponent,
@@ -36,10 +34,11 @@ from pooltest import (
     or_function,
     or_pool_poly,
     outcome_distribution,
-    threshold_function,
     type_enumerator,
     weight_enumerator,
 )
+from pooltest.ensemble import compositions
+from pooltest.genfunc import multinomial
 
 
 # (l, r) pairs of the 1-D solver's sweeps, on both sides of every crossover

@@ -7,6 +7,7 @@ from operator import or_
 
 import pytest
 
+from brute_force import object_tests
 from pooltest import (
     ConfigurationError,
     InputError,
@@ -282,14 +283,14 @@ class TestStdlibReplay:
     @pytest.mark.parametrize("l, r, n", [(1, 2, 4), (3, 6, 12), (2, 4, 18), (4, 8, 10), (2, 3, 9)])
     def test_trial_masks_are_the_sampled_graphs(self, l, r, n):
         # the trials' masks and the decoder's fold of a graph's wiring, both
-        # against the tests each object feeds by PoolingGraph.object_tests
+        # against the tests each object feeds by brute_force.object_tests
         params = SystemParams(l, r, n)
         masks = _mask_sampler(params)
         bits = _test_bits(params)
         for i in range(20):
             seed = derive_seed(31, "graph", i)
             graph = sample_graph(params, seed)
-            expected = [reduce(or_, (1 << j for j in tests)) for tests in graph.object_tests()]
+            expected = [reduce(or_, (1 << j for j in tests)) for tests in object_tests(graph)]
             assert masks(seed) == expected
             assert _object_masks([bits[k] for k in graph.wiring], l) == expected
 

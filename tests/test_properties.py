@@ -14,15 +14,13 @@ from pooltest import (
     derive_seed,
     ensemble_event_probability,
     forward_or,
-    graph_from_json,
-    graph_to_json,
     noisy_converse_margin,
     noisy_ensemble_event_probability,
     or_pool_poly,
     sample_graph,
     typical_weight_set,
-    weight_rate,
 )
+from pooltest.estimators import weight_rate
 
 SMALL_PARAMS = st.sampled_from(
     [SystemParams(1, 2, 4), SystemParams(2, 4, 4), SystemParams(3, 6, 12)]
@@ -113,13 +111,6 @@ def test_noisy_extraction_matches_dense_product(params, q):
             assert noisy_ensemble_event_probability(rounded, w, s) == float(
                 noisy_ensemble_event_probability(stored, w, s)
             ), (q, params, w, s)
-
-
-@given(SMALL_PARAMS, st.integers(min_value=0, max_value=2**30))
-@settings(max_examples=50, deadline=None)
-def test_graph_json_roundtrip(params, seed):
-    graph = sample_graph(params, seed)
-    assert graph_from_json(graph_to_json(graph)) == graph
 
 
 @given(
