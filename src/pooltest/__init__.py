@@ -37,13 +37,7 @@ from .ensemble import (
     or_function,
     sample_graph,
 )
-from .errors import (
-    ConfigurationError,
-    GuardError,
-    InputError,
-    NoThresholdError,
-    ReducedAlphabetError,
-)
+from .errors import GuardError, InputError
 from .estimators import (
     ENUMERATION_LIMIT,
     Estimate,
@@ -85,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ENUMERATION_LIMIT",
-    "ConfigurationError",
     "DirectExponent",
     "Estimate",
     "EventRateCheck",
@@ -93,9 +86,7 @@ __all__ = [
     "GuardError",
     "InputError",
     "Margin",
-    "NoThresholdError",
     "PoolingGraph",
-    "ReducedAlphabetError",
     "SystemParams",
     "TestFunction",
     "ThresholdPair",

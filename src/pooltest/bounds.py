@@ -21,7 +21,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConfigurationError, InputError, NoThresholdError
+from .errors import InputError
 
 THRESHOLD_SEARCH_MAX = 0.5
 THRESHOLD_SCAN_STEP = 1e-3
@@ -55,13 +55,13 @@ def entropy(probs: Sequence[float]) -> float:
 
 def _check_degrees(l: int, r: int) -> None:
     if l < 1 or r < 1:
-        raise ConfigurationError("degrees l and r must be positive integers")
+        raise InputError("degrees l and r must be positive integers")
     try:
         float(l), float(r)
     except OverflowError:
-        raise ConfigurationError("degrees l and r must lie within the float range") from None
+        raise InputError("degrees l and r must lie within the float range") from None
     if 2 ** (1 / r) == 1:
-        raise ConfigurationError("r is so large that the fixed point 2^(1/r) - 1 rounds to 0")
+        raise InputError("r is so large that the fixed point 2^(1/r) - 1 rounds to 0")
 
 
 def _check_flip_rate(q: float) -> None:
@@ -72,9 +72,9 @@ def _check_flip_rate(q: float) -> None:
 def converse_margin(l: int, r: int, p: float) -> float:
     """Source entropy in excess of the per-object information capacity of
     noiseless OR tests: h(p) - (l/r) h((1-p)^r).  Positive means any
-    estimator fails with probability bounded away from zero."""
-    _check_degrees(l, r)
-    return binary_entropy(p) - (l / r) * binary_entropy((1 - p) ** r)
+    estimator fails with probability bounded away from zero.  It is the
+    noisy margin at q = 0."""
+    return noisy_converse_margin(l, r, p, 0.0)
 
 
 def noisy_converse_margin(l: int, r: int, p: float, q: float) -> float:
@@ -177,16 +177,14 @@ def _bisect_crossing(fn, lo: float, hi: float) -> float:
 def _first_crossing(fn, what: str) -> float:
     lo = THRESHOLD_TOL
     if fn(lo) > 0:
-        raise NoThresholdError(f"{what} is already positive at p={lo}")
+        raise InputError(f"{what} is already positive at p={lo}")
     p = THRESHOLD_SCAN_STEP
     while p <= THRESHOLD_SEARCH_MAX + 1e-15:
         if fn(p) > 0:
             return _bisect_crossing(fn, lo, p)
         lo = p
         p += THRESHOLD_SCAN_STEP
-    raise NoThresholdError(
-        f"{what} has no sign change on ({THRESHOLD_TOL}, {THRESHOLD_SEARCH_MAX}]"
-    )
+    raise InputError(f"{what} has no sign change on ({THRESHOLD_TOL}, {THRESHOLD_SEARCH_MAX}]")
 
 
 def threshold_upper(l: int, r: int) -> float:

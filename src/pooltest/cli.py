@@ -25,13 +25,7 @@ from .ensemble import (
     enumeration_fraction_noisy,
     or_function,
 )
-from .errors import (
-    ConfigurationError,
-    GuardError,
-    InputError,
-    NoThresholdError,
-    ReducedAlphabetError,
-)
+from .errors import GuardError, InputError
 from .estimators import DEFAULT_EPSILON, ENUMERATION_LIMIT
 
 EXIT_OK = 0
@@ -130,7 +124,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
             pair = _bounds.threshold_pair(l, r)
             record["p_lower"] = pair.p_lower
             record["p_upper"] = pair.p_upper
-        except (NoThresholdError, ConfigurationError, InputError) as exc:
+        except InputError as exc:
             record["error"] = str(exc)
         records.append(record)
     config = {"pairs": ";".join(f"{l}:{r}" for l, r in pairs), "precision": digits}
@@ -520,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ConfigurationError, InputError, NoThresholdError, ReducedAlphabetError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

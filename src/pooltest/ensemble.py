@@ -31,7 +31,7 @@ from operator import or_
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .bounds import _check_degrees
-from .errors import ConfigurationError, GuardError, InputError
+from .errors import GuardError, InputError
 
 # The event oracles walk at most 10! = 3628800 socket arrangements per call,
 # the number of wirings of a 10-socket system.
@@ -57,15 +57,15 @@ class SystemParams:
     def __post_init__(self) -> None:
         _check_degrees(self.l, self.r)
         if self.n < 1:
-            raise ConfigurationError("n must be a positive integer")
+            raise InputError("n must be a positive integer")
         if (self.n * self.l) % self.r != 0:
-            raise ConfigurationError(
+            raise InputError(
                 f"r={self.r} must divide n*l={self.n * self.l} to give a whole number of tests"
             )
         if not 0 <= self.p <= 1:
-            raise ConfigurationError(f"p={self.p} outside [0, 1]")
+            raise InputError(f"p={self.p} outside [0, 1]")
         if not 0 <= self.q <= 1:
-            raise ConfigurationError(f"q={self.q} outside [0, 1]")
+            raise InputError(f"q={self.q} outside [0, 1]")
 
     @property
     def m(self) -> int:
@@ -174,14 +174,14 @@ class TestFunction:
         object.__setattr__(self, "output_alphabet", tuple(self.output_alphabet))
         object.__setattr__(self, "table", dict(self.table))
         if len(set(self.input_alphabet)) != len(self.input_alphabet):
-            raise ConfigurationError("input alphabet symbols must be distinct")
+            raise InputError("input alphabet symbols must be distinct")
         if len(set(self.output_alphabet)) != len(self.output_alphabet):
-            raise ConfigurationError("output alphabet symbols must be distinct")
+            raise InputError("output alphabet symbols must be distinct")
         if self.arity < 1:
-            raise ConfigurationError("arity must be positive")
+            raise InputError("arity must be positive")
         u, v = len(self.input_alphabet), len(self.output_alphabet)
         if u == 0:
-            raise ConfigurationError("input alphabet must not be empty")
+            raise InputError("input alphabet must not be empty")
         for i, (t, k) in enumerate(self.table.items()):
             if (
                 len(t) != u
@@ -189,19 +189,17 @@ class TestFunction:
                 or sum(t) != self.arity
                 or min(t) < 0
             ):
-                raise ConfigurationError(
+                raise InputError(
                     f"table entry {i}: type {t} is not a length-{u} type of arity {self.arity}"
                 )
             if not 0 <= k < v:
-                raise ConfigurationError(
-                    f"table entry {i}: output index {k} outside [0, {v})"
-                )
+                raise InputError(f"table entry {i}: output index {k} outside [0, {v})")
         # the keys are now distinct types of this arity, so the table is total
         # iff it holds as many as there are; only a short one is walked, and
         # only up to its first missing type in compositions order
         if len(self.table) != math.comb(self.arity + u - 1, u - 1):
             missing = next(t for t in compositions(self.arity, u) if t not in self.table)
-            raise ConfigurationError(f"table is missing type {missing}")
+            raise InputError(f"table is missing type {missing}")
 
     @property
     def num_inputs(self) -> int:
@@ -232,7 +230,7 @@ class TestFunction:
                 values.extend([sym] * c)
             b = fn(tuple(values))
             if b not in out_index:
-                raise ConfigurationError(f"fn returned {b!r}, not in output alphabet")
+                raise InputError(f"fn returned {b!r}, not in output alphabet")
             table[counts] = out_index[b]
         return cls(input_alphabet, tuple(output_alphabet), arity, table)
 
@@ -248,40 +246,38 @@ class TestFunction:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TestFunction":
-        """The function that to_json_dict wrote; ConfigurationError names the
+        """The function that to_json_dict wrote; InputError names the
         first field of the wrong type: the alphabets are lists of strings or
         numbers, the arity an integer, and the table a list of objects
         whose type is a list of integers and whose output is an integer."""
         if not isinstance(data, Mapping):
-            raise ConfigurationError("test function file must hold a JSON object")
+            raise InputError("test function file must hold a JSON object")
         for key in ("input_alphabet", "output_alphabet", "arity", "table"):
             if key not in data:
-                raise ConfigurationError(f"test function file is missing key {key!r}")
+                raise InputError(f"test function file is missing key {key!r}")
         for key in ("input_alphabet", "output_alphabet"):
             symbols = data[key]
             if not isinstance(symbols, list) or not all(
                 isinstance(x, (str, int, float)) for x in symbols
             ):
-                raise ConfigurationError(f"{key} must be a list of strings or numbers")
+                raise InputError(f"{key} must be a list of strings or numbers")
         if not _is_int(data["arity"]):
-            raise ConfigurationError("arity must be an integer")
+            raise InputError("arity must be an integer")
         entries = data["table"]
         if not isinstance(entries, list):
-            raise ConfigurationError("table must be a list of entries")
+            raise InputError("table must be a list of entries")
         table = {}
         for i, entry in enumerate(entries):
             if not isinstance(entry, Mapping) or "type" not in entry or "output" not in entry:
-                raise ConfigurationError(
-                    f"table entry {i}: needs 'type' and 'output' fields"
-                )
+                raise InputError(f"table entry {i}: needs 'type' and 'output' fields")
             t, k = entry["type"], entry["output"]
             if not isinstance(t, list) or not all(map(_is_int, t)):
-                raise ConfigurationError(f"table entry {i}: type must be a list of integers")
+                raise InputError(f"table entry {i}: type must be a list of integers")
             if not _is_int(k):
-                raise ConfigurationError(f"table entry {i}: output must be an integer")
+                raise InputError(f"table entry {i}: output must be an integer")
             table[tuple(t)] = k
         if len(table) != len(entries):
-            raise ConfigurationError("table contains a duplicate type")
+            raise InputError("table contains a duplicate type")
         return cls(
             tuple(data["input_alphabet"]),
             tuple(data["output_alphabet"]),
@@ -295,13 +291,25 @@ def _is_int(x) -> bool:
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order.  Each step moves one unit out of the last nonzero
+    part j: part j - 1 gains it and the rest of part j goes to the end, so
+    no call depth grows with `parts`."""
+    if parts < 1 or total < 0:
         return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    c = [0] * parts
+    c[-1] = total
+    while True:
+        yield tuple(c)
+        j = parts - 1
+        while j and not c[j]:
+            j -= 1
+        if not j:
+            return
+        rest = c[j] - 1
+        c[j - 1] += 1
+        c[j] = 0
+        c[-1] = rest
 
 
 def or_function(r: int) -> TestFunction:
@@ -350,23 +358,6 @@ def _check_types(
         raise InputError(f"output counts must sum to m={params.m}")
     if min((*input_counts, *output_counts)) < 0:
         raise InputError("counts must be nonnegative")
-
-
-# ---------------------------------------------------------------------------
-# canonical representatives
-# ---------------------------------------------------------------------------
-
-
-def type_vector_representative(alphabet: Sequence, counts: Sequence[int]) -> tuple:
-    """The canonical vector with the given symbol counts, in alphabet order."""
-    if len(counts) != len(alphabet):
-        raise InputError("counts length must match alphabet size")
-    out: list = []
-    for sym, c in zip(alphabet, counts):
-        if c < 0:
-            raise InputError("counts must be nonnegative")
-        out.extend([sym] * c)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +442,18 @@ def enumeration_fraction_general(
     """Exact fraction of wirings with F_G(x) = y for canonical representatives
     of the given input/output type-count vectors."""
     _check_types(params, f, input_counts, output_counts)
-    y = type_vector_representative(f.output_alphabet, output_counts)
+    # the canonical output, as output indices in alphabet order
+    y = [k for k, c in enumerate(output_counts) for _ in range(c)]
     sizes = [params.l * c for c in input_counts]
     arrangements = math.factorial(params.num_sockets)
     for size in sizes:
         arrangements //= math.factorial(size)
     _check_budget(arrangements)
-    r, symbols = params.r, range(f.num_inputs)
+    r, symbols, table = params.r, range(f.num_inputs), f.table
     starts = range(0, params.num_sockets, r)
     hits = sum(
         all(
-            f.value_for_type([labels[a : a + r].count(i) for i in symbols]) == b
+            table[tuple([labels[a : a + r].count(i) for i in symbols])] == b
             for a, b in zip(starts, y)
         )
         for labels in _socket_labellings(sizes)

@@ -1,27 +1,18 @@
 """Exception types shared across the package.
 
-The CLI maps these to distinct exit codes, so the split matters:
-configuration/input problems are usage errors, guard refusals are a
-deliberate "this would be too expensive" signal, and verification
-failures mean a numerical check did not hold.
+There are two, one per CLI exit code: InputError is a usage error (exit
+2), whatever the argument, file or parameter set it refuses, and
+GuardError is a deliberate "this would be too expensive" refusal (exit 3).
+A failed verification check is not an exception; it exits 1.
 """
 
 
-class ConfigurationError(ValueError):
-    """A parameter set violates a structural requirement (divisibility, range)."""
-
-
 class InputError(ValueError):
-    """A runtime argument does not fit the configured system (length, symbol, range)."""
+    """An argument, parameter set or input file that the package refuses:
+    a structural requirement (divisibility, range), a mismatch with the
+    configured system, a root search with no sign change, or a zero symbol
+    probability."""
 
 
 class GuardError(RuntimeError):
     """Refusal to run an exhaustive computation past its size guard."""
-
-
-class NoThresholdError(RuntimeError):
-    """A root finder found no sign change on its search interval."""
-
-
-class ReducedAlphabetError(ValueError):
-    """A symbol probability is zero; drop the symbol and retry with a smaller alphabet."""

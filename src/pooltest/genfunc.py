@@ -51,7 +51,7 @@ from typing import Sequence
 
 from .bounds import _check_degrees, binary_entropy, entropy, fixed_point_z
 from .ensemble import SystemParams, TestFunction, _check_arity, _check_event, _check_types
-from .errors import ConfigurationError, InputError, ReducedAlphabetError
+from .errors import InputError
 
 _LN2 = math.log(2)
 
@@ -69,7 +69,7 @@ _ROUND_BITS = 96           # leading bits of each factor in the float-q rounding
 def or_pool_poly(r: int) -> tuple[int, ...]:
     """(1+z)^r - 1: weight enumerator of inputs that fire a size-r OR pool."""
     if r < 1:
-        raise ConfigurationError("r must be positive")
+        raise InputError("r must be positive")
     return (0, *(math.comb(r, j) for j in range(1, r + 1)))
 
 
@@ -741,7 +741,7 @@ def general_direct_margin(
     _check_arity(f, r)
     base = -(l - 1) * _source_entropy(f, probs)
     if 0 in probs:
-        raise ReducedAlphabetError("a symbol probability is 0; drop the symbol first")
+        raise InputError("a symbol probability is 0; drop the symbol first")
     if len(probs) == 2:
         enums = [_log_terms(weight_enumerator(f, k)) for k in range(f.num_outputs)]
         u_star, val, _, steps, converged = _minimax_1d(

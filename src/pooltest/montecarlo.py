@@ -22,11 +22,12 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from fractions import Fraction
 from typing import Callable
 
 from .ensemble import SystemParams, _object_masks, _shuffle, _shuffle_steps, _test_bits
-from .errors import ConfigurationError, InputError
+from .errors import InputError
 from .estimators import (
     ENUMERATION_LIMIT,
     TypicalSetSpec,
@@ -34,7 +35,7 @@ from .estimators import (
     _scan_or_consistent,
     typical_weight_set,
 )
-from .genfunc import ensemble_event_probability, noisy_ensemble_event_probability
+from .genfunc import noisy_ensemble_event_probability
 
 Z_GATE = 4.0
 CONFIDENCE_FACTOR = 1.96  # two-sided 95% normal quantile
@@ -89,7 +90,6 @@ def _mask_sampler(params: SystemParams) -> Callable[[int], list[int]]:
 def _run_trials(
     mode: str,
     params: SystemParams,
-    q: float,
     epsilon_input: float,
     epsilon_noise: float,
     trials: int,
@@ -98,28 +98,28 @@ def _run_trials(
     enumeration_limit: int,
     settings: dict,
 ) -> TrialReport:
-    """Decode `trials` random observations with outcomes flipped at rate q
-    and count failures by first cause.  Each trial's stream draws x, then
-    the flips, and only when q != 0; `settings` holds the mode's own config
-    keys, which follow p.
+    """Decode `trials` random observations with outcomes flipped at rate
+    params.q and count failures by first cause.  Each trial's stream draws
+    x, then the flips, and only when q != 0; `settings` holds the mode's own
+    config keys, which follow p.
 
     Each graph's object masks are drawn once (once per run for a fixed
     graph): a trial ORs its defects' masks into y, XORs each flip in as it
     is drawn, and runs the decoder's scan capped at two supports."""
     if graph_mode not in ("fixed", "fresh"):
-        raise ConfigurationError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
+        raise InputError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
     if trials < 0:
         raise InputError("trials must be nonnegative")
     _check_guard(params.n, enumeration_limit)
-    x_weights = typical_weight_set(TypicalSetSpec(params.n, params.p, epsilon_input))
-    e_weights = typical_weight_set(TypicalSetSpec(params.m, q, epsilon_noise))
+    n, m, p, q = params.n, params.m, params.p, params.q
+    x_weights = typical_weight_set(TypicalSetSpec(n, p, epsilon_input))
+    e_weights = typical_weight_set(TypicalSetSpec(m, q, epsilon_noise))
     graph_masks = _mask_sampler(params)
     fixed = (
         graph_masks(derive_seed(master_seed, "fixed-graph", 0))
         if graph_mode == "fixed"
         else None
     )
-    n, m, p = params.n, params.m, params.p
     source_atypical = noise_atypical = ambiguous = 0
     for i in range(trials):
         rng = random.Random(derive_seed(master_seed, "trial", i))
@@ -183,7 +183,7 @@ def run_noiseless_trials(
     """Decode `trials` random noiseless observations and count failures:
     the noisy harness at q = 0, whatever params.q says."""
     return _run_trials(
-        "noiseless", params, 0.0, epsilon, 0.0, trials, master_seed, graph_mode,
+        "noiseless", replace(params, q=0), epsilon, 0.0, trials, master_seed, graph_mode,
         enumeration_limit, {"epsilon": epsilon},
     )
 
@@ -202,8 +202,8 @@ def run_noisy_trials(
     run reproduces run_noiseless_trials trial for trial at the same seed."""
     settings = {"q": params.q, "epsilon_input": epsilon_input, "epsilon_noise": epsilon_noise}
     return _run_trials(
-        "noisy", params, params.q, epsilon_input, epsilon_noise, trials, master_seed,
-        graph_mode, enumeration_limit, settings,
+        "noisy", params, epsilon_input, epsilon_noise, trials, master_seed, graph_mode,
+        enumeration_limit, settings,
     )
 
 
@@ -237,7 +237,6 @@ class EventRateCheck:
 
 def _gate(
     check: str,
-    probability,
     params: SystemParams,
     w: int,
     s: int,
@@ -246,10 +245,10 @@ def _gate(
     settings: dict,
 ) -> EventRateCheck:
     """Sample how often a canonical weight-w input fires exactly the first s
-    tests, after flipping each outcome at rate settings.get("q", 0), and
-    gate that frequency against its exact ensemble average
-    probability(params, w, s).  `settings` holds the check's own config
-    keys, which follow n.
+    tests, after flipping each outcome at rate params.q, and gate that
+    frequency against its exact ensemble average
+    noisy_ensemble_event_probability(params, w, s).  `settings` holds the
+    check's own config keys, which follow n.
 
     A trial draws only what the event reads: the tests that the w*l
     defect sockets land on.  It runs the first w*l steps of the trials'
@@ -261,8 +260,8 @@ def _gate(
     noise stream, since no flip can fire then."""
     if trials < 1:
         raise InputError("trials must be positive")
-    exact = float(probability(params, w, s))
-    q = settings.get("q", 0.0)
+    exact = float(noisy_ensemble_event_probability(params, w, s))
+    q = float(params.q)
     m, nl, wl = params.m, params.num_sockets, w * params.l
     wiring = _test_bits(params)
     steps = _shuffle_steps(nl)[:wl]
@@ -312,8 +311,7 @@ def validate_event_probability(
     """Check the exact noiseless event probability for canonical weight-w
     input and weight-s output against sampling of the ensemble."""
     return _gate(
-        "noiseless-event-rate", ensemble_event_probability, params, w, s, trials,
-        master_seed, {},
+        "noiseless-event-rate", replace(params, q=Fraction(0)), w, s, trials, master_seed, {}
     )
 
 
@@ -327,6 +325,5 @@ def validate_noisy_event_probability(
     """Check the exact noisy event probability against sampling of both the
     ensemble and the flip pattern."""
     return _gate(
-        "noisy-event-rate", noisy_ensemble_event_probability, params, w, s, trials,
-        master_seed, {"q": float(params.q)},
+        "noisy-event-rate", params, w, s, trials, master_seed, {"q": float(params.q)}
     )

@@ -33,6 +33,29 @@ def weight_vector(n: int, w: int) -> tuple[int, ...]:
     return (1,) * w + (0,) * (n - w)
 
 
+def compositions_recursive(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order: each first part in turn, then the rest recursively."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions_recursive(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def type_vector_representative(alphabet: Sequence, counts: Sequence[int]) -> tuple:
+    """The canonical vector with the given symbol counts, in alphabet order."""
+    if len(counts) != len(alphabet):
+        raise InputError("counts length must match alphabet size")
+    out: list = []
+    for sym, c in zip(alphabet, counts):
+        if c < 0:
+            raise InputError("counts must be nonnegative")
+        out.extend([sym] * c)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # the ensemble, wiring by wiring
 # ---------------------------------------------------------------------------

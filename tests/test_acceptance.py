@@ -10,7 +10,6 @@ a06 checks the reduction below the crossover and the strict improvement
 over the closed form above it.
 """
 
-import math
 import random
 import time
 from fractions import Fraction

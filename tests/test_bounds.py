@@ -7,8 +7,6 @@ import pytest
 
 from pooltest import (
     InputError,
-    NoThresholdError,
-    ThresholdPair,
     achievable_margin,
     binary_entropy,
     collision_exponent,
@@ -86,10 +84,12 @@ class TestConverseMargin:
         assert converse_margin(3, 6, hi + 5e-6) > 0
 
     def test_noiseless_limit_of_noisy(self):
-        for p in (0.01, 0.05, 0.11, 0.2, 0.35, 0.49):
-            a = converse_margin(3, 6, p)
-            b = noisy_converse_margin(3, 6, p, 0.0)
-            assert abs(a - b) <= 1e-14
+        # the noiseless margin is the noisy one at q = 0, bit for bit
+        grid = [0.0, 1e-300, 1e-9, *(i / 64 for i in range(1, 64)), 1 - 1e-9, 1.0]
+        for l in range(1, 5):
+            for r in range(1, 9):
+                for p in grid:
+                    assert converse_margin(l, r, p) == noisy_converse_margin(l, r, p, 0.0)
 
     def test_noise_shrinks_the_negative_region(self):
         # extra channel noise can only make recovery harder
@@ -221,7 +221,7 @@ class TestThresholds:
     def test_unit_ratio_has_no_root(self):
         # a single-object-per-test design recovers everything; the converse
         # margin never crosses zero
-        with pytest.raises(NoThresholdError):
+        with pytest.raises(InputError, match=r"^converse margin is already positive at p=1e-09$"):
             threshold_upper(1, 2)
 
     def test_odd_ratio_is_fine(self):

@@ -78,6 +78,18 @@ class TestThresholdsCommand:
         assert code == 2
         assert err
 
+    def test_empty_pair_list_is_usage_error(self, capsys):
+        assert run(capsys, "thresholds", "--pairs", ",") == (
+            2, "", "error: no (l, r) pairs given\n"
+        )
+
+    def test_pair_without_an_achievable_root_prints_why(self, capsys):
+        code, out, _ = run(capsys, "thresholds", "--pairs", "1:1")
+        assert code == 0
+        assert out.splitlines()[2] == (
+            "1,1,,,achievable margin has no sign change on (1e-09, 0.5]"
+        )
+
     def test_negative_precision_is_usage_error(self, capsys):
         code, out, err = run(capsys, "thresholds", "--pairs", "3:6", "--precision", "-1")
         assert code == 2
@@ -580,6 +592,9 @@ class TestGeneralCommand:
         ([0, 1, 2], 1200, [{"type": [1200, 0, 0], "output": 0}],
          "table is missing type (0, 0, 1200)"),
         ([], 6, [], "input alphabet must not be empty"),
+        # one composition part per symbol, walked without recursing 1200 deep
+        pytest.param(list(range(1200)), 6, [],
+                     f"table is missing type {(0,) * 1199 + (6,)}", id="wide-alphabet"),
     ])
     def test_incomplete_function_file_is_usage_error(
         self, capsys, tmp_path, alphabet, arity, table, message
@@ -591,6 +606,20 @@ class TestGeneralCommand:
             capsys, "general", "--function", str(bad), "--l", "3", "--r", "6",
             "--probs", "0.9,0.06,0.04",
         )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("function, flags, message", [
+        ("or", ("--probs", "0.9,x"), "--probs '0.9,x' is not a comma-separated float list"),
+        ("merged", ("--p", "0.1"), "--p shorthand needs a binary input alphabet; pass --probs"),
+        ("or", (), "pass --probs (one per input symbol) or --p for binary input"),
+    ], ids=["malformed-probs", "p-with-ternary-input", "neither-p-nor-probs"])
+    def test_probability_flags_are_checked(self, capsys, tmp_path, function, flags, message):
+        f = {
+            "or": or_function(6),
+            "merged": PoolFunction.from_callable(lambda v: int(any(v)), (0, 1, 2), (0, 1), 6),
+        }[function]
+        fn = self.write_function(tmp_path / f"{function}.json", f)
+        code, out, err = run(capsys, "general", "--function", fn, "--l", "3", "--r", "6", *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_wrong_probability_count_is_usage_error(self, capsys, tmp_path):

@@ -7,17 +7,18 @@ import pytest
 
 import pooltest.ensemble as ensemble_module
 from brute_force import (
+    compositions_recursive,
     enumerate_ensemble,
     forward_general,
     object_tests,
     parity_function,
     test_pools,
     threshold_function,
+    type_vector_representative,
     weight_vector,
 )
 from pooltest import TestFunction as PoolFunction
 from pooltest import (
-    ConfigurationError,
     GuardError,
     InputError,
     PoolingGraph,
@@ -30,7 +31,7 @@ from pooltest import (
     or_function,
     sample_graph,
 )
-from pooltest.ensemble import compositions, type_vector_representative
+from pooltest.ensemble import compositions
 
 
 class TestSystemParams:
@@ -40,19 +41,19 @@ class TestSystemParams:
         assert SystemParams(2, 4, 4).num_sockets == 8
 
     def test_divisibility_enforced(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match=r"^r=5 must divide n\*l=36 "):
             SystemParams(3, 5, 12)
 
     def test_probability_ranges(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match=r"^p=1.5 outside \[0, 1\]$"):
             SystemParams(3, 6, 12, p=1.5)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match=r"^q=-0.1 outside \[0, 1\]$"):
             SystemParams(3, 6, 12, q=-0.1)
 
     def test_positive_sizes(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match="^degrees l and r must be positive integers$"):
             SystemParams(0, 2, 4)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match="^n must be a positive integer$"):
             SystemParams(1, 2, 0)
 
 
@@ -175,11 +176,11 @@ class TestPoolFunction:
         assert par.value_for_type((1, 2)) == 0
 
     def test_totality_is_enforced(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match=r"^table is missing type \(0, 2\)$"):
             PoolFunction((0, 1), (0, 1), 2, {(2, 0): 0, (1, 1): 1})
 
     def test_output_range_is_enforced(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match=r"^table entry 1: output index 2 outside \[0, 2\)$"):
             PoolFunction((0, 1), (0, 1), 1, {(1, 0): 0, (0, 1): 2})
 
     def test_missing_type_is_found_without_walking_every_type(self, monkeypatch):
@@ -189,19 +190,31 @@ class TestPoolFunction:
 
         def counting(total, parts):
             for t in real(total, parts):
-                if parts == 3:  # not the recursion's shorter tails
-                    walked.append(t)
+                walked.append(t)
                 yield t
 
         monkeypatch.setattr(ensemble_module, "compositions", counting)
-        with pytest.raises(ConfigurationError, match=r"^table is missing type \(0, 0, 1000\)$"):
+        with pytest.raises(InputError, match=r"^table is missing type \(0, 0, 1000\)$"):
             PoolFunction((0, 1, 2), (0,), 1000, {(1000, 0, 0): 0})
         assert walked == [(0, 0, 1000)]
 
     def test_types_are_checked_by_length_sum_and_sign(self):
         for t in ((1, 1, 0), (2,), (3, 0), (3, -1), (1.0, 1.0)):
-            with pytest.raises(ConfigurationError, match=r"^table entry 0: type "):
+            with pytest.raises(InputError, match=r"^table entry 0: type "):
                 PoolFunction((0, 1), (0, 1), 2, {t: 0})
+
+    @pytest.mark.parametrize("inputs, outputs, arity, message", [
+        ((0, 0), (0, 1), 1, "input alphabet symbols must be distinct"),
+        ((0, 1), (1, 1), 1, "output alphabet symbols must be distinct"),
+        ((0, 1), (0, 1), 0, "arity must be positive"),
+    ])
+    def test_alphabets_and_arity_are_checked(self, inputs, outputs, arity, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            PoolFunction(inputs, outputs, arity, {(arity, 0): 0})
+
+    def test_from_callable_refuses_a_foreign_output(self):
+        with pytest.raises(InputError, match="^fn returned 5, not in output alphabet$"):
+            PoolFunction.from_callable(lambda vals: 5, (0, 1), (0, 1), 2)
 
     def test_from_callable_matches_table(self):
         f = PoolFunction.from_callable(lambda vals: int(any(vals)), (0, 1), (0, 1), 3)
@@ -215,11 +228,11 @@ class TestPoolFunction:
     def test_json_rejects_missing_and_duplicate(self):
         data = or_function(2).to_json_dict()
         del data["arity"]
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match="^test function file is missing key 'arity'$"):
             PoolFunction.from_json_dict(data)
         data = or_function(2).to_json_dict()
         data["table"].append(dict(data["table"][0]))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match="^table contains a duplicate type$"):
             PoolFunction.from_json_dict(data)
 
 
@@ -249,6 +262,20 @@ class TestForwardGeneral:
 class TestCompositions:
     def test_small_enumeration(self):
         assert set(compositions(3, 2)) == {(0, 3), (1, 2), (2, 1), (3, 0)}
+
+    def test_lexicographic_order_of_the_recursive_walk(self):
+        for total in range(9):
+            for parts in range(1, 7):
+                assert list(compositions(total, parts)) == list(
+                    compositions_recursive(total, parts)
+                ), (total, parts)
+
+    def test_wide_alphabets_do_not_recurse(self):
+        # one part per symbol: 1200 parts would pass Python's recursion limit
+        walk = compositions(6, 1200)
+        assert next(walk) == (0,) * 1199 + (6,)
+        assert next(walk) == (0,) * 1198 + (1, 5)
+        assert sum(1 for _ in compositions(1, 1200)) == 1200
 
     def test_count_is_stars_and_bars(self):
         assert sum(1 for _ in compositions(6, 3)) == math.comb(8, 2)

@@ -6,12 +6,10 @@ import pytest
 
 from brute_force import brute_force_decision_set_noiseless, weight_vector
 from pooltest import (
-    Estimate,
     GuardError,
     InputError,
     SystemParams,
     TypicalSetSpec,
-    binary_entropy,
     decision_set_noiseless,
     decision_set_noisy,
     estimate_noiseless,
@@ -187,6 +185,20 @@ class TestDecisionSetNoisy:
             fast = decision_set_noisy(graph, spec, noise_spec, y)
             slow = self.brute_force(graph, spec, noise_spec, y)
             assert sorted(fast) == sorted(slow), trial
+
+    def test_lengths_and_symbols_are_checked(self):
+        graph = sample_graph(SystemParams(3, 6, 12, q=0.1), 5)
+        spec, noise_spec, y = TypicalSetSpec(12, 0.1), TypicalSetSpec(6, 0.1), (0,) * 6
+        cases = [
+            (TypicalSetSpec(11, 0.1), noise_spec, y,
+             "typicality window length differs from the system size"),
+            (spec, TypicalSetSpec(7, 0.1), y, "noise window length differs from the test count"),
+            (spec, noise_spec, (0,) * 5, "y has length 5, expected m=6"),
+            (spec, noise_spec, (0, 0, 2, 0, 0, 0), "observation must be a 0/1 vector"),
+        ]
+        for s, ns, obs, message in cases:
+            with pytest.raises(InputError, match=f"^{message}$"):
+                decision_set_noisy(graph, s, ns, obs)
 
     # noise windows over m = 6 tests, by flip budget max(window)
     NOISE_WINDOWS = {

@@ -11,7 +11,6 @@ from pooltest import TestFunction as PoolFunction
 from pooltest import genfunc
 from pooltest import (
     InputError,
-    ReducedAlphabetError,
     SystemParams,
     achievable_margin,
     binary_direct_margin,
@@ -104,6 +103,8 @@ class TestPolynomial:
         assert or_pool_poly(6)[6] == 1
         assert or_pool_poly(6)[1] == 6
         assert or_pool_poly(6)[0] == 0
+        with pytest.raises(InputError, match="^r must be positive$"):
+            or_pool_poly(0)
 
     def test_multinomial(self):
         assert multinomial(4, [2, 2]) == 6
@@ -513,6 +514,13 @@ class TestTypeEnumerators:
             value = sum(c * z**j for j, c in enumerate(fire))
             assert abs(value - ((1 + z) ** 6 - 1)) <= 1e-12
 
+    def test_enumerator_arguments_are_checked(self):
+        for k in (-1, 2):
+            with pytest.raises(InputError, match=rf"^output index {k} outside \[0, 2\)$"):
+                type_enumerator(or_function(4), k)
+        with pytest.raises(InputError, match="^weight enumerators need a binary input alphabet$"):
+            weight_enumerator(ternary_max(), 0)
+
     def test_outcome_distribution_evaluates_each_enumerator(self):
         # each output's types at z = probs; the outputs partition every type
         f, probs = ternary_max(), (0.5, 0.3, 0.2)
@@ -708,6 +716,11 @@ class TestDirectExponent:
         with pytest.raises(InputError):
             noisy_direct_exponent(6, 3, 0.6, 0.1)
 
+    def test_certain_flips_are_refused(self):
+        # at q = 1 every outcome is flipped, and the exponent's h(q) argument is gone
+        with pytest.raises(InputError, match=r"^q=1.0 outside \[0, 1\)$"):
+            noisy_direct_exponent(3, 6, 0.05, 1.0)
+
 
 class TestBinaryDirectMargin:
     def test_equals_closed_form_at_small_p(self):
@@ -894,7 +907,7 @@ class TestGeneralDirectMargin:
             general_direct_margin(or_function(2), 1, 2, [bad, 0.5])
 
     def test_zero_probability_asks_for_a_smaller_alphabet(self):
-        with pytest.raises(ReducedAlphabetError):
+        with pytest.raises(InputError, match="^a symbol probability is 0; drop the symbol first$"):
             general_direct_margin(ternary_max(), 1, 2, [0.5, 0.5, 0.0])
 
     def test_count_function_is_fully_informative(self):

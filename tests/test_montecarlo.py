@@ -9,7 +9,6 @@ import pytest
 
 from brute_force import object_tests
 from pooltest import (
-    ConfigurationError,
     InputError,
     SystemParams,
     TypicalSetSpec,
@@ -114,12 +113,12 @@ class TestTrialHarness:
         lambda params: validate_noisy_event_probability(params, 1, 1, 3, master_seed=1),
     ], ids=["noiseless-trials", "noisy-trials", "noiseless-gate", "noisy-gate"])
     def test_degrees_past_the_float_range_are_refused(self, run):
-        with pytest.raises(ConfigurationError, match="within the float range"):
+        with pytest.raises(InputError, match="within the float range"):
             run(SystemParams(10**400, 6, 12, p=0.1, q=0.1))
 
     def test_unknown_graph_mode_rejected(self):
         params = SystemParams(3, 6, 18, p=0.05)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InputError, match="^graph_mode 'both' is not 'fixed' or 'fresh'$"):
             run_noiseless_trials(params, 0.1, 10, master_seed=1, graph_mode="both")
 
     def test_zero_trials_report(self):
@@ -178,6 +177,15 @@ class TestEventRateValidators:
         check = validate_event_probability(params, 1, 3, trials=3000, master_seed=1)
         assert check.exact == pytest.approx(float(Fraction(216, 7140)), abs=1e-15)
         assert check.passed
+
+    def test_noiseless_gate_reads_the_noiseless_formula(self):
+        # the gate runs the noisy formula at q = Fraction(0), whatever params.q
+        # says, and gets the noiseless value exactly
+        for params in (SystemParams(1, 2, 4), SystemParams(3, 6, 12, q=0.3)):
+            for w in range(params.n + 1):
+                for s in range(params.m + 1):
+                    check = validate_event_probability(params, w, s, 1, master_seed=1)
+                    assert check.exact == float(ensemble_event_probability(params, w, s))
 
     def test_degenerate_event_requires_equality(self):
         # every wiring sends a full-weight input to all-firing tests

@@ -1,14 +1,18 @@
+import ast
 import re
 from pathlib import Path
 
 import pooltest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # names that left the package: they had no caller outside their own tests,
-# or moved to tests/brute_force.py, or stay in their modules for src/ only
+# or moved to tests/brute_force.py, or stay in their modules for src/ only,
+# or (the three exception types) folded into InputError
 REMOVED = (
-    "CURVE_IDS", "DEFAULT_EPSILON", "EmptyTypicalSetError", "Infimum",
+    "CURVE_IDS", "ConfigurationError", "DEFAULT_EPSILON", "EmptyTypicalSetError", "Infimum",
+    "NoThresholdError", "ReducedAlphabetError",
     "brute_force_decision_set_noiseless", "compositions", "enumerate_ensemble",
     "exponent_infimum", "forward_general", "graph_from_json", "graph_to_json",
     "is_typical", "linspace", "multinomial", "parity_function", "threshold_function",
@@ -31,11 +35,21 @@ def test_polynomial_classes_are_gone():
 
 
 def test_removed_names_are_gone():
-    assert len(pooltest.__all__) == 59
+    assert len(pooltest.__all__) == 56
     assert not [name for name in REMOVED if name in pooltest.__all__ or hasattr(pooltest, name)]
     assert not hasattr(pooltest.errors, "EmptyTypicalSetError")
+    assert not hasattr(pooltest.ensemble, "type_vector_representative")
     assert not hasattr(pooltest.PoolingGraph, "object_tests")
     assert not hasattr(pooltest.PoolingGraph, "test_pools")
+
+
+def test_one_exception_type_per_exit_code():
+    # InputError is every usage error (exit 2), GuardError every guard refusal (exit 3)
+    defined = sorted(
+        name for name, obj in vars(pooltest.errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+    )
+    assert defined == ["GuardError", "InputError"]
 
 
 def test_readme_python_example_prints_what_it_says(capsys):
@@ -49,3 +63,51 @@ def test_readme_python_example_prints_what_it_says(capsys):
     # the comments quote what each line prints
     comments = [line.split("# ")[1] for line in blocks[0].splitlines() if "# " in line]
     assert comments == ["p_lower=0.110022..., p_upper=0.110023...", "461/973896"]
+
+
+def _import_problems(tree: ast.Module) -> list[str]:
+    """Names that the module's imports bind twice, or bind and never read.
+    A read is a Name node, a name in a string annotation, or an entry of
+    __all__."""
+    bound: dict[str, int] = {}
+    used, strings = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = bound.get(name, 0) + 1
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            strings += [n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)]
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                strings += [n.value for n in ast.walk(annotation)
+                            if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    for text in strings:
+        used.update(n.id for n in ast.walk(ast.parse(text, mode="eval")) if isinstance(n, ast.Name))
+    return sorted(
+        [f"{name} imported {count} times" for name, count in bound.items() if count > 1]
+        + [f"{name} imported and never used" for name in bound if name not in used]
+    )
+
+
+def test_no_unused_or_duplicate_imports():
+    problems = {}
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+        found = _import_problems(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            problems[str(path.relative_to(ROOT))] = found
+    assert not problems
+
+
+def test_import_scan_sees_unused_and_duplicate_names():
+    tree = ast.parse(
+        "import math\nfrom os import path, sep\nfrom os import sep\n"
+        "from typing import List\n__all__ = ['path']\nx: 'List[int]' = 0\ny = 'math' + sep\n"
+    )
+    assert _import_problems(tree) == ["math imported and never used", "sep imported 2 times"]

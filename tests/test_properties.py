@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pooltest import (
-    PoolingGraph,
     SystemParams,
     TypicalSetSpec,
     binary_entropy,
