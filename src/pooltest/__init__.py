@@ -51,7 +51,6 @@ from .estimators import (
 from .genfunc import (
     DirectExponent,
     GeneralMargin,
-    Margin,
     binary_direct_margin,
     ensemble_event_probability,
     general_converse_bound,
@@ -85,7 +84,6 @@ __all__ = [
     "GeneralMargin",
     "GuardError",
     "InputError",
-    "Margin",
     "PoolingGraph",
     "SystemParams",
     "TestFunction",

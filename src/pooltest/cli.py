@@ -119,14 +119,10 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         raise InputError(f"--precision {digits} is negative")
     records = []
     for l, r in pairs:
-        record: dict = {"l": l, "r": r}
         try:
-            pair = _bounds.threshold_pair(l, r)
-            record["p_lower"] = pair.p_lower
-            record["p_upper"] = pair.p_upper
+            records.append(_bounds.threshold_pair(l, r).to_json_dict())
         except InputError as exc:
-            record["error"] = str(exc)
-        records.append(record)
+            records.append({"l": l, "r": r, "error": str(exc)})
     config = {"pairs": ";".join(f"{l}:{r}" for l, r in pairs), "precision": digits}
     if args.format == "json":
         _emit(json.dumps({"config": config, "rows": records}, indent=2) + "\n", args.out)
@@ -187,13 +183,13 @@ class _Checks:
     def all_events_equal(self, name: str, params: SystemParams, formula, reference) -> None:
         """Record whether formula(params, w, s) == reference(params, w, s)
         for every input weight w and output weight s."""
-        mismatch = None
         for w in range(params.n + 1):
             for s in range(params.m + 1):
                 a, b = formula(params, w, s), reference(params, w, s)
                 if a != b:
-                    mismatch = f"mismatch at (w={w}, s={s}): {a} vs {b}"
-        self.record(name, mismatch is None, mismatch or "exact rational match on all (w, s)")
+                    self.record(name, False, f"first mismatch at (w={w}, s={s}): {a} vs {b}")
+                    return
+        self.record(name, True, "exact rational match on all (w, s)")
 
 
 def _verify_exact(checks: _Checks) -> None:
@@ -281,18 +277,6 @@ def _verify_identities(checks: _Checks) -> None:
 
     grid = (0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20)
     checks.max_difference(
-        "noisy converse margin reduces to noiseless at q=0",
-        [(_bounds.noisy_converse_margin(l, r, pp, 0.0), _bounds.converse_margin(l, r, pp))
-         for pp in grid],
-        1e-14,
-    )
-    checks.max_difference(
-        "noisy direct exponent reduces to noiseless at q=0",
-        [(_genfunc.noisy_direct_exponent(l, r, pp, 0.0).value,
-          _genfunc.noiseless_direct_exponent(l, r, pp).value) for pp in (0.05, 0.10)],
-        1e-12,
-    )
-    checks.max_difference(
         "noiseless direct exponent matches the closed form below the crossover",
         [(_genfunc.noiseless_direct_exponent(ll, rr, pp).value, _bounds.achievable_margin(ll, rr, pp))
          for ll, rr in ((l, r), (4, 8)) for pp in grid if pp < 2 - 2 ** ((rr - 1) / rr)],
@@ -311,15 +295,6 @@ def _verify_identities(checks: _Checks) -> None:
         [(_genfunc.general_converse_bound(f, l, r, (1 - pp, pp)), _bounds.converse_margin(l, r, pp))
          for pp in grid],
         1e-12,
-    )
-    margins = {
-        pp: _genfunc.binary_direct_margin(f, l, r, pp).value for pp in (0.02, 0.08, 0.14, 0.20)
-    }
-    checks.max_difference(
-        "general direct margin matches the binary path",
-        [(_genfunc.general_direct_margin(f, l, r, (1 - pp, pp)).value, value)
-         for pp, value in margins.items()],
-        0.0,
     )
 
     # The ternary test that fires when any pooled symbol is nonzero sees only

@@ -209,9 +209,6 @@ class TestFunction:
     def num_outputs(self) -> int:
         return len(self.output_alphabet)
 
-    def value_for_type(self, counts: Sequence[int]):
-        return self.output_alphabet[self.table[tuple(counts)]]
-
     @classmethod
     def from_callable(
         cls,

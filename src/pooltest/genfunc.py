@@ -687,25 +687,13 @@ def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Margin:
-    """A direct-part margin and the generating-variable argument achieving
-    it, with the 1-D solver's evaluated points and whether it converged."""
-
-    value: float
-    z: float
-    steps: int
-    converged: bool
-
-
-def binary_direct_margin(f: TestFunction, l: int, r: int, p: float) -> Margin:
+def binary_direct_margin(f: TestFunction, l: int, r: int, p: float) -> GeneralMargin:
     """Direct-part margin for a binary-input symmetric test function:
     -(l-1) h(p) + inf over z>0 of [(l/r) max_k log2 B_k(z) - l p log2 z],
     where B_k enumerates by weight the pool contents producing output k:
     general_direct_margin at probs (1 - p, p), with p = 0 or 1 refused."""
     _check_exponent_args(l, r, p)
-    g = general_direct_margin(f, l, r, (1 - p, p))
-    return Margin(g.value, g.z[1], g.sweeps, g.converged)
+    return general_direct_margin(f, l, r, (1 - p, p))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ import hashlib
 import math
 import random
 from dataclasses import asdict, dataclass, replace
-from fractions import Fraction
 from typing import Callable
 
 from .ensemble import SystemParams, _object_masks, _shuffle, _shuffle_steps, _test_bits
@@ -99,7 +98,8 @@ def _run_trials(
     settings: dict,
 ) -> TrialReport:
     """Decode `trials` random observations with outcomes flipped at rate
-    params.q and count failures by first cause.  Each trial's stream draws
+    params.q, read once as a float, and count failures by first cause.  So
+    a Fraction q draws the flips of its float.  Each trial's stream draws
     x, then the flips, and only when q != 0; `settings` holds the mode's own
     config keys, which follow p.
 
@@ -111,7 +111,7 @@ def _run_trials(
     if trials < 0:
         raise InputError("trials must be nonnegative")
     _check_guard(params.n, enumeration_limit)
-    n, m, p, q = params.n, params.m, params.p, params.q
+    n, m, p, q = params.n, params.m, params.p, float(params.q)
     x_weights = typical_weight_set(TypicalSetSpec(n, p, epsilon_input))
     e_weights = typical_weight_set(TypicalSetSpec(m, q, epsilon_noise))
     graph_masks = _mask_sampler(params)
@@ -200,7 +200,7 @@ def run_noisy_trials(
     """Decode `trials` random observations with flipped outcomes and count
     failures.  With q = 0 only the all-zero flip pattern is typical, so the
     run reproduces run_noiseless_trials trial for trial at the same seed."""
-    settings = {"q": params.q, "epsilon_input": epsilon_input, "epsilon_noise": epsilon_noise}
+    settings = {"q": float(params.q), "epsilon_input": epsilon_input, "epsilon_noise": epsilon_noise}
     return _run_trials(
         "noisy", params, epsilon_input, epsilon_noise, trials, master_seed, graph_mode,
         enumeration_limit, settings,
@@ -311,7 +311,7 @@ def validate_event_probability(
     """Check the exact noiseless event probability for canonical weight-w
     input and weight-s output against sampling of the ensemble."""
     return _gate(
-        "noiseless-event-rate", replace(params, q=Fraction(0)), w, s, trials, master_seed, {}
+        "noiseless-event-rate", replace(params, q=0), w, s, trials, master_seed, {}
     )
 
 

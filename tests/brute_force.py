@@ -97,6 +97,11 @@ def test_pools(graph: PoolingGraph) -> list[list[int]]:
 test_pools.__test__ = False  # a helper, not a pytest test
 
 
+def value_for_type(f: TestFunction, counts: Sequence[int]):
+    """The output symbol f gives a pool with these symbol counts."""
+    return f.output_alphabet[f.table[tuple(counts)]]
+
+
 def forward_general(graph: PoolingGraph, f: TestFunction, x: Sequence) -> tuple:
     """Outcome of every pooled test under an arbitrary symmetric test function."""
     params = graph.params
@@ -113,7 +118,7 @@ def forward_general(graph: PoolingGraph, f: TestFunction, x: Sequence) -> tuple:
     counts = [[0] * u for _ in range(params.m)]
     for k, rk in enumerate(graph.wiring):
         counts[rk // r][xi[k // l]] += 1
-    return tuple(f.value_for_type(tuple(c)) for c in counts)
+    return tuple(value_for_type(f, c) for c in counts)
 
 
 def threshold_function(r: int, threshold: int) -> TestFunction:

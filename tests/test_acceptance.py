@@ -179,12 +179,12 @@ def test_a06_closed_form_margin_reduction():
                 ok = (
                     abs(bm.value - lam) <= 1e-9
                     and abs(gm.value - lam) <= 1e-8
-                    and abs(bm.z - z_star) <= 1e-5
+                    and abs(bm.z[1] - z_star) <= 1e-5
                 )
             else:
                 past += 1
                 best_gain = max(best_gain, lam - bm.value)
-                ok = bm.value < lam - 1e-9 and bm.z > z_star and bg_gap <= 1e-8
+                ok = bm.value < lam - 1e-9 and bm.z[1] > z_star and bg_gap <= 1e-8
             if not ok:
                 failures.append((l, r, p, bm.value - lam, gm.value - bm.value))
     detail = (

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 
 import pooltest
 from brute_force import threshold_function
+from pooltest import SystemParams
 from pooltest import TestFunction as PoolFunction
 from pooltest import (
     achievable_margin,
@@ -459,6 +461,58 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "FAIL" not in out
+
+    def test_exact_suite_reports_the_first_mismatch(self, capsys, monkeypatch):
+        # wrong at two events of one system: one check fails, naming the
+        # first event in scan order
+        true = pooltest.genfunc.ensemble_event_probability
+
+        def wrong(params, w, s):
+            value = true(params, w, s)
+            if params == SystemParams(1, 2, 2) and (w, s) in ((1, 0), (2, 1)):
+                return value + 1
+            return value
+
+        monkeypatch.setattr(pooltest.genfunc, "ensemble_event_probability", wrong)
+        code, out, _ = run(capsys, "verify", "--suite", "exact")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert len(failed) == 1
+        assert failed[0].startswith(
+            "[FAIL] noiseless formula vs enumeration (l=1, r=2, n=2): "
+            "first mismatch at (w=1, s=0): "
+        )
+        assert out.splitlines()[-1] == "verify --suite exact: 1 check(s) failed"
+
+    @pytest.mark.parametrize("line,module,name,delta", [
+        ("collision exponent is sigma-independent at the fixed point",
+         "bounds", "collision_exponent", lambda l, r, p, sigma, z: 1e-9 * sigma),
+        ("noisy per-test factor equals 1 at the fixed point",
+         "bounds", "noisy_collision_factor", lambda *args: 1e-9),
+        ("noiseless direct exponent matches the closed form below the crossover",
+         "genfunc", "noiseless_direct_exponent", lambda *args: 1e-9),
+        ("binary OR margin matches the closed form below the crossover",
+         "bounds", "achievable_margin", lambda *args: 1e-9),
+        ("general converse bound reduces to the closed form",
+         "genfunc", "general_converse_bound", lambda *args: 1e-9),
+        ("merged-OR ternary margin is the binary OR margin plus the split entropy",
+         "genfunc", "binary_direct_margin", lambda *args: 1e-9),
+    ])
+    def test_every_identity_line_can_fail(self, capsys, monkeypatch, line, module, name, delta):
+        # one side of the line, moved past its tolerance
+        target = getattr(pooltest, module)
+        true = getattr(target, name)
+
+        def moved(*args):
+            out = true(*args)
+            if isinstance(out, float):
+                return out + delta(*args)
+            return dataclasses.replace(out, value=out.value + delta(*args))
+
+        monkeypatch.setattr(target, name, moved)
+        code, out, _ = run(capsys, "verify", "--suite", "identities")
+        assert code == 1
+        assert f"[FAIL] {line}: " in out
 
 
 class TestGeneralCommand:

@@ -15,6 +15,7 @@ from brute_force import (
     test_pools,
     threshold_function,
     type_vector_representative,
+    value_for_type,
     weight_vector,
 )
 from pooltest import TestFunction as PoolFunction
@@ -160,20 +161,20 @@ class TestForwardOr:
 class TestPoolFunction:
     def test_or_function_table(self):
         f = or_function(3)
-        assert f.value_for_type((3, 0)) == 0
-        assert f.value_for_type((2, 1)) == 1
-        assert f.value_for_type((0, 3)) == 1
+        assert value_for_type(f, (3, 0)) == 0
+        assert value_for_type(f, (2, 1)) == 1
+        assert value_for_type(f, (0, 3)) == 1
 
     def test_threshold_and_count_and_parity(self):
         t2 = threshold_function(4, 2)
-        assert t2.value_for_type((3, 1)) == 0
-        assert t2.value_for_type((2, 2)) == 1
+        assert value_for_type(t2, (3, 1)) == 0
+        assert value_for_type(t2, (2, 2)) == 1
         cnt = count_function(3)
         assert cnt.output_alphabet == (0, 1, 2, 3)
-        assert cnt.value_for_type((1, 2)) == 2
+        assert value_for_type(cnt, (1, 2)) == 2
         par = parity_function(3)
-        assert par.value_for_type((2, 1)) == 1
-        assert par.value_for_type((1, 2)) == 0
+        assert value_for_type(par, (2, 1)) == 1
+        assert value_for_type(par, (1, 2)) == 0
 
     def test_totality_is_enforced(self):
         with pytest.raises(InputError, match=r"^table is missing type \(0, 2\)$"):

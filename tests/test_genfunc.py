@@ -730,7 +730,7 @@ class TestBinaryDirectMargin:
         for p in (0.02, 0.08, 0.14, 0.2):
             m = binary_direct_margin(f6, 3, 6, p)
             assert abs(m.value - achievable_margin(3, 6, p)) <= 1e-9
-            assert m.z == pytest.approx(fixed_point_z(6), abs=1e-5)
+            assert m.z[1] == pytest.approx(fixed_point_z(6), abs=1e-5)
 
     @pytest.mark.parametrize("l,r", PAIRS)
     def test_or_margin_is_the_closed_form_below_the_crossover(self, l, r):
@@ -746,11 +746,20 @@ class TestBinaryDirectMargin:
             assert abs(general_direct_margin(f, l, r, (1 - p, p)).value - closed) <= 1e-12
 
     def test_reports_the_solver_steps(self):
-        f = count_function(6)
-        margin = binary_direct_margin(f, 3, 6, 0.2)
-        general = general_direct_margin(f, 3, 6, (0.8, 0.2))
-        assert (margin.steps, margin.converged) == (general.sweeps, general.converged)
-        assert margin.converged is True and 1 <= margin.steps <= 20
+        margin = binary_direct_margin(count_function(6), 3, 6, 0.2)
+        assert margin.converged is True and 1 <= margin.sweeps <= 20
+        assert margin.gap is None
+
+    def test_is_the_general_margin_at_probs_1_minus_p_p(self):
+        # one result type: the binary margin is the general one, field for field
+        for r in (2, 6):
+            for f in (or_function(r), count_function(r), threshold_function(r, 2)):
+                for l in (1, 3):
+                    for i in range(1, 20):
+                        p = i / 20
+                        assert binary_direct_margin(f, l, r, p) == general_direct_margin(
+                            f, l, r, (1 - p, p)
+                        )
 
     def test_improves_on_closed_form_at_large_p(self):
         # past the crossover weight the interior optimum beats the fixed point

@@ -153,6 +153,17 @@ class TestTrialHarness:
         b = run_noisy_trials(noisy, 0.1, 0.0, 400, master_seed=12)
         assert a.errors == b.errors
 
+    def test_fraction_q_reports_like_its_float(self):
+        # the loop reads q once as a float: an exact q draws the same flips
+        # and its report stays plain JSON
+        reports = [
+            run_noisy_trials(SystemParams(3, 6, 18, p=0.1, q=q), 0.1, 0.1, 300, master_seed=4)
+            for q in (Fraction(1, 10), 0.1)
+        ]
+        exact, rounded = (json.dumps(report.to_json_dict()) for report in reports)
+        assert exact == rounded
+        assert reports[1].errors_noise_atypical > 0
+
     def test_noisy_error_sources_are_tracked(self):
         params = SystemParams(3, 6, 18, p=0.05, q=0.1)
         report = run_noisy_trials(params, 0.1, 0.1, 400, master_seed=21)
@@ -179,8 +190,8 @@ class TestEventRateValidators:
         assert check.passed
 
     def test_noiseless_gate_reads_the_noiseless_formula(self):
-        # the gate runs the noisy formula at q = Fraction(0), whatever params.q
-        # says, and gets the noiseless value exactly
+        # the gate runs the noisy formula at q = 0, whatever params.q says,
+        # and gets the noiseless value rounded once
         for params in (SystemParams(1, 2, 4), SystemParams(3, 6, 12, q=0.3)):
             for w in range(params.n + 1):
                 for s in range(params.m + 1):

@@ -9,10 +9,11 @@ README = ROOT / "README.md"
 
 # names that left the package: they had no caller outside their own tests,
 # or moved to tests/brute_force.py, or stay in their modules for src/ only,
-# or (the three exception types) folded into InputError
+# or (the three exception types) folded into InputError, or (Margin) folded
+# into GeneralMargin
 REMOVED = (
     "CURVE_IDS", "ConfigurationError", "DEFAULT_EPSILON", "EmptyTypicalSetError", "Infimum",
-    "NoThresholdError", "ReducedAlphabetError",
+    "Margin", "NoThresholdError", "ReducedAlphabetError",
     "brute_force_decision_set_noiseless", "compositions", "enumerate_ensemble",
     "exponent_infimum", "forward_general", "graph_from_json", "graph_to_json",
     "is_typical", "linspace", "multinomial", "parity_function", "threshold_function",
@@ -35,12 +36,18 @@ def test_polynomial_classes_are_gone():
 
 
 def test_removed_names_are_gone():
-    assert len(pooltest.__all__) == 56
+    assert len(pooltest.__all__) == 55
     assert not [name for name in REMOVED if name in pooltest.__all__ or hasattr(pooltest, name)]
     assert not hasattr(pooltest.errors, "EmptyTypicalSetError")
     assert not hasattr(pooltest.ensemble, "type_vector_representative")
+    assert not hasattr(pooltest.genfunc, "Margin")
     assert not hasattr(pooltest.PoolingGraph, "object_tests")
     assert not hasattr(pooltest.PoolingGraph, "test_pools")
+
+
+def test_value_for_type_left_test_function():
+    # only the brute-force references read a pool's output symbol by type
+    assert not hasattr(pooltest.TestFunction, "value_for_type")
 
 
 def test_one_exception_type_per_exit_code():
