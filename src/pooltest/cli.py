@@ -213,8 +213,13 @@ def _verify_exact(checks: _Checks) -> None:
             enumeration_fraction_noisy,
         )
 
-    # at w=60 both powers are exact; at w=24 quiet's is a certified bound
-    for n, w, s, route in ((120, 60, 15, ""), (240, 24, 30, " via certified power bounds")):
+    # at w=60 neither power is stable, so the float is the recurrence's exact
+    # numerator rounded; at w=24 quiet's power is a certified bound; both are
+    # compared with the Fraction route's exact truncated powers
+    for n, w, s, route in (
+        (120, 60, 15, " via the recurrence in (1+z)^r"),
+        (240, 24, 30, " via certified power bounds"),
+    ):
         rounded = _genfunc.noisy_ensemble_event_probability(SystemParams(3, 6, n, q=0.1), w, s)
         exact = _genfunc.noisy_ensemble_event_probability(
             SystemParams(3, 6, n, q=Fraction(0.1)), w, s

@@ -15,16 +15,19 @@ each output's enumerator is raised to its count by squaring, and every
 product drops the monomials past a target exponent in any symbol (the box
 l*counts), which cannot reach the target coefficient.  Results are exact
 Fractions, or that exact value rounded once to a float when q is a float.
-The float is certified without forming the exact numerator, a sum of
-products of thousands-of-bits integers, by the first of three routes that
-decides it.  Bounds when stable: a power a^e whose truncation, after the
-z^order split, stops by z^(e+1) has only nonnegative recurrence weights, so
-certified floor and ceiling mantissas of 2 * _ROUND_BITS bits stand in for
-its exact coefficients.  Exact factors: an unstable power enters as its
-exact coefficients.  The leading bits of every factor bound the sum from
-both sides, and when both bounds round to one float so does the exact
-value (Ziv's rounding test).  Exact sum: otherwise both powers are formed
-exactly and the sum is rounded.
+A power a^e is stable when its truncation, after the z^order split, stops
+by z^(e+1): its recurrence weights are then all nonnegative.  When neither
+power is stable, the exact numerator comes without either power, from a
+three-term recurrence for the product as a polynomial in Y = (1+z)^r, and
+is rounded by one int/int division.  Otherwise the float is certified
+without forming the exact numerator, a sum of products of
+thousands-of-bits integers, by the first of three routes that decides it.
+Bounds: certified floor and ceiling mantissas of 2 * _ROUND_BITS bits stand
+in for a stable power's exact coefficients.  Exact factors: an unstable
+power enters as its exact coefficients.  The leading bits of every factor
+bound the sum from both sides, and when both bounds round to one float so
+does the exact value (Ziv's rounding test).  Exact sum: otherwise both
+powers are formed exactly and the sum is rounded.
 
 Every direct-part margin minimizes one shape over u = log2(z): a pointwise
 max of weighted log-enumerators, each a log-sum-exp and hence convex, minus
@@ -250,6 +253,37 @@ def _dot_reversed(fired: list[int], quieted: list[int]) -> int:
     return sum(a * b for a, b in zip(fired, reversed(quieted)))
 
 
+def _noisy_numerator(keep: int, flip: int, r: int, m: int, s: int, lw: int) -> int:
+    """[z^lw] fire^s quiet^(m-s) for the enumerators of _fire_quiet, exactly,
+    without forming either power.  With Y = (1+z)^r, a = keep, b = flip and
+    d = a - b, fire = a Y - d and quiet = b Y + d, so the product is
+    sum_t d^(m-t) e_t Y^t with e_t = [Y^t] (a Y - 1)^s (b Y + 1)^(m-s).  That
+    polynomial P solves (ab Y^2 + (a-b) Y - 1) P' = (m ab Y + s a - (m-s) b) P,
+    so e_t follows a three-term recurrence (the holonomic-sequence method of
+    Petkovsek, Wilf and Zeilberger, A = B, 1996): e_{-1} = 0, e_0 = (-1)^s and
+    (t+1) e_{t+1} = ab (t-1-m) e_{t-1} + ((a-b) t - s a + (m-s) b) e_t,
+    where the division is exact because every e_t is an integer.
+    [z^lw] Y^t = C(rt, lw) vanishes below t = ceil(lw/r), so the numerator is
+    sum_{t >= ceil(lw/r)} d^(m-t) e_t C(rt, lw), summed by Horner in d, with
+    C(rt, lw) carried from t to t + 1 by r small factors on each side.
+    d = 0 (q = 1/2) and d < 0 (q > 1/2) need no special case."""
+    ab, d, lin = keep * flip, keep - flip, (m - s) * flip - s * keep
+    first = -(-lw // r)
+    binom = math.comb(r * first, lw)
+    prev, e, numer = 0, (-1) ** s, 0
+    for t in range(m + 1):
+        if t >= first:
+            numer = numer * d + e * binom
+            # rt >= lw, so every factor of the divisor is positive
+            rt = r * t
+            binom = binom * math.prod(range(rt + 1, rt + r + 1)) // math.prod(
+                range(rt + 1 - lw, rt + r + 1 - lw)
+            )
+        if t < m:
+            prev, e = e, (ab * (t - 1 - m) * prev + (d * t + lin) * e) // (t + 1)
+    return numer
+
+
 def _round_from_bounds(fired: list[tuple], quieted: list[tuple], denom: int) -> float | None:
     """The float nearest sum_k fired[k] quieted[-1 - k] / denom, from factor
     bounds (lo, hi, x), lo * 2^x <= factor <= hi * 2^x (an exact factor v is
@@ -304,11 +338,15 @@ def noisy_ensemble_event_probability(params: SystemParams, w: int, s: int):
     fire = (1-q) pool + q and quiet = q pool + (1-q).  A Fraction q gives the
     exact Fraction.  Any other q is taken as the exact rational it stores
     (Fraction(q); for a float, its binary value), and the exact result is
-    rounded once to the nearest float.  _round_from_bounds decides it from
-    certified bounds on each stable power (_power_bounds: after the z^order
-    split the truncation stops by z^(e+1) of the e-th power) and from the
-    other power exact; when they cannot, both powers are formed exactly and
-    the exact sum _dot_reversed is rounded."""
+    rounded once to the nearest float.  When neither power is stable
+    (_power_bounds: after the z^order split the truncation stops by z^(e+1)
+    of the e-th power), the exact numerator comes from the recurrence of
+    _noisy_numerator, without either power, and int / int rounds it.
+    Otherwise _round_from_bounds decides it from certified bounds on each
+    stable power and from the other power exact; when they cannot, both
+    powers are formed exactly and the exact sum _dot_reversed is rounded.
+    A Fraction q always takes the two exact powers: it is the reference the
+    float routes are checked against."""
     _check_event(params, w, s)
     q = Fraction(params.q)
     big_p, big_q = q.numerator, q.denominator
@@ -319,10 +357,13 @@ def noisy_ensemble_event_probability(params: SystemParams, w: int, s: int):
     denom = big_q**params.m * math.comb(params.num_sockets, lw)
     exact = isinstance(params.q, Fraction)
     if not exact:
+        bounds = [_power_bounds(c, e, lw) for c, e in powers]
+        if bounds == [None, None]:
+            return _noisy_numerator(big_q - big_p, big_p, params.r, params.m, s, lw) / denom
         # certified bounds of each stable power, the exact power otherwise
         factors = [
-            _power_bounds(c, e, lw) or [(v, v, 0) for v in _truncated_power(c, e, lw)]
-            for c, e in powers
+            bound or [(v, v, 0) for v in _truncated_power(c, e, lw)]
+            for bound, (c, e) in zip(bounds, powers)
         ]
         rounded = _round_from_bounds(*factors, denom)
         if rounded is not None:

@@ -484,6 +484,24 @@ class TestVerifyCommand:
         )
         assert out.splitlines()[-1] == "verify --suite exact: 1 check(s) failed"
 
+    def test_float_q_recurrence_line_can_fail(self, capsys, monkeypatch):
+        # the float-q line at n=120 takes the recurrence numerator; doubled,
+        # it doubles the float
+        true = pooltest.genfunc._noisy_numerator
+
+        def wrong(*args):
+            return true(*args) * 2
+
+        monkeypatch.setattr(pooltest.genfunc, "_noisy_numerator", wrong)
+        code, out, _ = run(capsys, "verify", "--suite", "exact")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert len(failed) == 1
+        assert failed[0].startswith(
+            "[FAIL] float-q noisy formula via the recurrence in (1+z)^r is the exact"
+            " value rounded once (l=3, r=6, n=120, q=0.1): "
+        )
+
     @pytest.mark.parametrize("line,module,name,delta", [
         ("collision exponent is sigma-independent at the fixed point",
          "bounds", "collision_exponent", lambda l, r, p, sigma, z: 1e-9 * sigma),

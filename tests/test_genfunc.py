@@ -243,7 +243,9 @@ class TestNoisyEventProbability:
     @pytest.mark.parametrize("n, w, s", [(720, 360, 90), (1200, 120, 150)])
     def test_float_q_rounds_the_exact_value_once(self, monkeypatch, n, w, s):
         # at these sizes a double-precision product of the full powers overflows;
-        # the leading-bit bounds decide the float without the exact numerator
+        # neither case forms the exact sum of power products: (720, 360, 90)
+        # has no stable power and takes the recurrence in (1+z)^r, and at
+        # (1200, 120, 150) the leading-bit bounds decide the float
         exact = noisy_ensemble_event_probability(
             SystemParams(3, 6, n, q=Fraction(0.1)), w, s
         )
@@ -276,14 +278,26 @@ class TestNoisyEventProbability:
                 params, w, s,
             )
 
+    @staticmethod
+    def _has_stable_power(params, w, s):
+        q = Fraction(params.q)
+        fire, quiet = genfunc._fire_quiet(params.r, q.numerator, q.denominator - q.numerator)
+        lw = params.l * w
+        return any(
+            genfunc._power_bounds(c, e, lw) is not None
+            for c, e in ((fire, s), (quiet, params.m - s))
+        )
+
     def test_undecided_bounds_fall_back_to_the_exact_numerator(self, monkeypatch):
-        # with fewer leading bits than a float carries, no bound pair can decide
+        # with fewer leading bits than a float carries, no bound pair can
+        # decide; points without a stable power never reach the bounds
         exact_values = [
             float(noisy_ensemble_event_probability(
                 SystemParams(params.l, params.r, params.n, q=Fraction(params.q)), w, s
             ))
             for params, w, s in self._float_q_grid()
         ]
+        stable = sum(self._has_stable_power(*point) for point in self._float_q_grid())
         fallbacks = []
         dot = genfunc._dot_reversed
 
@@ -298,7 +312,8 @@ class TestNoisyEventProbability:
             for params, w, s in self._float_q_grid()
         ]
         assert values == exact_values
-        assert len(fallbacks) == len(values)
+        assert len(fallbacks) == stable
+        assert (stable, len(values)) == (126, 192)  # both routes are on the grid
 
     @staticmethod
     def _powers_formed(monkeypatch):
@@ -324,13 +339,20 @@ class TestNoisyEventProbability:
         assert formed == [s]  # fire's power is exact, quiet's (m - s) is not formed
 
     def test_unstable_powers_take_the_exact_route(self, monkeypatch):
-        # l*w = 1083 passes both (m - s) + 1 = 271 and s + 1 = 91
+        # l*w = 1083 passes both (m - s) + 1 = 271 and s + 1 = 91: the exact
+        # numerator comes from the recurrence in (1+z)^r, with no power formed
+        # and no rounding test
         n, w, s = 720, 361, 90
         exact = noisy_ensemble_event_probability(SystemParams(3, 6, n, q=Fraction(0.1)), w, s)
         formed = self._powers_formed(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("rounding test run")
+
+        monkeypatch.setattr(genfunc, "_round_from_bounds", refuse)
         value = noisy_ensemble_event_probability(SystemParams(3, 6, n, q=0.1), w, s)
         assert value == float(exact)
-        assert formed == [s, n // 2 - s]
+        assert formed == []
 
     @pytest.mark.parametrize("n, w, s", [(12, 2, 3), (720, 360, 90), (1200, 120, 150)])
     def test_default_float_q_is_the_rounded_noiseless_value(self, n, w, s):
@@ -410,6 +432,42 @@ class TestTruncatedPowers:
             stable = order * e + min(e + 1, deg * e)
             assert genfunc._power_bounds(coeffs, e, stable) is not None
             assert (genfunc._power_bounds(coeffs, e, stable + 1) is None) == (deg * e > e + 1)
+
+
+class TestNoisyNumerator:
+    """_noisy_numerator against the product of the two truncated powers."""
+
+    @staticmethod
+    def _check(l, r, n, q, w, s):
+        big_p, big_q = Fraction(q).numerator, Fraction(q).denominator
+        fire, quiet = genfunc._fire_quiet(r, big_p, big_q - big_p)
+        m, lw = n * l // r, l * w
+        expected = genfunc._dot_reversed(
+            genfunc._truncated_power(fire, s, lw), genfunc._truncated_power(quiet, m - s, lw)
+        )
+        assert genfunc._noisy_numerator(big_q - big_p, big_p, r, m, s, lw) == expected, (
+            l, r, n, q, w, s,
+        )
+
+    @pytest.mark.parametrize("q", EDGE_Q)
+    @pytest.mark.parametrize("l, r, n", [(3, 6, 12), (4, 2, 4), (1, 1, 5), (2, 3, 6)])
+    def test_every_event_of_a_small_system(self, l, r, n, q):
+        # l > r and r = 1 included; every w in [0, n] and s in [0, m]
+        for w in range(n + 1):
+            for s in range(n * l // r + 1):
+                self._check(l, r, n, q, w, s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_is_the_product_of_the_powers(self, data):
+        l, r = data.draw(st.integers(1, 6), label="l"), data.draw(st.integers(1, 8), label="r")
+        g = math.gcd(l, r)
+        k = data.draw(st.integers(1, 60 * g // r + 1), label="k")
+        n, m = r // g * k, l // g * k
+        q = data.draw(st.sampled_from(EDGE_Q) | st.floats(0, 1), label="q")
+        w = data.draw(st.sampled_from((0, n)) | st.integers(0, n), label="w")
+        s = data.draw(st.sampled_from((0, m)) | st.integers(0, m), label="s")
+        self._check(l, r, n, q, w, s)
 
 
 class TestGeneralEventProbability:
