@@ -10,8 +10,10 @@ overlap x, so a negative margin does not make the typicality decoder's
 error vanish: with fewer tests than objects the error of any nonadaptive
 scheme stays bounded away from zero at constant p (Aldridge, IEEE Trans.
 IT 65(4), 2019), and at (3, 6) with p = 0.03 or 0.05 the decision set is
-less often unique as n grows.  The roots in p of the two margins are the
-lower and upper thresholds.
+less often unique as n grows.  The converse margin's root in p is the
+upper threshold.  The lower one is the root of the achievable margin
+optimized over z, which is the closed form up to the crossover
+2 - 2^((r-1)/r) and lies strictly below it past the crossover.
 """
 
 from __future__ import annotations
@@ -194,13 +196,39 @@ def threshold_upper(l: int, r: int) -> float:
     return _first_crossing(lambda p: converse_margin(l, r, p), "converse margin")
 
 
+def _optimized_margin(l: int, r: int, p: float) -> float:
+    """The noiseless direct margin min over z of -(l-1) h(p)
+    + (l/r) max(0, log2((1+z)^r - 1)) - l p log2 z, the value of
+    genfunc.noiseless_direct_exponent.  Up to the crossover 2 - 2^((r-1)/r)
+    the minimizer is the kink 2^(1/r) - 1 and the margin is the closed form
+    achievable_margin.  Past it the minimizer lies past the kink, where the
+    slope in ln z vanishes: z / ((1+z) (1 - (1+z)^-r)) = p.  Its left side
+    rises from the crossover at the kink toward 1, and exceeds 1/2 at
+    z = 1, so that equation is bisected in ln z, and the margin is the
+    collision exponent at sigma = l/r there, strictly below the closed
+    form.  No binomial is formed, so any r within the float range is fine."""
+    if p <= -2 * math.expm1(-_LN2 / r):
+        return achievable_margin(l, r, p)
+    lo, hi = math.log(fixed_point_z(r)), 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        z = math.exp(mid)
+        if z / ((1 + z) * -math.expm1(-r * math.log1p(z))) > p:
+            hi = mid
+        else:
+            lo = mid
+    return collision_exponent(l, r, p, l / r, math.exp(0.5 * (lo + hi)))
+
+
 def threshold_lower(l: int, r: int) -> float:
-    """Root of the achievable margin.  Below it the expected number of
-    typical inputs consistent with y vanishes, counting each as if drawn
-    independently of the true x; the decoder's error need not vanish there,
-    since inputs overlapping x are not covered (see the module docstring)."""
+    """Root of the optimized direct margin (_optimized_margin).  Below it
+    the expected number of typical inputs consistent with y vanishes,
+    counting each as if drawn independently of the true x; the decoder's
+    error need not vanish there, since inputs overlapping x are not covered
+    (see the module docstring).  A root at or below the crossover is the
+    closed form's; past it the closed form's root is too small."""
     _check_degrees(l, r)
-    return _first_crossing(lambda p: achievable_margin(l, r, p), "achievable margin")
+    return _first_crossing(lambda p: _optimized_margin(l, r, p), "achievable margin")
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,26 @@ def _verify_exact(checks: _Checks) -> None:
             f"w={w}, s={s}: {rounded!r} vs {float(exact)!r}",
         )
 
+    # the rounded float hides a numerator error below half an ulp, so the
+    # recurrence's integer is compared with the two exact truncated powers
+    q = Fraction(0.1)
+    keep, flip = q.denominator - q.numerator, q.numerator
+    m, s, lw = 60, 15, 3 * 60
+    fire, quiet = _genfunc._fire_quiet(6, flip, keep)
+    expected = _genfunc._dot_reversed(
+        _genfunc._truncated_power(fire, s, lw), _genfunc._truncated_power(quiet, m - s, lw)
+    )
+    numer = _genfunc._noisy_numerator(keep, flip, 6, m, s, lw)
+    checks.record(
+        "float-q recurrence numerator is the exact product of the truncated powers"
+        " (l=3, r=6, n=120, q=0.1)",
+        numer == expected,
+        f"w=60, s={s}: " + (
+            f"equal {expected.bit_length()}-bit integers" if numer == expected
+            else f"they differ by a {(numer - expected).bit_length()}-bit integer"
+        ),
+    )
+
     for l, r, n in ((1, 2, 4), (2, 4, 4)):
         checks.all_events_equal(
             f"general formula reduces to binary (l={l}, r={r}, n={n})",

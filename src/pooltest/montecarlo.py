@@ -2,9 +2,12 @@
 
 Every decoding trial draws from its own RNG, seeded by derive_seed(master
 seed, stream label, trial index), so its outcome does not depend on which
-other trials ran or in what order.  The event-rate gates only count hits,
-so each gate seeds one stream per label once and draws every trial from
-it.  Each harness is one serial loop.
+other trials ran or in what order.  A trial whose x or flips fall outside
+their typicality windows is an error whatever the graph, so a graph is
+drawn only for a trial that passed both checks; each graph has its own
+seed, so skipping one moves no other draw.  The event-rate gates only
+count hits, so each gate seeds one stream per label once and draws every
+trial from it.  Each harness is one serial loop.
 
 The graph draws replay random.Random.shuffle through the generator's
 getrandbits, drawing each index as Random._randbelow does, so a trial's
@@ -99,13 +102,17 @@ def _run_trials(
 ) -> TrialReport:
     """Decode `trials` random observations with outcomes flipped at rate
     params.q, read once as a float, and count failures by first cause.  So
-    a Fraction q draws the flips of its float.  Each trial's stream draws
-    x, then the flips, and only when q != 0; `settings` holds the mode's own
-    config keys, which follow p.
+    a Fraction q draws the flips of its float.  `settings` holds the mode's
+    own config keys, which follow p.
 
-    Each graph's object masks are drawn once (once per run for a fixed
-    graph): a trial ORs its defects' masks into y, XORs each flip in as it
-    is drawn, and runs the decoder's scan capped at two supports."""
+    A trial draws only what its first failing check reads: x from its own
+    stream; then, when x is typical and q != 0, the flips from the same
+    stream; and only when both are typical, its graph's object masks (a
+    fixed graph's are drawn once per run).  Skipping the flips or the graph
+    moves no other draw: the flips are the last draws of the trial's
+    stream, and each graph has its own seed.  The trial ORs its defects'
+    masks into y, XORs the flip mask into that, and runs the decoder's scan
+    capped at two supports."""
     if graph_mode not in ("fixed", "fresh"):
         raise InputError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
     if trials < 0:
@@ -124,22 +131,23 @@ def _run_trials(
     for i in range(trials):
         rng = random.Random(derive_seed(master_seed, "trial", i))
         support = tuple(k for k in range(n) if rng.random() < p)
+        if len(support) not in x_weights:
+            source_atypical += 1
+            continue
+        flip_mask = 0
+        if q:
+            for j in range(m):
+                if rng.random() < q:
+                    flip_mask |= 1 << j
+        if flip_mask.bit_count() not in e_weights:
+            noise_atypical += 1
+            continue
         masks = fixed or graph_masks(derive_seed(master_seed, "graph", i))
         y = 0
         for k in support:
             y |= masks[k]
-        flips = 0
-        if q:
-            for j in range(m):
-                if rng.random() < q:
-                    y ^= 1 << j
-                    flips += 1
-        if len(support) not in x_weights:
-            source_atypical += 1
-            continue
-        if flips not in e_weights:
-            noise_atypical += 1
-            continue
+        # the flips act on the OR outcome, so they go in after every mask
+        y ^= flip_mask
         if _scan_or_consistent(masks, y, e_weights, x_weights, 2) != [support]:
             ambiguous += 1
     errors = source_atypical + noise_atypical + ambiguous

@@ -3,13 +3,15 @@
 None of these is part of pooltest.  Each is the direct form of something
 the package computes by a faster route: every wiring of the ensemble,
 every input of the decoder, the exponent's inner infimum one sigma at a
-time.  The tests compare the two at toy sizes.
+time, every trial's graph drawn whether or not the trial reads it.  The
+tests compare the two at toy sizes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -24,8 +26,9 @@ from pooltest import (
     typical_weight_set,
 )
 from pooltest.ensemble import ENUMERATION_SOCKET_LIMIT, _check_arity
-from pooltest.estimators import _check_guard
+from pooltest.estimators import ENUMERATION_LIMIT, _check_guard, _scan_or_consistent
 from pooltest.genfunc import _check_exponent_args, _log_terms, _minimax_1d, or_pool_poly
+from pooltest.montecarlo import CONFIDENCE_FACTOR, TrialReport, _mask_sampler, derive_seed
 
 
 def weight_vector(n: int, w: int) -> tuple[int, ...]:
@@ -192,3 +195,89 @@ def exponent_infimum(sigma: float, l: int, r: int, p: float) -> Infimum:
         return Infimum(0.0, None, True)
     u_star, val, *_ = _minimax_1d([_log_terms(or_pool_poly(r))], sigma, lp)
     return Infimum(val, 2.0**u_star, True)
+
+
+# ---------------------------------------------------------------------------
+# the trial harness, drawing every trial's graph and flips up front
+# ---------------------------------------------------------------------------
+
+
+def eager_run_trials(
+    mode: str,
+    params: SystemParams,
+    epsilon_input: float,
+    epsilon_noise: float,
+    trials: int,
+    master_seed: int,
+    graph_mode: str,
+    enumeration_limit: int = ENUMERATION_LIMIT,
+    settings: dict | None = None,
+) -> TrialReport:
+    """montecarlo._run_trials as it was before a trial skipped what its
+    first failing check does not read: every trial draws x, its graph and
+    its flips, XORing each flip into the OR outcome as it is drawn, and
+    only then checks typicality.  The same streams, so the same report."""
+    if graph_mode not in ("fixed", "fresh"):
+        raise InputError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
+    if trials < 0:
+        raise InputError("trials must be nonnegative")
+    _check_guard(params.n, enumeration_limit)
+    n, m, p, q = params.n, params.m, params.p, float(params.q)
+    x_weights = typical_weight_set(TypicalSetSpec(n, p, epsilon_input))
+    e_weights = typical_weight_set(TypicalSetSpec(m, q, epsilon_noise))
+    graph_masks = _mask_sampler(params)
+    fixed = (
+        graph_masks(derive_seed(master_seed, "fixed-graph", 0))
+        if graph_mode == "fixed"
+        else None
+    )
+    source_atypical = noise_atypical = ambiguous = 0
+    for i in range(trials):
+        rng = random.Random(derive_seed(master_seed, "trial", i))
+        support = tuple(k for k in range(n) if rng.random() < p)
+        masks = fixed or graph_masks(derive_seed(master_seed, "graph", i))
+        y = 0
+        for k in support:
+            y |= masks[k]
+        flips = 0
+        if q:
+            for j in range(m):
+                if rng.random() < q:
+                    y ^= 1 << j
+                    flips += 1
+        if len(support) not in x_weights:
+            source_atypical += 1
+            continue
+        if flips not in e_weights:
+            noise_atypical += 1
+            continue
+        if _scan_or_consistent(masks, y, e_weights, x_weights, 2) != [support]:
+            ambiguous += 1
+    errors = source_atypical + noise_atypical + ambiguous
+    rate = halfwidth = None
+    if trials > 0:
+        rate = errors / trials
+        halfwidth = CONFIDENCE_FACTOR * math.sqrt(rate * (1 - rate) / trials)
+    config = {
+        "mode": mode,
+        "l": params.l,
+        "r": params.r,
+        "n": params.n,
+        "p": params.p,
+        **(settings or {}),
+        "trials": trials,
+        "master_seed": master_seed,
+        "graph_mode": graph_mode,
+        "enumeration_limit": enumeration_limit,
+    }
+    return TrialReport(
+        trials=trials,
+        errors=errors,
+        error_rate=rate,
+        confidence_halfwidth=halfwidth,
+        master_seed=master_seed,
+        errors_source_atypical=source_atypical,
+        errors_noise_atypical=noise_atypical,
+        errors_ambiguous=ambiguous,
+        config=config,
+    )

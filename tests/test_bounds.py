@@ -14,6 +14,7 @@ from pooltest import (
     emit_curve,
     entropy,
     fixed_point_z,
+    noiseless_direct_exponent,
     noisy_achievable_margin,
     noisy_collision_factor,
     noisy_converse_margin,
@@ -21,7 +22,7 @@ from pooltest import (
     threshold_pair,
     threshold_upper,
 )
-from pooltest.bounds import CURVES, linspace
+from pooltest.bounds import CURVES, _optimized_margin, linspace
 
 # thresholds below were frozen from an independent high-precision run and
 # cross-checked by bisection against the margin sign changes
@@ -200,7 +201,72 @@ class TestCollisionExponent:
         assert noisy_collision_factor(6, 0.1, 0.5, 0.3) != pytest.approx(1.0, abs=1e-3)
 
 
+def _bisect(fn, lo: float, hi: float, steps: int = 80) -> float:
+    """The sign change of fn on [lo, hi], fn(lo) <= 0 < fn(hi)."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def optimized_margin_past_crossover(l: int, r: int, p: float) -> float:
+    """The noiseless direct margin, min over z of -(l-1) h(p)
+    + (l/r) max(0, log2((1+z)^r - 1)) - l p log2 z, for p past the crossover
+    2 - 2^((r-1)/r).  Its minimizer lies past the kink 2^(1/r) - 1 and
+    solves z (1+z)^(r-1) / ((1+z)^r - 1) = p, whose left side rises from
+    the crossover there to 1, past 1/2 by z = 1; that equation is bisected
+    in log z."""
+    def slope(u: float) -> float:
+        z = math.exp(u)
+        a = math.log1p(z)
+        return z * math.exp((r - 1) * a) / math.expm1(r * a) - p
+
+    u = _bisect(slope, math.log(2 ** (1 / r) - 1), 0.0)
+    z = math.exp(u)
+    pool = math.expm1(r * math.log1p(z))
+    return -(l - 1) * binary_entropy(p) + (l / r) * math.log2(pool) - l * p * math.log2(z)
+
+
 class TestThresholds:
+    @pytest.mark.parametrize("l, r", [(10, 10), (20, 40), (30, 30)])
+    def test_lower_is_the_optimized_root_past_the_crossover(self, l, r):
+        # the closed form's root lies past the crossover here, where the
+        # optimized margin lies strictly below it
+        crossover = 2 - 2 ** ((r - 1) / r)
+        closed = _bisect(lambda p: achievable_margin(l, r, p), 1e-6, 0.5)
+        assert closed > crossover
+        margin = lambda p: optimized_margin_past_crossover(l, r, p)
+        root = _bisect(margin, crossover, threshold_upper(l, r))
+        lo = threshold_lower(l, r)
+        assert lo == pytest.approx(root, abs=1e-7)
+        assert lo > closed + 1e-5
+        assert margin(lo - 1e-6) <= 0 < margin(lo + 1e-6)
+        # and it is the sign change of the exponent's own optimizer
+        exponent = lambda p: noiseless_direct_exponent(l, r, p).value
+        assert exponent(lo - 1e-6) <= 0 < exponent(lo + 1e-6)
+
+    def test_optimized_margin_is_the_direct_exponent(self):
+        for l, r in ((1, 2), (3, 6), (10, 10), (30, 30), (60, 20), (5, 1)):
+            crossover = 2 - 2 ** ((r - 1) / r)
+            for p in (0.01, 0.1, 0.3, 0.4, 0.49, crossover - 1e-6, crossover + 1e-6):
+                if 0 < p < 0.5:
+                    assert _optimized_margin(l, r, p) == pytest.approx(
+                        noiseless_direct_exponent(l, r, p).value, abs=1e-12
+                    ), (l, r, p)
+
+    def test_lower_stays_below_upper_past_the_crossover(self):
+        # a sparse cut of 2 <= l <= r <= 60, where the closed form's root lies
+        # past the crossover for most pairs with l >= 10, and degrees far
+        # past the binomials the exponent's optimizer forms
+        for l in range(2, 61, 6):
+            for r in range(l, 61, 6):
+                assert threshold_lower(l, r) <= threshold_upper(l, r), (l, r)
+        pair = threshold_pair(10**5, 10**5)
+        assert 0 < pair.p_lower <= pair.p_upper
+
     @pytest.mark.parametrize("pair,frozen", sorted(FROZEN_THRESHOLDS.items()))
     def test_frozen_values(self, pair, frozen):
         l, r = pair

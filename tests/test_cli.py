@@ -486,7 +486,7 @@ class TestVerifyCommand:
 
     def test_float_q_recurrence_line_can_fail(self, capsys, monkeypatch):
         # the float-q line at n=120 takes the recurrence numerator; doubled,
-        # it doubles the float
+        # it doubles the float, and the integer line sees it too
         true = pooltest.genfunc._noisy_numerator
 
         def wrong(*args):
@@ -496,11 +496,46 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "exact")
         assert code == 1
         failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
-        assert len(failed) == 1
+        assert len(failed) == 2
         assert failed[0].startswith(
             "[FAIL] float-q noisy formula via the recurrence in (1+z)^r is the exact"
             " value rounded once (l=3, r=6, n=120, q=0.1): "
         )
+        assert failed[1].startswith(
+            "[FAIL] float-q recurrence numerator is the exact product of the truncated"
+            " powers (l=3, r=6, n=120, q=0.1): "
+        )
+
+    def test_numerator_line_sees_a_dropped_term(self, capsys, monkeypatch):
+        # without its t = ceil(lw/r) term the numerator is wrong, but by far
+        # less than half an ulp of the float, so only the integer line fails
+        true = pooltest.genfunc._noisy_numerator
+
+        def first_term(keep, flip, r, m, s, lw):
+            # d^(m-t) e_t C(rt, lw), e_t = [Y^t] (keep Y - 1)^s (flip Y + 1)^(m-s)
+            t = -(-lw // r)
+            e_t = sum(
+                math.comb(s, i) * keep**i * (-1) ** (s - i)
+                * math.comb(m - s, t - i) * flip ** (t - i)
+                for i in range(min(s, t) + 1)
+                if t - i <= m - s
+            )
+            return (keep - flip) ** (m - t) * e_t * math.comb(r * t, lw)
+
+        def wrong(*args):
+            return true(*args) - first_term(*args)
+
+        assert wrong(9, 1, 6, 60, 15, 180) != true(9, 1, 6, 60, 15, 180)
+        monkeypatch.setattr(pooltest.genfunc, "_noisy_numerator", wrong)
+        code, out, _ = run(capsys, "verify", "--suite", "exact")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert len(failed) == 1
+        assert failed[0].startswith(
+            "[FAIL] float-q recurrence numerator is the exact product of the truncated"
+            " powers (l=3, r=6, n=120, q=0.1): w=60, s=15: they differ by a "
+        )
+        assert out.splitlines()[-1] == "verify --suite exact: 1 check(s) failed"
 
     @pytest.mark.parametrize("line,module,name,delta", [
         ("collision exponent is sigma-independent at the fixed point",

@@ -1,13 +1,17 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from brute_force import object_tests
+import pooltest.montecarlo
+from brute_force import eager_run_trials, object_tests
 from pooltest import (
     InputError,
     SystemParams,
@@ -173,6 +177,92 @@ class TestTrialHarness:
             + report.errors_ambiguous
         )
         assert report.trials == 400
+
+
+class TestEagerReference:
+    """The harness against the loop that draws every trial's graph and
+    flips before any check: skipping what a failed check does not read
+    moves no draw of any other trial."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # l >= r makes a flip land on a lit test often, which is where the
+        # order of OR and XOR shows
+        system=st.sampled_from(
+            [(1, 2, 4), (2, 4, 6), (2, 3, 9), (3, 6, 12), (1, 1, 6), (4, 2, 5), (3, 1, 4), (3, 2, 6)]
+        ),
+        p=st.floats(min_value=0.02, max_value=0.5),
+        q=st.just(0.0) | st.floats(min_value=0.01, max_value=0.3),
+        epsilon_input=st.floats(min_value=0.05, max_value=0.6),
+        epsilon_noise=st.floats(min_value=0.0, max_value=0.6),
+        graph_mode=st.sampled_from(["fresh", "fixed"]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @example(
+        system=(3, 2, 6), p=0.15, q=0.1, epsilon_input=0.3, epsilon_noise=0.3,
+        graph_mode="fresh", seed=1,
+    )
+    def test_reports_equal_the_eager_loop(
+        self, system, p, q, epsilon_input, epsilon_noise, graph_mode, seed
+    ):
+        params = SystemParams(*system, p=p, q=q)
+        trials = 40
+        assert run_noiseless_trials(
+            params, epsilon_input, trials, seed, graph_mode
+        ) == eager_run_trials(
+            "noiseless", replace(params, q=0), epsilon_input, 0.0, trials, seed, graph_mode,
+            settings={"epsilon": epsilon_input},
+        )
+        noisy_settings = {"q": q, "epsilon_input": epsilon_input, "epsilon_noise": epsilon_noise}
+        assert run_noisy_trials(
+            params, epsilon_input, epsilon_noise, trials, seed, graph_mode
+        ) == eager_run_trials(
+            "noisy", params, epsilon_input, epsilon_noise, trials, seed, graph_mode,
+            settings=noisy_settings,
+        )
+
+
+class TestGraphDraws:
+    """Which seeds a run derives: a trial's graph only once its x and its
+    flips are typical."""
+
+    @staticmethod
+    def _recorded_labels(monkeypatch) -> list[tuple[str, int]]:
+        labels = []
+        true = pooltest.montecarlo.derive_seed
+
+        def recording(master_seed, label, index):
+            labels.append((label, index))
+            return true(master_seed, label, index)
+
+        monkeypatch.setattr(pooltest.montecarlo, "derive_seed", recording)
+        return labels
+
+    @pytest.mark.parametrize("q", [0.0, 0.1])
+    def test_graph_is_drawn_only_for_typical_trials(self, monkeypatch, q):
+        params = SystemParams(3, 6, 18, p=0.1, q=q)
+        labels = self._recorded_labels(monkeypatch)
+        report = run_noisy_trials(params, 0.2, 0.2, 300, master_seed=2)
+        x_window = typical_weight_set(TypicalSetSpec(18, 0.1, 0.2))
+        e_window = typical_weight_set(TypicalSetSpec(9, q, 0.2))
+        typical = []
+        for i in range(300):
+            rng = random.Random(derive_seed(2, "trial", i))
+            if sum(rng.random() < 0.1 for _ in range(18)) not in x_window:
+                continue
+            if q and sum(rng.random() < q for _ in range(9)) not in e_window:
+                continue
+            typical.append(i)
+        assert [i for label, i in labels if label == "graph"] == typical
+        assert typical and report.errors_source_atypical > 0
+        assert (report.errors_noise_atypical > 0) == (q > 0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.1])
+    def test_fixed_graph_is_drawn_once(self, monkeypatch, q):
+        params = SystemParams(3, 6, 18, p=0.1, q=q)
+        labels = self._recorded_labels(monkeypatch)
+        run_noisy_trials(params, 0.2, 0.2, 300, master_seed=2, graph_mode="fixed")
+        assert [label for label, _ in labels if label != "trial"] == ["fixed-graph"]
 
 
 class TestEventRateValidators:
