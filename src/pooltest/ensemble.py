@@ -102,12 +102,33 @@ def _shuffle(getrandbits: Callable[[int], int], x: list, steps) -> None:
     Random._randbelow(i + 1) draws it, as `bits` random bits redrawn while
     j > i, so the generator's stream and the permutation are the same.
     The first k steps alone fix the last k entries, a uniform ordered
-    k-sample of x whatever order x starts in."""
+    k-sample of x whatever order x starts in; _partial_shuffles runs such
+    partial shuffles many times in one call."""
     for i, bits in steps:
         j = getrandbits(bits)
         while j > i:
             j = getrandbits(bits)
         x[i], x[j] = x[j], x[i]
+
+
+def _partial_shuffles(getrandbits: Callable[[int], int], x: list, steps, rounds: int) -> list[int]:
+    """Run the _shuffle steps `rounds` times on x, which carries over from
+    one round to the next, and return for each round the OR of the entries
+    its steps fixed: step i fixes entry i, so x[i] after its swap.  Draws
+    and swaps are those of `rounds` calls of _shuffle."""
+    out = []
+    for _ in range(rounds):
+        mask = 0
+        for i, bits in steps:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            fixed = x[j]
+            x[j] = x[i]
+            x[i] = fixed
+            mask |= fixed
+        out.append(mask)
+    return out
 
 
 def _test_bits(params: SystemParams) -> list[int]:

@@ -28,6 +28,8 @@ from .errors import GuardError, InputError
 
 DEFAULT_EPSILON = 0.1
 ENUMERATION_LIMIT = 24
+# typical_weight_set walks every weight 0..n, about 0.7 s at this n
+WEIGHT_WALK_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,12 @@ def weight_rate(spec: TypicalSetSpec, w: int) -> float:
 
 def typical_weight_set(spec: TypicalSetSpec) -> frozenset[int]:
     """All weights whose sequences are typical, h - epsilon <= rate <= h + epsilon
-    with h the source entropy (contiguous; possibly empty)."""
+    with h the source entropy (contiguous; possibly empty).  Walks every
+    weight, so n above WEIGHT_WALK_LIMIT is refused."""
+    if spec.n > WEIGHT_WALK_LIMIT:
+        raise GuardError(
+            f"typical-set walk over the weights 0..{spec.n} refused (limit n={WEIGHT_WALK_LIMIT})"
+        )
     h = spec.entropy
     return frozenset(
         w

@@ -332,6 +332,24 @@ def _fire_quiet(r: int, flip, keep) -> tuple[list, list]:
     return fire, quiet
 
 
+def _fire_quiet_log_terms(r: int, q: float) -> tuple[list, list]:
+    """_log_terms of the float _fire_quiet(r, q, 1 - q), each term's log2
+    formed as log2 C(r, j) plus log2(1 - q) or log2 q, so that no binomial
+    is converted to a float: C(r, r/2) leaves the float range near r = 1030."""
+    log_pool, c = [], 1
+    for j in range(1, r + 1):
+        c = c * (r - j + 1) // j  # C(r, j), exactly
+        log_pool.append((j, math.log2(c)))
+    log_keep = math.log2(1.0 - q)
+    fire = [(j, lc + log_keep) for j, lc in log_pool]
+    quiet = [(0, log_keep)]
+    if q > 0:
+        log_flip = math.log2(q)
+        fire.insert(0, (0, log_flip))
+        quiet += [(j, lc + log_flip) for j, lc in log_pool]
+    return fire, quiet
+
+
 def noisy_ensemble_event_probability(params: SystemParams, w: int, s: int):
     """Same event with every test outcome flipped independently with
     probability q: [z^{lw}] fire^s quiet^(m-s) / C(nl, lw), with
@@ -439,23 +457,25 @@ def _log_terms(coeffs: Sequence[float]) -> list[tuple[int, float]]:
     return [(j, math.log2(c)) for j, c in enumerate(coeffs) if c > 0]
 
 
-def _lse_moments(terms: list[tuple[tuple[int, ...], float]], u: Sequence[float]):
-    """log2 of a multivariate poly(2^u) from (exponent tuple, log2
-    coefficient) terms, with its gradient and Hessian in u: the mean of the
-    exponent tuples under weights proportional to the terms, and ln 2 times
-    their covariance.  Ratios of like-sized sums, so they stay accurate at
-    any u, unlike differences of the value, whose linear parts cancel
-    catastrophically far out."""
-    vals = [lg + sum(map(operator.mul, t, u)) for t, lg in terms]
+def _lse_moments(piece: tuple[list[float], list[Sequence[int]]], u: Sequence[float]):
+    """log2 of a multivariate poly(2^u) from its terms' log2 coefficients
+    and one exponent column per coordinate, with its gradient and Hessian
+    in u: the mean of the exponent vectors under weights proportional to
+    the terms, and ln 2 times their covariance.  Ratios of like-sized sums,
+    so they stay accurate at any u, unlike differences of the value, whose
+    linear parts cancel catastrophically far out."""
+    logs, columns = piece
+    dots = [0.0] * len(logs)
+    for column, u_i in zip(columns, u):
+        dots = [d + t * u_i for d, t in zip(dots, column)]
+    vals = list(map(operator.add, logs, dots))
     best = max(vals)
     weights = [math.exp(_LN2 * (v - best)) for v in vals]
     total = sum(weights)
-    mean = [sum(w * t[i] for w, (t, _) in zip(weights, terms)) / total for i in range(len(u))]
-    hess = [
-        [_LN2 * sum(w * (t[i] - mi) * (t[j] - mj) for w, (t, _) in zip(weights, terms)) / total
-         for j, mj in enumerate(mean)]
-        for i, mi in enumerate(mean)
-    ]
+    mean = [sum(map(operator.mul, weights, column)) / total for column in columns]
+    devs = [[t - m for t in column] for column, m in zip(columns, mean)]
+    weighted = [list(map(operator.mul, weights, dev)) for dev in devs]
+    hess = [[_LN2 * sum(map(operator.mul, wd, dev)) / total for dev in devs] for wd in weighted]
     return best + math.log2(total), mean, hess
 
 
@@ -591,8 +611,8 @@ def _minimax_interior_point(pieces: list, ratio: float, lp: list[float], u: list
     def state(x):
         # per piece: g_k, and the gradient and Hessian of f_k in x
         out = []
-        for terms in pieces:
-            value, mean, hess = _lse_moments(terms, x[:-1])
+        for piece in pieces:
+            value, mean, hess = _lse_moments(piece, x[:-1])
             grad = [ratio * m - c for m, c in zip(mean, lp)] + [-1.0]
             hess = [[ratio * h for h in row] + [0.0] for row in hess] + [[0.0] * n]
             out.append((ratio * value - sum(map(operator.mul, lp, x)), grad, hess))
@@ -694,8 +714,7 @@ def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
     _check_exponent_args(l, r, p)
     if not 0 <= q < 1:
         raise InputError(f"q={q} outside [0, 1)")
-    fire, quiet = _fire_quiet(r, q, 1.0 - q)
-    fire_terms, quiet_terms = _log_terms(fire), _log_terms(quiet)
+    fire_terms, quiet_terms = _fire_quiet_log_terms(r, q)
     base = -(l - 1) * binary_entropy(p) + (l / r) * binary_entropy(q)
     ratio, lp = l / r, l * p
     # quiet has a nonzero constant term, so the objective rises as z -> 0;
@@ -777,12 +796,14 @@ def general_direct_margin(
             [terms for terms in enums if terms], l / r, l * probs[1]
         )
         return GeneralMargin(base + val, (1.0, 2.0**u_star), steps, converged, None)
-    # per nonempty output: (exponents of the free symbols, log2 multiplicity)
+    # per nonempty output, over its types in sorted order: the log2
+    # multiplicities, and one exponent column per free symbol
     pieces = []
     for k in range(f.num_outputs):
         terms = type_enumerator(f, k)
         if terms:
-            pieces.append(sorted((t[1:], math.log2(c)) for t, c in terms.items()))
+            rows = sorted((t[1:], math.log2(c)) for t, c in terms.items())
+            pieces.append(([lg for _, lg in rows], list(zip(*(t for t, _ in rows)))))
     # start at z_i = p_i / p_1, the minimizer of the smooth majorant made by
     # summing every enumerator: sum_k A_k(z) = (z_1 + ... + z_u)^r
     u, val, steps, gap, converged = _minimax_interior_point(

@@ -1,13 +1,17 @@
 """Seeded trial harnesses for the decoder and for the exact ensemble formulas.
 
-Every decoding trial draws from its own RNG, seeded by derive_seed(master
-seed, stream label, trial index), so its outcome does not depend on which
-other trials ran or in what order.  A trial whose x or flips fall outside
-their typicality windows is an error whatever the graph, so a graph is
-drawn only for a trial that passed both checks; each graph has its own
-seed, so skipping one moves no other draw.  The event-rate gates only
-count hits, so each gate seeds one stream per label once and draws every
-trial from it.  Each harness is one serial loop.
+Every decoding trial draws from its own RNG stream, seeded by
+derive_seed(master seed, stream label, trial index), so its outcome does
+not depend on which other trials ran or in what order.  A trial whose x or
+flips fall outside their typicality windows is an error whatever the
+graph, so a graph is drawn only for a trial that passed both checks; each
+graph has its own seed, so skipping one moves no other draw.  A run keeps
+one generator for the trials and one for the graphs and reseeds it for
+each stream: Random.seed(int) resets the whole Mersenne Twister state, so
+every stream is the one random.Random(seed) gives, without building a
+generator per trial.  The event-rate gates only count hits, so each gate
+seeds one stream per label once and draws every trial from it, the
+sockets of a block of trials in one call.  Each harness is one serial loop.
 
 The graph draws replay random.Random.shuffle through the generator's
 getrandbits, drawing each index as Random._randbelow does, so a trial's
@@ -28,7 +32,14 @@ import random
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
-from .ensemble import SystemParams, _object_masks, _shuffle, _shuffle_steps, _test_bits
+from .ensemble import (
+    SystemParams,
+    _object_masks,
+    _partial_shuffles,
+    _shuffle,
+    _shuffle_steps,
+    _test_bits,
+)
 from .errors import InputError
 from .estimators import (
     ENUMERATION_LIMIT,
@@ -40,6 +51,7 @@ from .estimators import (
 from .genfunc import noisy_ensemble_event_probability
 
 Z_GATE = 4.0
+GATE_BLOCK = 1 << 14  # gate trials whose masks are held at once
 CONFIDENCE_FACTOR = 1.96  # two-sided 95% normal quantile
 
 
@@ -76,14 +88,18 @@ def _mask_sampler(params: SystemParams) -> Callable[[int], list[int]]:
     """masks(seed): the object masks of sample_graph(params, seed), mask i
     having bit j set when object i feeds test j.  The shuffle moves each
     right socket's test bit in place of the socket index, so the shuffled
-    list holds the left sockets' test bits, and no PoolingGraph is built."""
+    list holds the left sockets' test bits, and no PoolingGraph is built.
+    One generator, reseeded for each graph, draws them all."""
     l = params.l
     test_bits = _test_bits(params)
     steps = _shuffle_steps(len(test_bits))
+    rng = random.Random()
+    reseed, getrandbits = rng.seed, rng.getrandbits
 
     def masks(seed: int) -> list[int]:
+        reseed(seed)
         wiring = test_bits[:]
-        _shuffle(random.Random(seed).getrandbits, wiring, steps)
+        _shuffle(getrandbits, wiring, steps)
         return _object_masks(wiring, l)
 
     return masks
@@ -127,18 +143,21 @@ def _run_trials(
         if graph_mode == "fixed"
         else None
     )
+    test_bits = [1 << j for j in range(m)]
+    rng = random.Random()
+    reseed, draw = rng.seed, rng.random
     source_atypical = noise_atypical = ambiguous = 0
     for i in range(trials):
-        rng = random.Random(derive_seed(master_seed, "trial", i))
-        support = tuple(k for k in range(n) if rng.random() < p)
+        reseed(derive_seed(master_seed, "trial", i))
+        support = [k for k in range(n) if draw() < p]
         if len(support) not in x_weights:
             source_atypical += 1
             continue
         flip_mask = 0
         if q:
-            for j in range(m):
-                if rng.random() < q:
-                    flip_mask |= 1 << j
+            for bit in test_bits:
+                if draw() < q:
+                    flip_mask |= bit
         if flip_mask.bit_count() not in e_weights:
             noise_atypical += 1
             continue
@@ -148,7 +167,7 @@ def _run_trials(
             y |= masks[k]
         # the flips act on the OR outcome, so they go in after every mask
         y ^= flip_mask
-        if _scan_or_consistent(masks, y, e_weights, x_weights, 2) != [support]:
+        if _scan_or_consistent(masks, y, e_weights, x_weights, 2) != [tuple(support)]:
             ambiguous += 1
     errors = source_atypical + noise_atypical + ambiguous
     rate = halfwidth = None
@@ -260,12 +279,15 @@ def _gate(
 
     A trial draws only what the event reads: the tests that the w*l
     defect sockets land on.  It runs the first w*l steps of the trials'
-    shuffle on one list of test bits, kept across trials, and ORs the last
-    w*l entries, an ordered sample distributed exactly like the first w*l
-    entries of a uniform wiring whatever order the list starts in.  All
+    shuffle on one list of test bits, kept across trials, and ORs the w*l
+    entries they fix, an ordered sample distributed exactly like the first
+    w*l entries of a uniform wiring whatever order the list starts in.  All
     trials draw their sockets from one "graph" stream and their flips from
-    one "noise" stream, each seeded once per call; q = 0 never reads the
-    noise stream, since no flip can fire then."""
+    one "noise" stream, each seeded once per call.  The sockets of a block
+    of up to GATE_BLOCK trials are drawn in one _partial_shuffles call, and
+    then the block's flips, trial by trial in test order: the streams are
+    separate, so this moves no draw.  q = 0 never reads the noise stream,
+    since no flip can fire then."""
     if trials < 1:
         raise InputError("trials must be positive")
     exact = float(noisy_ensemble_event_probability(params, w, s))
@@ -274,20 +296,25 @@ def _gate(
     wiring = _test_bits(params)
     steps = _shuffle_steps(nl)[:wl]
     getrandbits = random.Random(derive_seed(master_seed, "graph", 0)).getrandbits
-    noise = random.Random(derive_seed(master_seed, "noise", 0))
+    noise = random.Random(derive_seed(master_seed, "noise", 0)).random
+    test_bits = [1 << j for j in range(m)]
     target = (1 << s) - 1
     hits = 0
-    for _ in range(trials):
-        _shuffle(getrandbits, wiring, steps)
-        mask = 0
-        for bit in wiring[nl - wl:]:
-            mask |= bit
+    for start in range(0, trials, GATE_BLOCK):
+        rounds = min(GATE_BLOCK, trials - start)
+        if wl < nl:
+            masks = _partial_shuffles(getrandbits, wiring, steps, rounds)
+        else:
+            # the steps fix every entry but the first; the sample is then the
+            # whole list, which lights every test whatever the wiring
+            masks = [(1 << m) - 1] * rounds
         if q:
-            for j in range(m):
-                if noise.random() < q:
-                    mask ^= 1 << j
-        if mask == target:
-            hits += 1
+            for t, mask in enumerate(masks):
+                for bit in test_bits:
+                    if noise() < q:
+                        mask ^= bit
+                masks[t] = mask
+        hits += masks.count(target)
     empirical = hits / trials
     if 0 < exact < 1:
         z = (empirical - exact) / math.sqrt(exact * (1 - exact) / trials)

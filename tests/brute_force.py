@@ -3,8 +3,9 @@
 None of these is part of pooltest.  Each is the direct form of something
 the package computes by a faster route: every wiring of the ensemble,
 every input of the decoder, the exponent's inner infimum one sigma at a
-time, every trial's graph drawn whether or not the trial reads it.  The
-tests compare the two at toy sizes.
+time, every trial's graph drawn whether or not the trial reads it, a
+gate's trials drawn one at a time.  The tests compare the two at toy
+sizes.
 """
 
 from __future__ import annotations
@@ -25,10 +26,29 @@ from pooltest import (
     forward_or,
     typical_weight_set,
 )
-from pooltest.ensemble import ENUMERATION_SOCKET_LIMIT, _check_arity
+from pooltest.ensemble import (
+    ENUMERATION_SOCKET_LIMIT,
+    _check_arity,
+    _shuffle,
+    _shuffle_steps,
+    _test_bits,
+)
 from pooltest.estimators import ENUMERATION_LIMIT, _check_guard, _scan_or_consistent
-from pooltest.genfunc import _check_exponent_args, _log_terms, _minimax_1d, or_pool_poly
-from pooltest.montecarlo import CONFIDENCE_FACTOR, TrialReport, _mask_sampler, derive_seed
+from pooltest.genfunc import (
+    _check_exponent_args,
+    _log_terms,
+    _minimax_1d,
+    noisy_ensemble_event_probability,
+    or_pool_poly,
+)
+from pooltest.montecarlo import (
+    CONFIDENCE_FACTOR,
+    Z_GATE,
+    EventRateCheck,
+    TrialReport,
+    _mask_sampler,
+    derive_seed,
+)
 
 
 def weight_vector(n: int, w: int) -> tuple[int, ...]:
@@ -281,3 +301,64 @@ def eager_run_trials(
         errors_ambiguous=ambiguous,
         config=config,
     )
+
+
+# ---------------------------------------------------------------------------
+# the event-rate gate, one trial at a time
+# ---------------------------------------------------------------------------
+
+
+def loop_gate(
+    check: str,
+    params: SystemParams,
+    w: int,
+    s: int,
+    trials: int,
+    master_seed: int,
+    settings: dict,
+) -> EventRateCheck:
+    """montecarlo._gate as it was before a gate drew its trials' sockets in
+    one call: each trial runs the first w*l shuffle steps, ORs the last w*l
+    entries of the list and then draws its flips.  The same streams, so the
+    same check."""
+    if trials < 1:
+        raise InputError("trials must be positive")
+    exact = float(noisy_ensemble_event_probability(params, w, s))
+    q = float(params.q)
+    m, nl, wl = params.m, params.num_sockets, w * params.l
+    wiring = _test_bits(params)
+    steps = _shuffle_steps(nl)[:wl]
+    getrandbits = random.Random(derive_seed(master_seed, "graph", 0)).getrandbits
+    noise = random.Random(derive_seed(master_seed, "noise", 0))
+    target = (1 << s) - 1
+    hits = 0
+    for _ in range(trials):
+        _shuffle(getrandbits, wiring, steps)
+        mask = 0
+        for bit in wiring[nl - wl:]:
+            mask |= bit
+        if q:
+            for j in range(m):
+                if noise.random() < q:
+                    mask ^= 1 << j
+        if mask == target:
+            hits += 1
+    empirical = hits / trials
+    if 0 < exact < 1:
+        z = (empirical - exact) / math.sqrt(exact * (1 - exact) / trials)
+        passed = abs(z) <= Z_GATE
+    else:
+        z = 0.0
+        passed = empirical == exact
+    config = {
+        "check": check,
+        "l": params.l,
+        "r": params.r,
+        "n": params.n,
+        **settings,
+        "w": w,
+        "s": s,
+        "trials": trials,
+        "master_seed": master_seed,
+    }
+    return EventRateCheck(empirical, exact, z, passed, trials, config)

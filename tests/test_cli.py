@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -392,6 +393,22 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err == "error: n must lie within the float range\n"
+
+    def test_n_past_the_weight_walk_limit_is_a_guard_refusal(self, capsys):
+        # raising --enum-limit with --n passes the decoder's guard, and the
+        # typical-set walk over every weight refuses n = 10^9 at once
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", str(10**9),
+            "--p", "0.1", "--trials", "1", "--seed", "1", "--enum-limit", str(10**9),
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: typical-set walk over the weights 0..1000000000 refused (limit n=1000000)\n"
+        )
 
     def test_guard_exit_code(self, capsys):
         code, _, err = run(

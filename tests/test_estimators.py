@@ -18,7 +18,7 @@ from pooltest import (
     sample_graph,
     typical_weight_set,
 )
-from pooltest.estimators import weight_rate
+from pooltest.estimators import WEIGHT_WALK_LIMIT, weight_rate
 
 
 class TestWeightRate:
@@ -95,6 +95,12 @@ class TestTypicalSet:
 
     def test_empty_window(self):
         assert typical_weight_set(TypicalSetSpec(18, 0.02, 0.1)) == frozenset()
+
+    def test_walk_past_its_limit_is_refused(self):
+        # the walk visits every weight 0..n, so a huge n is a guard refusal
+        # (GuardError, exit 3), not a walk that runs for minutes
+        with pytest.raises(GuardError, match="limit n=1000000"):
+            typical_weight_set(TypicalSetSpec(WEIGHT_WALK_LIMIT + 1, 0.1, 0.1))
 
 
 class TestDecisionSetNoiseless:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from brute_force import exponent_infimum, threshold_function
 from pooltest import TestFunction as PoolFunction
 from pooltest import genfunc
+from pooltest.bounds import _optimized_margin
 from pooltest import (
     InputError,
     SystemParams,
@@ -768,6 +770,48 @@ class TestDirectExponent:
         limit = -3 + 2 * binary_entropy(0.1) + math.log2(0.1 * 9**2)
         assert d.z == math.inf and d.sigma == 2.0
         assert d.value == pytest.approx(limit, abs=1e-12)
+
+    @staticmethod
+    def float_route_terms(r, q):
+        # the log-terms as they were formed: through the float enumerators,
+        # whose binomials overflow from r near 1030
+        return tuple(genfunc._log_terms(c) for c in genfunc._fire_quiet(r, q, 1.0 - q))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        l=st.integers(min_value=1, max_value=60),
+        r=st.integers(min_value=1, max_value=60),
+        p=st.floats(min_value=0.001, max_value=0.6),
+        q=st.just(0.0) | st.floats(min_value=1e-6, max_value=0.49),
+    )
+    def test_log_terms_agree_with_the_float_route(self, l, r, p, q):
+        fire, quiet = genfunc._fire_quiet_log_terms(r, q)
+        for got, expected in zip((fire, quiet), self.float_route_terms(r, q)):
+            assert [j for j, _ in got] == [j for j, _ in expected]
+            assert all(abs(a - b) <= 1e-12 for (_, a), (_, b) in zip(got, expected))
+        try:
+            direct = noisy_direct_exponent(l, r, p, q)
+        except InputError:
+            direct = None
+        with mock.patch.object(genfunc, "_fire_quiet_log_terms", self.float_route_terms):
+            try:
+                reference = noisy_direct_exponent(l, r, p, q)
+            except InputError:
+                reference = None
+        assert (direct is None) == (reference is None)
+        if direct is not None:
+            assert direct.value == pytest.approx(reference.value, abs=1e-12)
+
+    @pytest.mark.parametrize("l,r", [(3, 1100), (3, 3000), (3000, 3000)])
+    def test_finite_past_the_float_range_of_the_binomials(self, l, r):
+        # C(r, r/2) is past the float range here, and the q = 0 value has a
+        # closed form in bounds that forms no binomial
+        with pytest.raises(OverflowError):
+            float(math.comb(r, r // 2))
+        for p in (0.0003, 0.01, 0.2):
+            direct = noiseless_direct_exponent(l, r, p)
+            assert direct.value == pytest.approx(_optimized_margin(l, r, p), abs=1e-12)
+        assert math.isfinite(noisy_direct_exponent(l, r, 0.01, 0.1).value)
 
     def test_unbounded_for_every_weight_raises(self):
         # r < l*p: every branch falls without bound as z -> inf

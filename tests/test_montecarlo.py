@@ -5,13 +5,14 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from operator import or_
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pooltest.montecarlo
-from brute_force import eager_run_trials, object_tests
+from brute_force import eager_run_trials, loop_gate, object_tests
 from pooltest import (
     InputError,
     SystemParams,
@@ -27,7 +28,7 @@ from pooltest import (
     validate_event_probability,
     validate_noisy_event_probability,
 )
-from pooltest.ensemble import _object_masks, _shuffle, _shuffle_steps, _test_bits
+from pooltest.ensemble import _object_masks, _partial_shuffles, _shuffle, _shuffle_steps, _test_bits
 from pooltest.montecarlo import _mask_sampler
 
 
@@ -373,6 +374,38 @@ class TestEventRateValidators:
         assert check.empirical == pytest.approx(1 / 6, abs=0.02)
 
 
+class TestLoopGateReference:
+    """The gates draw a block of trials' sockets in one _partial_shuffles
+    call and then the block's flips; brute_force.loop_gate, the gate as it
+    was, draws each trial's sockets and flips in turn.  The two streams are
+    separate, so every check must be equal, field for field."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        system=st.sampled_from(
+            [(1, 2, 2), (1, 2, 4), (2, 4, 6), (2, 3, 9), (3, 6, 12), (1, 1, 4), (4, 2, 3), (3, 1, 2), (3, 2, 4)]
+        ),
+        q=st.just(0.0) | st.floats(min_value=0.01, max_value=0.5),
+        trials=st.integers(min_value=1, max_value=40),
+        block=st.sampled_from([pooltest.montecarlo.GATE_BLOCK, 1, 7]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @example(system=(1, 2, 4), q=0.25, trials=20, block=7, seed=18)
+    def test_checks_equal_the_loop(self, system, q, trials, block, seed):
+        params = SystemParams(*system, q=q)
+        with mock.patch.object(pooltest.montecarlo, "GATE_BLOCK", block):
+            for w in range(params.n + 1):
+                for s in range(params.m + 1):
+                    clean = validate_event_probability(params, w, s, trials, seed)
+                    noisy = validate_noisy_event_probability(params, w, s, trials, seed)
+                    assert clean == loop_gate(
+                        "noiseless-event-rate", replace(params, q=0), w, s, trials, seed, {}
+                    ), (w, s)
+                    assert noisy == loop_gate(
+                        "noisy-event-rate", params, w, s, trials, seed, {"q": q}
+                    ), (w, s)
+
+
 class TestStdlibReplay:
     """The graph draws replay random.Random.shuffle through getrandbits, so
     that seeded reports keep the stdlib's streams.  If a Python release
@@ -408,7 +441,9 @@ class TestPartialShuffle:
     """The gates run the first k steps of _shuffle and read the last k
     entries.  Fed every sequence of accepted indices, each after a rejected
     draw where one exists, those k steps must give every ordered k-sample
-    of the list exactly once, from any starting arrangement."""
+    of the list exactly once, from any starting arrangement.  The gates run
+    them through _partial_shuffles, which must draw and swap as _shuffle
+    does and OR the entries each round fixes."""
 
     @staticmethod
     def scripted(indices, steps):
@@ -442,6 +477,31 @@ class TestPartialShuffle:
                     samples.append(tuple(x[n - k:]))
                 assert len(samples) == len(set(samples)) == len(expected)
                 assert set(samples) == expected
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rounds_or_the_entries_each_round_fixes(self, n, rounds):
+        # _partial_shuffles against `rounds` calls of _shuffle on one list,
+        # fed the same scripted draws; distinct bits make each OR name the
+        # entries it took
+        rng = random.Random(10 * n + rounds)
+        for k in range(n):
+            steps = _shuffle_steps(n)[:k]
+            sequences = list(itertools.product(*(range(i + 1) for i, _ in steps)))
+            for _ in range(40):
+                script = [rng.choice(sequences) for _ in range(rounds)]
+                start = [1 << v for v in rng.sample(range(n), n)]
+                expected, x = [], list(start)
+                for indices in script:
+                    getrandbits, left = self.scripted(indices, steps)
+                    _shuffle(getrandbits, x, steps)
+                    assert not left
+                    expected.append(reduce(or_, x[n - k:], 0))
+                getrandbits, left = self.scripted(sum(script, ()), steps * rounds)
+                got = list(start)
+                assert _partial_shuffles(getrandbits, got, steps, rounds) == expected
+                assert not left
+                assert got == x
 
 
 class TestPinnedOutput:
