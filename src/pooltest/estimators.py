@@ -18,6 +18,7 @@ which is COMP: no object wired into a clear test is tried.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,6 +31,10 @@ DEFAULT_EPSILON = 0.1
 ENUMERATION_LIMIT = 24
 # typical_weight_set walks every weight 0..n, about 0.7 s at this n
 WEIGHT_WALK_LIMIT = 10**6
+# supports one decoder scan may try, about 2-4 s of scanning; c candidates
+# have 2^c supports, so scans over at most _SCAN_FREE of them go uncounted
+_SCAN_FREE = 22
+SCAN_NODE_LIMIT = 2**_SCAN_FREE
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,12 @@ def _scan_or_consistent(
     A support that lights more than max(flips) tests outside `target` is
     pruned together with everything below it, since that count only grows
     along a branch.  At budget 0 the per-object filter already enforces the
-    bound, so the scan skips the per-node check."""
+    bound, so the scan skips the per-node check.
+
+    A scan whose candidates have more than SCAN_NODE_LIMIT supports no
+    heavier than the largest typical weight counts the supports it tries,
+    and refuses with GuardError once they pass that limit; smaller scans
+    count nothing."""
     found: list[tuple[int, ...]] = []
     if not weights or not flips:
         return found
@@ -152,6 +162,23 @@ def _scan_or_consistent(
     ]
     w_max = max(weights)
     chosen: list[int] = []
+    push = chosen.append
+    c = len(candidates)
+    if c > _SCAN_FREE and any(
+        total > SCAN_NODE_LIMIT
+        for total in itertools.accumulate(math.comb(c, k) for k in range(w_max + 1))
+    ):
+        tried = 0
+
+        def push(i: int) -> None:
+            nonlocal tried
+            tried += 1
+            if tried > SCAN_NODE_LIMIT:
+                raise GuardError(
+                    f"decoder scan over {c} candidate objects refused "
+                    f"(limit {SCAN_NODE_LIMIT} supports)"
+                )
+            chosen.append(i)
 
     def rec(start: int, mask: int) -> bool:
         depth = len(chosen)
@@ -165,7 +192,7 @@ def _scan_or_consistent(
             child = mask | masks[candidates[idx]]
             if budget and (child & outside).bit_count() > budget:
                 continue
-            chosen.append(candidates[idx])
+            push(candidates[idx])
             if rec(idx + 1, child):
                 return True
             chosen.pop()

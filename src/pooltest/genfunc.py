@@ -602,10 +602,18 @@ def _minimax_interior_point(pieces: list, ratio: float, lp: list[float], u: list
     Convex Optimization, 2004, 11.7) on the epigraph form: minimize t over
     x = (u, t) subject to f_k = g_k - t < 0, with multipliers lam_k.  Each
     Newton step solves one (d+1)x(d+1) system, the multiplier step
-    eliminated, and backtracks until every f_k < 0, every lam_k > 0 and the
-    residual norm falls.  The surrogate gap sum_k lam_k (t - g_k) bounds
-    value - infimum once the dual residual vanishes; converged means both
-    are at most GAP_TOL."""
+    eliminated, and backtracks by 1.5 until every f_k < 0, every lam_k > 0
+    and the residual norm falls.  The surrogate gap sum_k lam_k (t - g_k)
+    bounds value - infimum once the dual residual vanishes; converged means
+    both are at most GAP_TOL.
+
+    Each step aims at the centre tau = K/(sigma*gap) of the K pieces.  After
+    a step that backtracking left whole, sigma = min(0.1, sqrt(gap)) and the
+    step may go max(0.99, 1 - gap) of the way to the multipliers' boundary,
+    so the gap falls superlinearly once the iterate has converged (Nocedal &
+    Wright, Numerical Optimization, 2006, 14.2; S. J. Wright, Primal-Dual
+    Interior-Point Methods, SIAM, 1997).  Otherwise, or when no step at the
+    smaller sigma reduces the residual, sigma = 0.1 and the fraction 0.99."""
     n = len(u) + 1
 
     def state(x):
@@ -625,13 +633,13 @@ def _minimax_interior_point(pieces: list, ratio: float, lp: list[float], u: list
         return dual, [l_k * (x[-1] - v) - 1.0 / tau for l_k, (v, _, _) in zip(lam, g)]
 
     g = state(u + [0.0])
-    x = u + [max(v for v, _, _ in g) + 1.0]
+    x = u + [max(v for v, _, _ in g) + 0.3]
     lam = [1.0 / len(pieces)] * len(pieces)
+    whole = False
     for steps in range(MAX_NEWTON_STEPS + 1):
         slack = [x[-1] - v for v, _, _ in g]
         gap = sum(map(operator.mul, lam, slack))
-        tau = 10.0 * len(pieces) / gap
-        dual, cent = residuals(x, lam, g, tau)
+        dual, _ = residuals(x, lam, g, math.inf)
         converged = gap <= GAP_TOL and math.hypot(*dual) <= GAP_TOL
         if converged or steps == MAX_NEWTON_STEPS:
             break
@@ -641,29 +649,37 @@ def _minimax_interior_point(pieces: list, ratio: float, lp: list[float], u: list
              for j in range(n)]
             for i in range(n)
         ]
-        rhs = [-sum(a[i] / (tau * s_k) for s_k, (_, a, _) in zip(slack, g)) for i in range(n)]
-        rhs[-1] -= 1.0
-        dx = _solve_linear(matrix, rhs)
-        if dx is None:
+        for sigma in (math.sqrt(gap), 0.1) if whole and gap < 0.01 else (0.1,):
+            tau = len(pieces) / (sigma * gap)
+            _, cent = residuals(x, lam, g, tau)
+            rhs = [-sum(a[i] / (tau * s_k) for s_k, (_, a, _) in zip(slack, g)) for i in range(n)]
+            rhs[-1] -= 1.0
+            dx = _solve_linear(matrix, rhs)
+            if dx is None:
+                continue  # singular at every sigma, so the loop's else stops
+            dlam = [
+                (l_k * sum(map(operator.mul, a, dx)) - c_k) / s_k
+                for l_k, c_k, s_k, (_, a, _) in zip(lam, cent, slack, g)
+            ]
+            fraction = max(0.99, 1 - gap) if sigma < 0.1 else 0.99
+            step = fraction * min([1.0] + [-l_k / dl for l_k, dl in zip(lam, dlam) if dl < 0])
+            norm = math.hypot(*dual, *cent)
+            for tries in range(52):  # 1.5^-52 is about 2^-30
+                x_new = [a + step * b for a, b in zip(x, dx)]
+                lam_new = [a + step * b for a, b in zip(lam, dlam)]
+                g_new = state(x_new)
+                if all(v < x_new[-1] for v, _, _ in g_new):
+                    dual_new, cent_new = residuals(x_new, lam_new, g_new, tau)
+                    if math.hypot(*dual_new, *cent_new) <= (1 - 0.01 * step) * norm:
+                        break
+                step /= 1.5
+            else:
+                continue  # no step reduces the residual at this sigma
             break
-        dlam = [
-            (l_k * sum(map(operator.mul, a, dx)) - c_k) / s_k
-            for l_k, c_k, s_k, (_, a, _) in zip(lam, cent, slack, g)
-        ]
-        step = 0.99 * min([1.0] + [-l_k / dl for l_k, dl in zip(lam, dlam) if dl < 0])
-        norm = math.hypot(*dual, *cent)
-        for _ in range(30):
-            x_new = [a + step * b for a, b in zip(x, dx)]
-            lam_new = [a + step * b for a, b in zip(lam, dlam)]
-            g_new = state(x_new)
-            if all(v < x_new[-1] for v, _, _ in g_new):
-                dual_new, cent_new = residuals(x_new, lam_new, g_new, tau)
-                if math.hypot(*dual_new, *cent_new) <= (1 - 0.01 * step) * norm:
-                    break
-            step /= 2
         else:
-            break  # no step reduces the residual: rounding has stalled it
+            break  # none at sigma = 0.1 either: rounding has stalled it
         x, lam, g = x_new, lam_new, g_new
+        whole = tries == 0
     return x[:-1], max(v for v, _, _ in g), steps, gap, converged
 
 

@@ -410,6 +410,33 @@ class TestSimulateCommand:
             "error: typical-set walk over the weights 0..1000000000 refused (limit n=1000000)\n"
         )
 
+    def test_decoder_scan_past_the_node_limit_is_a_guard_refusal(self):
+        # n = 1200 passes the decoder's guard and the weight walk, but a
+        # trial's scan would try more supports than SCAN_NODE_LIMIT.  Run as
+        # its own process: how fast CPython 3.11 recurses depends on the
+        # stack depth the scan starts at, and pytest's is several times slower.
+        env = dict(os.environ, PYTHONPATH=str(Path(pooltest.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pooltest", "simulate", "--mode", "noiseless", "--l", "3",
+             "--r", "6", "--n", "1200", "--p", "0.1", "--trials", "3", "--seed", "1",
+             "--enum-limit", "1200"],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: decoder scan over 169 candidate objects refused (limit 4194304 supports)\n"
+        )
+
+    def test_decoder_scan_under_the_node_limit_decodes(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", "300",
+            "--p", "0.1", "--trials", "3", "--seed", "1", "--enum-limit", "300",
+        )
+        assert code == 0
+        assert json.loads(out)["trials"] == 3
+
     def test_guard_exit_code(self, capsys):
         code, _, err = run(
             capsys,

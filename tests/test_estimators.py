@@ -18,7 +18,8 @@ from pooltest import (
     sample_graph,
     typical_weight_set,
 )
-from pooltest.estimators import WEIGHT_WALK_LIMIT, weight_rate
+from pooltest import estimators
+from pooltest.estimators import WEIGHT_WALK_LIMIT, _scan_or_consistent, weight_rate
 
 
 class TestWeightRate:
@@ -163,6 +164,42 @@ class TestDecisionSetNoiseless:
         with pytest.raises(GuardError):
             decision_set_noiseless(graph, spec, y, enumeration_limit=10)
         assert decision_set_noiseless(graph, spec, y, enumeration_limit=12)
+
+
+class TestScanNodeLimit:
+    # five objects, each alone in its own test, all tests lit: every subset
+    # of the five is a node, 2^5 - 1 of them below the root
+    MASKS = [1 << i for i in range(5)]
+    TARGET = 0b11111
+
+    @pytest.fixture
+    def limit(self, monkeypatch):
+        # a 16-support limit, under which 2^4 candidates go uncounted
+        monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", 16)
+        monkeypatch.setattr(estimators, "_SCAN_FREE", 4)
+
+    def test_scan_past_the_limit_is_refused(self, limit):
+        with pytest.raises(GuardError, match=r"^decoder scan over 5 candidate objects refused \(limit 16 supports\)$"):
+            _scan_or_consistent(self.MASKS, self.TARGET, frozenset({0}), frozenset(range(6)), None)
+
+    def test_scan_that_cannot_pass_the_limit_is_not_counted(self, limit):
+        # 1 + 5 + 10 = 16 supports of weight 2 or less
+        found = _scan_or_consistent(self.MASKS, self.TARGET, frozenset({3}), frozenset({0, 1, 2}), None)
+        assert len(found) == 10
+
+    def test_counted_scan_that_stops_early_is_not_refused(self, limit):
+        # the first full-depth support lights every test, and the cap stops there
+        found = _scan_or_consistent(self.MASKS, self.TARGET, frozenset({0}), frozenset(range(6)), 1)
+        assert found == [(0, 1, 2, 3, 4)]
+
+    def test_counting_leaves_the_result_alone(self, monkeypatch):
+        args = (self.MASKS, self.TARGET, frozenset({2, 3}), frozenset(range(6)), None)
+        free = _scan_or_consistent(*args)
+        # 31 supports below the root: counted, and exactly at the limit
+        monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", 31)
+        monkeypatch.setattr(estimators, "_SCAN_FREE", 4)
+        assert _scan_or_consistent(*args) == free
+        assert len(free) == 20
 
 
 class TestDecisionSetNoisy:
