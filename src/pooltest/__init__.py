@@ -39,7 +39,6 @@ from .ensemble import (
 )
 from .errors import GuardError, InputError
 from .estimators import (
-    ENUMERATION_LIMIT,
     Estimate,
     TypicalSetSpec,
     decision_set_noiseless,
@@ -77,7 +76,6 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ENUMERATION_LIMIT",
     "DirectExponent",
     "Estimate",
     "EventRateCheck",

@@ -26,7 +26,7 @@ from .ensemble import (
     or_function,
 )
 from .errors import GuardError, InputError
-from .estimators import DEFAULT_EPSILON, ENUMERATION_LIMIT
+from .estimators import DEFAULT_EPSILON
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -147,8 +147,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    run = {"trials": args.trials, "master_seed": args.seed, "graph_mode": args.graph_mode,
-           "enumeration_limit": args.enum_limit}
+    run = {"trials": args.trials, "master_seed": args.seed, "graph_mode": args.graph_mode}
     if args.mode == "noiseless":
         params = SystemParams(args.l, args.r, args.n, p=args.p)
         report = _mc.run_noiseless_trials(params, epsilon=args.eps, **run)
@@ -481,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--graph-mode", choices=("fixed", "fresh"), default="fresh")
-    s.add_argument("--enum-limit", type=int, default=ENUMERATION_LIMIT,
-                   help="refuse exhaustive decoding beyond this many objects")
     s.add_argument("--out", help="output path (default: stdout)")
     s.set_defaults(func=cmd_simulate)
 

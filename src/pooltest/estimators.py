@@ -3,8 +3,8 @@
 The decoder observes the m test outcomes and searches the typical set of
 inputs for those consistent with them; it answers only when exactly one
 input survives.  Everything is exhaustive enumeration over a weight
-window, so n is guarded, but the OR structure lets the scan prune and stop
-early once ambiguity is certain.
+window, so each scan is budgeted, but the OR structure lets the scan prune
+and stop early once ambiguity is certain.
 
 The prune is a flip budget.  A test outside y that a partial support lights
 can only be explained by a flip, and it stays lit as objects are added, so
@@ -18,23 +18,22 @@ which is COMP: no object wired into a clear test is tried.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import binary_entropy
-from .ensemble import PoolingGraph, _object_masks, _test_bits
+from .ensemble import PoolingGraph, SystemParams, _object_masks, _test_bits
 from .errors import GuardError, InputError
 
 DEFAULT_EPSILON = 0.1
-ENUMERATION_LIMIT = 24
 # typical_weight_set walks every weight 0..n, about 0.7 s at this n
 WEIGHT_WALK_LIMIT = 10**6
-# supports one decoder scan may try, about 2-4 s of scanning; c candidates
-# have 2^c supports, so scans over at most _SCAN_FREE of them go uncounted
-_SCAN_FREE = 22
-SCAN_NODE_LIMIT = 2**_SCAN_FREE
+# n*l*m: the decoder holds one test bit per right socket, each up to m bits
+# wide and about m/2 on average, so this is about 128 MB of them
+TEST_BITS_LIMIT = 2**31
+# supports one decoder scan may try, about 2-4 s of scanning
+SCAN_NODE_LIMIT = 2**22
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,14 @@ class Estimate:
         return self.value is None
 
 
-def _check_guard(n: int, limit: int) -> None:
-    if n > limit:
+def _check_guard(params: SystemParams) -> None:
+    """Refuse a system whose test bits would not fit in memory, before any
+    of them is built."""
+    bits = params.n * params.l * params.m
+    if bits > TEST_BITS_LIMIT:
         raise GuardError(
-            f"exhaustive decoding over n={n} objects refused (limit {limit})"
+            f"decoding with n*l*m = {bits} socket test bits refused "
+            f"(limit {TEST_BITS_LIMIT})"
         )
 
 
@@ -139,19 +142,18 @@ def _scan_or_consistent(
     weights: frozenset[int],
     cap: int | None,
 ) -> list[tuple[int, ...]]:
-    """Depth-first scan over supports, collecting those whose weight is
-    typical and whose union-of-pools mask differs from `target` in a number
-    of tests that lies in the noise window `flips`.
+    """Depth-first scan over supports, collecting in pre-order those whose
+    weight is typical and whose union-of-pools mask differs from `target`
+    in a number of tests that lies in the noise window `flips`.
 
     A support that lights more than max(flips) tests outside `target` is
     pruned together with everything below it, since that count only grows
     along a branch.  At budget 0 the per-object filter already enforces the
     bound, so the scan skips the per-node check.
 
-    A scan whose candidates have more than SCAN_NODE_LIMIT supports no
-    heavier than the largest typical weight counts the supports it tries,
-    and refuses with GuardError once they pass that limit; smaller scans
-    count nothing."""
+    The scan backtracks iteratively (Knuth, TAOCP 7.2.2), so its depth is
+    not bounded by the interpreter's stack.  It counts the supports it
+    tries and refuses with GuardError once they pass SCAN_NODE_LIMIT."""
     found: list[tuple[int, ...]] = []
     if not weights or not flips:
         return found
@@ -160,59 +162,59 @@ def _scan_or_consistent(
     candidates = [
         i for i in range(len(masks)) if (masks[i] & outside).bit_count() <= budget
     ]
-    w_max = max(weights)
-    chosen: list[int] = []
-    push = chosen.append
+    candidate_masks = [masks[i] for i in candidates]
     c = len(candidates)
-    if c > _SCAN_FREE and any(
-        total > SCAN_NODE_LIMIT
-        for total in itertools.accumulate(math.comb(c, k) for k in range(w_max + 1))
-    ):
-        tried = 0
-
-        def push(i: int) -> None:
-            nonlocal tried
-            tried += 1
-            if tried > SCAN_NODE_LIMIT:
-                raise GuardError(
-                    f"decoder scan over {c} candidate objects refused "
-                    f"(limit {SCAN_NODE_LIMIT} supports)"
-                )
-            chosen.append(i)
-
-    def rec(start: int, mask: int) -> bool:
-        depth = len(chosen)
-        if depth in weights and (mask ^ target).bit_count() in flips:
+    w_max = max(weights)
+    chosen: list[int] = []  # the support being visited
+    path: list[int] = []  # its objects' candidate positions
+    unions = [0]  # unions[d]: union mask of the first d objects on the path
+    nxt = tried = 0  # nxt: position of the next candidate to try below it
+    while True:
+        depth = len(path)
+        if depth in weights and (unions[-1] ^ target).bit_count() in flips:
             found.append(tuple(chosen))
             if cap is not None and len(found) >= cap:
-                return True
+                return found
         if depth == w_max:
-            return False
-        for idx in range(start, len(candidates)):
-            child = mask | masks[candidates[idx]]
-            if budget and (child & outside).bit_count() > budget:
-                continue
-            push(candidates[idx])
-            if rec(idx + 1, child):
-                return True
+            nxt = c
+        # the next support in pre-order adds the first unpruned candidate
+        # from nxt on, after backing up past every support that has none
+        while True:
+            parent = unions[-1]
+            while nxt < c:
+                child = parent | candidate_masks[nxt]
+                if not budget or (child & outside).bit_count() <= budget:
+                    break
+                nxt += 1
+            if nxt < c:
+                break
+            if not path:
+                return found
+            nxt = path.pop() + 1
             chosen.pop()
-        return False
-
-    rec(0, 0)
-    return found
+            unions.pop()
+        tried += 1
+        if tried > SCAN_NODE_LIMIT:
+            raise GuardError(
+                f"decoder scan over {c} candidate objects refused "
+                f"(limit {SCAN_NODE_LIMIT} supports)"
+            )
+        chosen.append(candidates[nxt])
+        path.append(nxt)
+        unions.append(child)
+        nxt += 1
 
 
 def decision_set_noiseless(
     graph: PoolingGraph,
     spec: TypicalSetSpec,
     y: Sequence[int],
-    enumeration_limit: int = ENUMERATION_LIMIT,
     cap: int | None = None,
 ) -> list[tuple[int, ...]]:
     """All typical inputs whose noiseless OR outcome equals y, as vectors:
     the noisy decision set at flip rate 0, whose noise window is {0}."""
     noise_spec = TypicalSetSpec(graph.params.m, 0.0, 0.0)
-    return decision_set_noisy(graph, spec, noise_spec, y, enumeration_limit, cap)
+    return decision_set_noisy(graph, spec, noise_spec, y, cap)
 
 
 def decision_set_noisy(
@@ -220,7 +222,6 @@ def decision_set_noisy(
     spec: TypicalSetSpec,
     noise_spec: TypicalSetSpec,
     y: Sequence[int],
-    enumeration_limit: int = ENUMERATION_LIMIT,
     cap: int | None = None,
 ) -> list[tuple[int, ...]]:
     """All typical inputs x such that the flip pattern y xor F_G(x) is itself
@@ -232,7 +233,7 @@ def decision_set_noisy(
         raise InputError("noise window length differs from the test count")
     if len(y) != params.m:
         raise InputError(f"y has length {len(y)}, expected m={params.m}")
-    _check_guard(params.n, enumeration_limit)
+    _check_guard(params)
     bits = _test_bits(params)
     supports = _scan_or_consistent(
         _object_masks([bits[k] for k in graph.wiring], params.l),
@@ -254,7 +255,6 @@ def estimate_noiseless(
     graph: PoolingGraph,
     spec: TypicalSetSpec,
     y: Sequence[int],
-    enumeration_limit: int = ENUMERATION_LIMIT,
     cap: int | None = None,
 ) -> Estimate:
     """The unique typical input consistent with y, or failure.
@@ -262,7 +262,7 @@ def estimate_noiseless(
     `cap` bounds the scan; 2 is enough to decide success and is what the
     trial harness uses.  With the default (no cap) decision_count is |D(y)|.
     """
-    return _to_estimate(decision_set_noiseless(graph, spec, y, enumeration_limit, cap))
+    return _to_estimate(decision_set_noiseless(graph, spec, y, cap))
 
 
 def estimate_noisy(
@@ -270,11 +270,8 @@ def estimate_noisy(
     spec: TypicalSetSpec,
     noise_spec: TypicalSetSpec,
     y: Sequence[int],
-    enumeration_limit: int = ENUMERATION_LIMIT,
     cap: int | None = None,
 ) -> Estimate:
     """The unique typical input explaining y through a typical flip pattern,
     or failure."""
-    return _to_estimate(
-        decision_set_noisy(graph, spec, noise_spec, y, enumeration_limit, cap)
-    )
+    return _to_estimate(decision_set_noisy(graph, spec, noise_spec, y, cap))

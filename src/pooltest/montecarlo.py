@@ -42,7 +42,6 @@ from .ensemble import (
 )
 from .errors import InputError
 from .estimators import (
-    ENUMERATION_LIMIT,
     TypicalSetSpec,
     _check_guard,
     _scan_or_consistent,
@@ -113,7 +112,6 @@ def _run_trials(
     trials: int,
     master_seed: int,
     graph_mode: str,
-    enumeration_limit: int,
     settings: dict,
 ) -> TrialReport:
     """Decode `trials` random observations with outcomes flipped at rate
@@ -133,9 +131,11 @@ def _run_trials(
         raise InputError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
     if trials < 0:
         raise InputError("trials must be nonnegative")
-    _check_guard(params.n, enumeration_limit)
     n, m, p, q = params.n, params.m, params.p, float(params.q)
-    x_weights = typical_weight_set(TypicalSetSpec(n, p, epsilon_input))
+    # an n past the float range is a usage error, not a guard refusal
+    x_spec = TypicalSetSpec(n, p, epsilon_input)
+    _check_guard(params)
+    x_weights = typical_weight_set(x_spec)
     e_weights = typical_weight_set(TypicalSetSpec(m, q, epsilon_noise))
     graph_masks = _mask_sampler(params)
     fixed = (
@@ -184,7 +184,6 @@ def _run_trials(
         "trials": trials,
         "master_seed": master_seed,
         "graph_mode": graph_mode,
-        "enumeration_limit": enumeration_limit,
     }
     return TrialReport(
         trials=trials,
@@ -205,13 +204,12 @@ def run_noiseless_trials(
     trials: int,
     master_seed: int,
     graph_mode: str = "fresh",
-    enumeration_limit: int = ENUMERATION_LIMIT,
 ) -> TrialReport:
     """Decode `trials` random noiseless observations and count failures:
     the noisy harness at q = 0, whatever params.q says."""
     return _run_trials(
         "noiseless", replace(params, q=0), epsilon, 0.0, trials, master_seed, graph_mode,
-        enumeration_limit, {"epsilon": epsilon},
+        {"epsilon": epsilon},
     )
 
 
@@ -222,7 +220,6 @@ def run_noisy_trials(
     trials: int,
     master_seed: int,
     graph_mode: str = "fresh",
-    enumeration_limit: int = ENUMERATION_LIMIT,
 ) -> TrialReport:
     """Decode `trials` random observations with flipped outcomes and count
     failures.  With q = 0 only the all-zero flip pattern is typical, so the
@@ -230,7 +227,7 @@ def run_noisy_trials(
     settings = {"q": float(params.q), "epsilon_input": epsilon_input, "epsilon_noise": epsilon_noise}
     return _run_trials(
         "noisy", params, epsilon_input, epsilon_noise, trials, master_seed, graph_mode,
-        enumeration_limit, settings,
+        settings,
     )
 
 

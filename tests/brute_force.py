@@ -33,7 +33,7 @@ from pooltest.ensemble import (
     _shuffle_steps,
     _test_bits,
 )
-from pooltest.estimators import ENUMERATION_LIMIT, _check_guard, _scan_or_consistent
+from pooltest.estimators import _check_guard, _scan_or_consistent
 from pooltest.genfunc import (
     _check_exponent_args,
     _log_terms,
@@ -167,7 +167,8 @@ def brute_force_decision_set_noiseless(
     """Scan all 2^n inputs with no weight pruning: the typical ones whose
     OR outcome is y."""
     params = graph.params
-    _check_guard(params.n, 20)
+    if params.n > 20:
+        raise GuardError(f"brute-force decoding over n={params.n} objects refused (limit 20)")
     y = tuple(y)
     weights = typical_weight_set(spec)
     members = []
@@ -176,6 +177,24 @@ def brute_force_decision_set_noiseless(
         if sum(x) in weights and forward_or(graph, x) == y:
             members.append(x)
     return members
+
+
+def brute_force_scan(
+    masks: list[int], target: int, flips: frozenset[int], weights: frozenset[int]
+) -> list[tuple[int, ...]]:
+    """Every support whose weight lies in `weights` and whose union of masks
+    differs from `target` in a number of tests that lies in `flips`, in
+    tuple order, which is the pre-order of a depth-first scan."""
+    members = []
+    for support in itertools.chain.from_iterable(
+        itertools.combinations(range(len(masks)), k) for k in sorted(weights)
+    ):
+        union = 0
+        for i in support:
+            union |= masks[i]
+        if (union ^ target).bit_count() in flips:
+            members.append(support)
+    return sorted(members)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +249,6 @@ def eager_run_trials(
     trials: int,
     master_seed: int,
     graph_mode: str,
-    enumeration_limit: int = ENUMERATION_LIMIT,
     settings: dict | None = None,
 ) -> TrialReport:
     """montecarlo._run_trials as it was before a trial skipped what its
@@ -241,9 +259,10 @@ def eager_run_trials(
         raise InputError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
     if trials < 0:
         raise InputError("trials must be nonnegative")
-    _check_guard(params.n, enumeration_limit)
     n, m, p, q = params.n, params.m, params.p, float(params.q)
-    x_weights = typical_weight_set(TypicalSetSpec(n, p, epsilon_input))
+    x_spec = TypicalSetSpec(n, p, epsilon_input)
+    _check_guard(params)
+    x_weights = typical_weight_set(x_spec)
     e_weights = typical_weight_set(TypicalSetSpec(m, q, epsilon_noise))
     graph_masks = _mask_sampler(params)
     fixed = (
@@ -288,7 +307,6 @@ def eager_run_trials(
         "trials": trials,
         "master_seed": master_seed,
         "graph_mode": graph_mode,
-        "enumeration_limit": enumeration_limit,
     }
     return TrialReport(
         trials=trials,

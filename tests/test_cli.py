@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -20,7 +21,7 @@ from pooltest import (
     threshold_lower,
     threshold_upper,
 )
-from pooltest.cli import main
+from pooltest.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -314,10 +315,9 @@ SWEEP_BASES = (
      "--sigma", "0.2", "--z-min", "0.1", "--z-max", "2", "--steps", "3"),
     ("thresholds", "--pairs", "3:6", "--precision", "6"),
     ("simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", "12", "--p", "0.1",
-     "--eps", "0.1", "--trials", "3", "--seed", "1", "--enum-limit", "24"),
+     "--eps", "0.1", "--trials", "3", "--seed", "1"),
     ("simulate", "--mode", "noisy", "--l", "3", "--r", "6", "--n", "12", "--p", "0.1",
-     "--q", "0.1", "--eps", "0.1", "--eps2", "0.1", "--trials", "3", "--seed", "1",
-     "--enum-limit", "24"),
+     "--q", "0.1", "--eps", "0.1", "--eps2", "0.1", "--trials", "3", "--seed", "1"),
     ("verify", "--suite", "montecarlo", "--trials", "200", "--seed", "1"),
     ("general", "--function", "{function}", "--l", "3", "--r", "6", "--p", "0.08"),
 )
@@ -326,15 +326,20 @@ SWEEP_BASES = (
 WORK_FLAGS = ("--steps", "--trials")
 
 
+def _numeric_flags(base):
+    """(position, flag) of each flag in a base whose value is a number."""
+    for i in range(1, len(base) - 1):
+        try:
+            float(base[i + 1])
+        except ValueError:
+            continue
+        yield i, base[i]
+
+
 def _sweep_cases(function_path):
     for base in SWEEP_BASES:
         base = [function_path if a == "{function}" else a for a in base]
-        for i in range(1, len(base) - 1):
-            flag = base[i]
-            try:
-                float(base[i + 1])
-            except ValueError:
-                continue
+        for i, flag in _numeric_flags(base):
             for value in SWEEP_VALUES:
                 if not (flag in WORK_FLAGS and value == HUGE):
                     yield base[:i + 1] + [value] + base[i + 2:]
@@ -343,6 +348,31 @@ def _sweep_cases(function_path):
         yield ["thresholds", "--pairs", f"{value}:6"]
         yield ["general", "--function", function_path, "--l", "3", "--r", "6",
                "--probs", f"0.5,{value}"]
+
+
+def test_sweep_bases_run_and_name_every_numeric_flag(capsys, tmp_path):
+    # the sweep accepts exit 2, so a base that fails as written (a stale or
+    # misspelt flag) would pass it without sweeping anything
+    function = tmp_path / "or.json"
+    function.write_text(json.dumps(or_function(6).to_json_dict()))
+    named = {}
+    for base in SWEEP_BASES:
+        base = [str(function) if a == "{function}" else a for a in base]
+        code, _, err = run(capsys, *base)
+        assert code == 0, (base, err[-200:])
+        named.setdefault(base[0], set()).update(flag for _, flag in _numeric_flags(base))
+    subcommands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    declared = {
+        name: {
+            action.option_strings[0] for action in sub._actions
+            if action.type in (int, float)
+        }
+        for name, sub in subcommands.items()
+    }
+    assert named == declared
 
 
 def test_numeric_flag_sweep_exits_cleanly(capsys, tmp_path):
@@ -382,26 +412,26 @@ class TestSimulateCommand:
         assert code_a == code_b == 0
         assert out_a == out_b
 
-    def test_huge_n_with_a_matching_enum_limit_is_an_input_error(self, capsys):
-        # raising --enum-limit with --n passes the guard, so the typical-set
-        # check is what must refuse an n past the float range
+    def test_huge_n_is_an_input_error(self, capsys):
+        # the typical-set check refuses an n past the float range before the
+        # decoder's n*l*m guard sees it
         code, out, err = run(
             capsys,
             "simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", HUGE,
-            "--enum-limit", HUGE, "--p", "0.1", "--trials", "1", "--seed", "1",
+            "--p", "0.1", "--trials", "1", "--seed", "1",
         )
         assert code == 2
         assert out == ""
         assert err == "error: n must lie within the float range\n"
 
     def test_n_past_the_weight_walk_limit_is_a_guard_refusal(self, capsys):
-        # raising --enum-limit with --n passes the decoder's guard, and the
+        # one test of 10^9 objects passes the decoder's n*l*m guard, and the
         # typical-set walk over every weight refuses n = 10^9 at once
         start = time.perf_counter()
         code, out, err = run(
             capsys,
-            "simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", str(10**9),
-            "--p", "0.1", "--trials", "1", "--seed", "1", "--enum-limit", str(10**9),
+            "simulate", "--mode", "noiseless", "--l", "1", "--r", str(10**9),
+            "--n", str(10**9), "--p", "0.1", "--trials", "1", "--seed", "1",
         )
         assert time.perf_counter() - start < 10
         assert code == 3
@@ -410,21 +440,17 @@ class TestSimulateCommand:
             "error: typical-set walk over the weights 0..1000000000 refused (limit n=1000000)\n"
         )
 
-    def test_decoder_scan_past_the_node_limit_is_a_guard_refusal(self):
-        # n = 1200 passes the decoder's guard and the weight walk, but a
-        # trial's scan would try more supports than SCAN_NODE_LIMIT.  Run as
-        # its own process: how fast CPython 3.11 recurses depends on the
-        # stack depth the scan starts at, and pytest's is several times slower.
-        env = dict(os.environ, PYTHONPATH=str(Path(pooltest.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pooltest", "simulate", "--mode", "noiseless", "--l", "3",
-             "--r", "6", "--n", "1200", "--p", "0.1", "--trials", "3", "--seed", "1",
-             "--enum-limit", "1200"],
-            env=env, capture_output=True, text=True, timeout=10,
+    def test_decoder_scan_past_the_node_limit_is_a_guard_refusal(self, capsys):
+        # n = 1200 passes the n*l*m guard and the weight walk, but a trial's
+        # scan would try more supports than SCAN_NODE_LIMIT
+        code, out, err = run(
+            capsys,
+            "simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", "1200",
+            "--p", "0.1", "--trials", "3", "--seed", "1",
         )
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr == (
+        assert code == 3
+        assert out == ""
+        assert err == (
             "error: decoder scan over 169 candidate objects refused (limit 4194304 supports)\n"
         )
 
@@ -432,29 +458,27 @@ class TestSimulateCommand:
         code, out, _ = run(
             capsys,
             "simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", "300",
-            "--p", "0.1", "--trials", "3", "--seed", "1", "--enum-limit", "300",
+            "--p", "0.1", "--trials", "3", "--seed", "1",
         )
         assert code == 0
         assert json.loads(out)["trials"] == 3
 
     def test_guard_exit_code(self, capsys):
-        code, _, err = run(
+        # n*l*m = 1.5 * 10^12 test bits is refused before the weight walk or
+        # any mask is built
+        start = time.perf_counter()
+        code, out, err = run(
             capsys,
             "simulate", "--mode", "noiseless", "--l", "3", "--r", "6",
-            "--n", "30", "--p", "0.05", "--trials", "10", "--seed", "1",
+            "--n", "1000000", "--p", "0.1", "--trials", "1", "--seed", "1",
         )
+        assert time.perf_counter() - start < 2
         assert code == 3
-        assert "enum" in err.lower() or "30" in err
-
-    def test_enum_limit_lifts_guard(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "simulate", "--mode", "noiseless", "--l", "3", "--r", "6",
-            "--n", "30", "--p", "0.05", "--trials", "5", "--seed", "1",
-            "--enum-limit", "30",
+        assert out == ""
+        assert err == (
+            "error: decoding with n*l*m = 1500000000000 socket test bits refused "
+            "(limit 2147483648)\n"
         )
-        assert code == 0
-        assert json.loads(out)["trials"] == 5
 
     def test_noisy_requires_q(self, capsys):
         code, _, err = run(

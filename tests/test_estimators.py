@@ -3,8 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brute_force import brute_force_decision_set_noiseless, weight_vector
+from brute_force import brute_force_decision_set_noiseless, brute_force_scan, weight_vector
 from pooltest import (
     GuardError,
     InputError,
@@ -18,8 +20,21 @@ from pooltest import (
     sample_graph,
     typical_weight_set,
 )
-from pooltest import estimators
-from pooltest.estimators import WEIGHT_WALK_LIMIT, _scan_or_consistent, weight_rate
+from pooltest import PoolingGraph, estimators
+from pooltest.estimators import (
+    WEIGHT_WALK_LIMIT,
+    _check_guard,
+    _scan_or_consistent,
+    weight_rate,
+)
+
+# the smallest (3, 6) system past the decoder's n*l*m guard
+LARGE_N = 37838
+
+
+def large_graph():
+    params = SystemParams(3, 6, LARGE_N)
+    return PoolingGraph(params, range(params.num_sockets))
 
 
 class TestWeightRate:
@@ -151,19 +166,38 @@ class TestDecisionSetNoiseless:
         capped = decision_set_noiseless(graph, spec, y, cap=2)
         assert len(capped) == 2
 
-    def test_guard_on_large_systems(self):
-        graph = sample_graph(SystemParams(3, 6, 30), 1)
-        spec = TypicalSetSpec(30, 0.1, 0.3)
-        with pytest.raises(GuardError):
-            decision_set_noiseless(graph, spec, (0,) * 15)
+    def test_guard_on_large_systems(self, monkeypatch):
+        # n*l*m = 3 * 37838 * 18919 passes 2^31 by 87,718; nothing is built
+        monkeypatch.setattr(estimators, "_test_bits", None)
+        graph = large_graph()
+        spec = TypicalSetSpec(LARGE_N, 0.1, 0.3)
+        with pytest.raises(GuardError, match=r"^decoding with n\*l\*m = 2147571366 socket test bits refused \(limit 2147483648\)$"):
+            decision_set_noiseless(graph, spec, (0,) * graph.params.m)
 
-    def test_guard_respects_custom_limit(self):
+    def test_guard_respects_custom_limit(self, monkeypatch):
         graph = sample_graph(SystemParams(3, 6, 12), 1)
         spec = TypicalSetSpec(12, 0.1, 0.3)
         y = forward_or(graph, weight_vector(12, 1))
+        # n*l*m = 12 * 3 * 6
+        monkeypatch.setattr(estimators, "TEST_BITS_LIMIT", 215)
         with pytest.raises(GuardError):
-            decision_set_noiseless(graph, spec, y, enumeration_limit=10)
-        assert decision_set_noiseless(graph, spec, y, enumeration_limit=12)
+            decision_set_noiseless(graph, spec, y)
+        monkeypatch.setattr(estimators, "TEST_BITS_LIMIT", 216)
+        assert decision_set_noiseless(graph, spec, y)
+
+    def test_guard_boundary(self):
+        # the largest even n (r = 6 must divide 3n) with n*l*m <= 2^31 passes
+        assert 3 * 37836 * 18918 <= 2**31 < 3 * LARGE_N * (LARGE_N // 2)
+        _check_guard(SystemParams(3, 6, 37836))
+        with pytest.raises(GuardError):
+            _check_guard(SystemParams(3, 6, LARGE_N))
+
+    def test_thirty_objects_decode(self):
+        # no cap on n: the scan's budget, not the system size, bounds the work
+        graph = sample_graph(SystemParams(3, 6, 30), 1)
+        spec = TypicalSetSpec(30, 0.1, 0.3)
+        x = weight_vector(30, 3)
+        assert x in decision_set_noiseless(graph, spec, forward_or(graph, x))
 
 
 class TestScanNodeLimit:
@@ -174,16 +208,14 @@ class TestScanNodeLimit:
 
     @pytest.fixture
     def limit(self, monkeypatch):
-        # a 16-support limit, under which 2^4 candidates go uncounted
         monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", 16)
-        monkeypatch.setattr(estimators, "_SCAN_FREE", 4)
 
     def test_scan_past_the_limit_is_refused(self, limit):
         with pytest.raises(GuardError, match=r"^decoder scan over 5 candidate objects refused \(limit 16 supports\)$"):
             _scan_or_consistent(self.MASKS, self.TARGET, frozenset({0}), frozenset(range(6)), None)
 
-    def test_scan_that_cannot_pass_the_limit_is_not_counted(self, limit):
-        # 1 + 5 + 10 = 16 supports of weight 2 or less
+    def test_scan_that_cannot_pass_the_limit_is_not_refused(self, limit):
+        # 5 + 10 = 15 supports of weight 1 or 2 below the root
         found = _scan_or_consistent(self.MASKS, self.TARGET, frozenset({3}), frozenset({0, 1, 2}), None)
         assert len(found) == 10
 
@@ -195,11 +227,33 @@ class TestScanNodeLimit:
     def test_counting_leaves_the_result_alone(self, monkeypatch):
         args = (self.MASKS, self.TARGET, frozenset({2, 3}), frozenset(range(6)), None)
         free = _scan_or_consistent(*args)
-        # 31 supports below the root: counted, and exactly at the limit
+        # 31 supports below the root: exactly at the limit
         monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", 31)
-        monkeypatch.setattr(estimators, "_SCAN_FREE", 4)
         assert _scan_or_consistent(*args) == free
         assert len(free) == 20
+
+    def test_deep_branch_needs_no_stack(self):
+        # the first support of weight 1500 lies 1500 levels down its branch
+        found = _scan_or_consistent([0] * 2000, 0, frozenset({0}), frozenset({1500}), 1)
+        assert found == [tuple(range(1500))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=0, max_value=12),
+        m=st.integers(min_value=1, max_value=10),
+        cap=st.none() | st.integers(min_value=1, max_value=6),
+    )
+    def test_scan_lists_the_windowed_supports_in_pre_order(self, data, n, m, cap):
+        # the cap keeps a prefix of the full list, and the trial harness
+        # reads its order: it compares a cap-2 scan with [support]
+        masks = data.draw(st.lists(st.integers(0, 2**m - 1), min_size=n, max_size=n))
+        target = data.draw(st.integers(0, 2**m - 1))
+        flips = data.draw(st.frozensets(st.integers(0, m), max_size=3))
+        weights = data.draw(st.frozensets(st.integers(0, n), max_size=4))
+        expected = brute_force_scan(masks, target, flips, weights)
+        found = _scan_or_consistent(masks, target, flips, weights, cap)
+        assert found == expected[:cap]
 
 
 class TestDecisionSetNoisy:
@@ -352,7 +406,7 @@ class TestEstimate:
         assert est.decision_count >= 1
 
     def test_estimate_guard(self):
-        graph = sample_graph(SystemParams(3, 6, 30), 1)
-        spec = TypicalSetSpec(30, 0.1, 0.3)
-        with pytest.raises(GuardError):
-            estimate_noiseless(graph, spec, (0,) * 15)
+        graph = large_graph()
+        spec = TypicalSetSpec(LARGE_N, 0.1, 0.3)
+        with pytest.raises(GuardError, match="socket test bits refused"):
+            estimate_noiseless(graph, spec, (0,) * graph.params.m)

@@ -524,7 +524,6 @@ class TestPinnedOutput:
             "config": {
                 "mode": "noiseless", "l": 2, "r": 4, "n": 12, "p": 0.1, "epsilon": 0.2,
                 "trials": 60, "master_seed": 2024, "graph_mode": "fixed",
-                "enumeration_limit": 24,
             },
         })
 
@@ -539,7 +538,7 @@ class TestPinnedOutput:
             "config": {
                 "mode": "noisy", "l": 2, "r": 4, "n": 12, "p": 0.15, "q": 0.05,
                 "epsilon_input": 0.3, "epsilon_noise": 0.3, "trials": 60,
-                "master_seed": 2024, "graph_mode": "fresh", "enumeration_limit": 24,
+                "master_seed": 2024, "graph_mode": "fresh",
             },
         })
 

@@ -10,10 +10,10 @@ README = ROOT / "README.md"
 # names that left the package: they had no caller outside their own tests,
 # or moved to tests/brute_force.py, or stay in their modules for src/ only,
 # or (the three exception types) folded into InputError, or (Margin) folded
-# into GeneralMargin
+# into GeneralMargin, or (ENUMERATION_LIMIT) gave way to the scan's budget
 REMOVED = (
-    "CURVE_IDS", "ConfigurationError", "DEFAULT_EPSILON", "EmptyTypicalSetError", "Infimum",
-    "Margin", "NoThresholdError", "ReducedAlphabetError",
+    "CURVE_IDS", "ConfigurationError", "DEFAULT_EPSILON", "ENUMERATION_LIMIT",
+    "EmptyTypicalSetError", "Infimum", "Margin", "NoThresholdError", "ReducedAlphabetError",
     "brute_force_decision_set_noiseless", "compositions", "enumerate_ensemble",
     "exponent_infimum", "forward_general", "graph_from_json", "graph_to_json",
     "is_typical", "linspace", "multinomial", "parity_function", "threshold_function",
@@ -36,7 +36,7 @@ def test_polynomial_classes_are_gone():
 
 
 def test_removed_names_are_gone():
-    assert len(pooltest.__all__) == 55
+    assert len(pooltest.__all__) == 54
     assert not [name for name in REMOVED if name in pooltest.__all__ or hasattr(pooltest, name)]
     assert not hasattr(pooltest.errors, "EmptyTypicalSetError")
     assert not hasattr(pooltest.ensemble, "type_vector_representative")
