@@ -165,14 +165,13 @@ def _scan_or_consistent(
     candidate_masks = [masks[i] for i in candidates]
     c = len(candidates)
     w_max = max(weights)
-    chosen: list[int] = []  # the support being visited
-    path: list[int] = []  # its objects' candidate positions
+    path: list[int] = []  # candidate positions of the support being visited
     unions = [0]  # unions[d]: union mask of the first d objects on the path
     nxt = tried = 0  # nxt: position of the next candidate to try below it
     while True:
         depth = len(path)
         if depth in weights and (unions[-1] ^ target).bit_count() in flips:
-            found.append(tuple(chosen))
+            found.append(tuple(candidates[j] for j in path))
             if cap is not None and len(found) >= cap:
                 return found
         if depth == w_max:
@@ -191,7 +190,6 @@ def _scan_or_consistent(
             if not path:
                 return found
             nxt = path.pop() + 1
-            chosen.pop()
             unions.pop()
         tried += 1
         if tried > SCAN_NODE_LIMIT:
@@ -199,7 +197,6 @@ def _scan_or_consistent(
                 f"decoder scan over {c} candidate objects refused "
                 f"(limit {SCAN_NODE_LIMIT} supports)"
             )
-        chosen.append(candidates[nxt])
         path.append(nxt)
         unions.append(child)
         nxt += 1

@@ -443,11 +443,13 @@ class TestSimulateCommand:
     def test_decoder_scan_past_the_node_limit_is_a_guard_refusal(self, capsys):
         # n = 1200 passes the n*l*m guard and the weight walk, but a trial's
         # scan would try more supports than SCAN_NODE_LIMIT
+        start = time.perf_counter()
         code, out, err = run(
             capsys,
             "simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", "1200",
             "--p", "0.1", "--trials", "3", "--seed", "1",
         )
+        assert time.perf_counter() - start < 10
         assert code == 3
         assert out == ""
         assert err == (
