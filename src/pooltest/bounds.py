@@ -83,6 +83,11 @@ def noisy_converse_margin(l: int, r: int, p: float, q: float) -> float:
     """Converse margin when each test outcome is flipped with probability q."""
     _check_degrees(l, r)
     _check_flip_rate(q)
+    return _converse(l, r, p, q)
+
+
+def _converse(l: int, r: int, p: float, q: float) -> float:
+    """noisy_converse_margin without the checks of l, r and q."""
     source = binary_entropy(p)
     clear = (1 - p) ** r
     flipped = clear * (1 - q) + (1 - clear) * q
@@ -107,7 +112,12 @@ def achievable_margin(l: int, r: int, p: float) -> float:
     are not covered, so the decoder's error need not vanish (Aldridge,
     IEEE Trans. IT 65(4), 2019)."""
     _check_degrees(l, r)
-    return -(l - 1) * binary_entropy(p) - l * p * math.log2(fixed_point_z(r))
+    return _achievable(l, r, p)
+
+
+def _achievable(l: int, r: int, p: float) -> float:
+    """achievable_margin without the check of l and r."""
+    return -(l - 1) * binary_entropy(p) - l * p * math.log2(2 ** (1 / r) - 1)
 
 
 def noisy_achievable_margin(l: int, r: int, p: float, q: float) -> float:
@@ -130,6 +140,11 @@ def collision_exponent(l: int, r: int, p: float, sigma: float, z: float) -> floa
         raise InputError(f"z={z} must be positive and finite")
     if not 0 <= sigma <= l / r:
         raise InputError(f"sigma={sigma} outside [0, l/r]")
+    return _collision(l, r, p, sigma, z)
+
+
+def _collision(l: int, r: int, p: float, sigma: float, z: float) -> float:
+    """collision_exponent without the checks of its arguments."""
     x = r * math.log1p(z)
     if x < _LN_FLOAT_MAX:
         log_pool = math.log2(math.expm1(x))
@@ -193,7 +208,7 @@ def threshold_upper(l: int, r: int) -> float:
     """Smallest p at which the converse margin turns positive: recovery is
     impossible above it."""
     _check_degrees(l, r)
-    return _first_crossing(lambda p: converse_margin(l, r, p), "converse margin")
+    return _first_crossing(lambda p: _converse(l, r, p, 0.0), "converse margin")
 
 
 def _optimized_margin(l: int, r: int, p: float) -> float:
@@ -206,10 +221,11 @@ def _optimized_margin(l: int, r: int, p: float) -> float:
     rises from the crossover at the kink toward 1, and exceeds 1/2 at
     z = 1, so that equation is bisected in ln z, and the margin is the
     collision exponent at sigma = l/r there, strictly below the closed
-    form.  No binomial is formed, so any r within the float range is fine."""
+    form.  No binomial is formed, so any r within the float range is fine.
+    (l, r) is not checked here: threshold_lower checks it once per scan."""
     if p <= -2 * math.expm1(-_LN2 / r):
-        return achievable_margin(l, r, p)
-    lo, hi = math.log(fixed_point_z(r)), 0.0
+        return _achievable(l, r, p)
+    lo, hi = math.log(2 ** (1 / r) - 1), 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         z = math.exp(mid)
@@ -217,7 +233,7 @@ def _optimized_margin(l: int, r: int, p: float) -> float:
             hi = mid
         else:
             lo = mid
-    return collision_exponent(l, r, p, l / r, math.exp(0.5 * (lo + hi)))
+    return _collision(l, r, p, l / r, math.exp(0.5 * (lo + hi)))
 
 
 def threshold_lower(l: int, r: int) -> float:

@@ -222,7 +222,8 @@ def decision_set_noisy(
     cap: int | None = None,
 ) -> list[tuple[int, ...]]:
     """All typical inputs x such that the flip pattern y xor F_G(x) is itself
-    a typical noise vector."""
+    a typical noise vector; with `cap`, at least 1, only the first cap of
+    them in scan order."""
     params = graph.params
     if spec.n != params.n:
         raise InputError("typicality window length differs from the system size")
@@ -230,6 +231,7 @@ def decision_set_noisy(
         raise InputError("noise window length differs from the test count")
     if len(y) != params.m:
         raise InputError(f"y has length {len(y)}, expected m={params.m}")
+    _check_cap(cap, 1)
     _check_guard(params)
     bits = _test_bits(params)
     supports = _scan_or_consistent(
@@ -240,6 +242,11 @@ def decision_set_noisy(
         cap,
     )
     return [_support_to_vector(s, params.n) for s in supports]
+
+
+def _check_cap(cap: int | None, least: int) -> None:
+    if cap is not None and cap < least:
+        raise InputError(f"cap={cap} must be at least {least}")
 
 
 def _to_estimate(members: list[tuple[int, ...]]) -> Estimate:
@@ -257,8 +264,11 @@ def estimate_noiseless(
     """The unique typical input consistent with y, or failure.
 
     `cap` bounds the scan; 2 is enough to decide success and is what the
-    trial harness uses.  With the default (no cap) decision_count is |D(y)|.
+    trial harness uses.  A smaller cap is refused: a scan stopped at one
+    member cannot tell whether it is the only one.  With the default (no
+    cap) decision_count is |D(y)|.
     """
+    _check_cap(cap, 2)
     return _to_estimate(decision_set_noiseless(graph, spec, y, cap))
 
 
@@ -270,5 +280,6 @@ def estimate_noisy(
     cap: int | None = None,
 ) -> Estimate:
     """The unique typical input explaining y through a typical flip pattern,
-    or failure."""
+    or failure; `cap` as for estimate_noiseless."""
+    _check_cap(cap, 2)
     return _to_estimate(decision_set_noisy(graph, spec, noise_spec, y, cap))

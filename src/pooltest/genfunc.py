@@ -457,13 +457,14 @@ def _log_terms(coeffs: Sequence[float]) -> list[tuple[int, float]]:
     return [(j, math.log2(c)) for j, c in enumerate(coeffs) if c > 0]
 
 
-def _lse_moments(piece: tuple[list[float], list[Sequence[int]]], u: Sequence[float]):
+def _lse_mean(piece: tuple[list[float], list[Sequence[int]]], u: Sequence[float]):
     """log2 of a multivariate poly(2^u) from its terms' log2 coefficients
-    and one exponent column per coordinate, with its gradient and Hessian
-    in u: the mean of the exponent vectors under weights proportional to
-    the terms, and ln 2 times their covariance.  Ratios of like-sized sums,
-    so they stay accurate at any u, unlike differences of the value, whose
-    linear parts cancel catastrophically far out."""
+    and one exponent column per coordinate, with its gradient in u: the
+    mean of the exponent vectors under weights proportional to the terms.
+    Also returns those weights and their total, from which _lse_covariance
+    forms the Hessian.  Ratios of like-sized sums, so they stay accurate at
+    any u, unlike differences of the value, whose linear parts cancel
+    catastrophically far out."""
     logs, columns = piece
     dots = [0.0] * len(logs)
     for column, u_i in zip(columns, u):
@@ -473,15 +474,27 @@ def _lse_moments(piece: tuple[list[float], list[Sequence[int]]], u: Sequence[flo
     weights = [math.exp(_LN2 * (v - best)) for v in vals]
     total = sum(weights)
     mean = [sum(map(operator.mul, weights, column)) / total for column in columns]
+    return best + math.log2(total), mean, weights, total
+
+
+def _lse_covariance(columns: list[Sequence[int]], mean: list[float], weights: list[float], total: float):
+    """The Hessian in u of _lse_mean's log2 poly(2^u), from its mean,
+    weights and total there: ln 2 times the covariance of the exponent
+    vectors under those weights."""
     devs = [[t - m for t in column] for column, m in zip(columns, mean)]
     weighted = [list(map(operator.mul, weights, dev)) for dev in devs]
-    hess = [[_LN2 * sum(map(operator.mul, wd, dev)) / total for dev in devs] for wd in weighted]
-    return best + math.log2(total), mean, hess
+    return [[_LN2 * sum(map(operator.mul, wd, dev)) / total for dev in devs] for wd in weighted]
 
 
 def _lse_1d(terms: list[tuple[int, float]], u: float) -> tuple[float, float, float]:
-    """The one-coordinate case of _lse_moments, from (exponent, log2
-    coefficient) terms: log2 poly(2^u), its slope and its curvature in u."""
+    """The one-coordinate case of _lse_mean and _lse_covariance, from
+    (exponent, log2 coefficient) terms: log2 poly(2^u), its slope and its
+    curvature in u.  A single term is affine in u, in closed form: its
+    weight and total are 1, so the sum's log2(1) = 0.0 is the only thing
+    added (which turns -0.0 into 0.0), and the curvature is 0."""
+    if len(terms) == 1:
+        [(j, lg)] = terms
+        return lg + j * u + 0.0, float(j), 0.0
     vals = [lg + j * u for j, lg in terms]
     best = max(vals)
     total = first = second = 0.0
@@ -597,7 +610,7 @@ def _solve_linear(matrix: list[list[float]], rhs: list[float]) -> list[float] | 
 
 def _minimax_interior_point(pieces: list, ratio: float, lp: list[float], u: list[float]):
     """Minimize max_k g_k(u), g_k = ratio*log2 A_k(2^u) - lp.u with A_k in
-    _lse_moments form, from the start u; returns (u*, value, steps, gap,
+    _lse_mean form, from the start u; returns (u*, value, steps, gap,
     converged).  Primal-dual interior-point method (Boyd & Vandenberghe,
     Convex Optimization, 2004, 11.7) on the epigraph form: minimize t over
     x = (u, t) subject to f_k = g_k - t < 0, with multipliers lam_k.  Each
@@ -613,52 +626,67 @@ def _minimax_interior_point(pieces: list, ratio: float, lp: list[float], u: list
     so the gap falls superlinearly once the iterate has converged (Nocedal &
     Wright, Numerical Optimization, 2006, 14.2; S. J. Wright, Primal-Dual
     Interior-Point Methods, SIAM, 1997).  Otherwise, or when no step at the
-    smaller sigma reduces the residual, sigma = 0.1 and the fraction 0.99."""
-    n = len(u) + 1
+    smaller sigma reduces the residual, sigma = 0.1 and the fraction 0.99.
+
+    f_k is linear in t, so its gradient in t is -1 and its Hessian is zero
+    in t's row and column: only the d free coordinates u are carried, and
+    a Hessian is formed only where a Newton step starts, not at the points
+    that backtracking rejects."""
+    d = len(u)
 
     def state(x):
-        # per piece: g_k, and the gradient and Hessian of f_k in x
+        # per piece: g_k, the gradient of f_k in u, and what _lse_covariance
+        # forms its Hessian from
         out = []
+        linear = sum(map(operator.mul, lp, x))
         for piece in pieces:
-            value, mean, hess = _lse_moments(piece, x[:-1])
-            grad = [ratio * m - c for m, c in zip(mean, lp)] + [-1.0]
-            hess = [[ratio * h for h in row] + [0.0] for row in hess] + [[0.0] * n]
-            out.append((ratio * value - sum(map(operator.mul, lp, x)), grad, hess))
+            value, mean, weights, total = _lse_mean(piece, x[:-1])
+            grad = [ratio * m - c for m, c in zip(mean, lp)]
+            out.append((ratio * value - linear, grad, (piece[1], mean, weights, total)))
         return out
 
-    def residuals(x, lam, g, tau):
-        # the gradient of the Lagrangian in x, and the centrality residual
-        dual = [sum(l_k * a[i] for l_k, (_, a, _) in zip(lam, g)) for i in range(n)]
-        dual[-1] += 1.0
-        return dual, [l_k * (x[-1] - v) - 1.0 / tau for l_k, (v, _, _) in zip(lam, g)]
+    def dual_residual(lam, g):
+        # the gradient of the Lagrangian in x
+        dual = [sum(l_k * a[i] for l_k, (_, a, _) in zip(lam, g)) for i in range(d)]
+        return dual + [1.0 - sum(lam)]
+
+    def centrality(x, lam, g, tau):
+        return [l_k * (x[-1] - v) - 1.0 / tau for l_k, (v, _, _) in zip(lam, g)]
 
     g = state(u + [0.0])
     x = u + [max(v for v, _, _ in g) + 0.3]
     lam = [1.0 / len(pieces)] * len(pieces)
+    dual = dual_residual(lam, g)
     whole = False
     for steps in range(MAX_NEWTON_STEPS + 1):
         slack = [x[-1] - v for v, _, _ in g]
         gap = sum(map(operator.mul, lam, slack))
-        dual, _ = residuals(x, lam, g, math.inf)
         converged = gap <= GAP_TOL and math.hypot(*dual) <= GAP_TOL
         if converged or steps == MAX_NEWTON_STEPS:
             break
-        # sum_k lam_k (H_k + a_k a_k^T / s_k) dx = -e_t - sum_k a_k / (tau s_k)
-        matrix = [
-            [sum(l_k * (h[i][j] + a[i] * a[j] / s_k) for l_k, s_k, (_, a, h) in zip(lam, slack, g))
-             for j in range(n)]
-            for i in range(n)
+        # sum_k lam_k (H_k + a_k a_k^T / s_k) dx = -e_t - sum_k a_k / (tau s_k),
+        # with a_k's t entry -1 and H_k's t row and column zero
+        terms = [
+            (l_k, s_k, a, [[ratio * h for h in row] for row in _lse_covariance(*moments)])
+            for l_k, s_k, (_, a, moments) in zip(lam, slack, g)
         ]
+        t_col = [sum(l_k * (-a[i] / s_k) for l_k, s_k, a, _ in terms) for i in range(d)]
+        matrix = [
+            [sum(l_k * (h[i][j] + a[i] * a[j] / s_k) for l_k, s_k, a, h in terms) for j in range(d)]
+            + [t_col[i]]
+            for i in range(d)
+        ]
+        matrix.append(t_col + [sum(l_k * (1.0 / s_k) for l_k, s_k in zip(lam, slack))])
         for sigma in (math.sqrt(gap), 0.1) if whole and gap < 0.01 else (0.1,):
             tau = len(pieces) / (sigma * gap)
-            _, cent = residuals(x, lam, g, tau)
-            rhs = [-sum(a[i] / (tau * s_k) for s_k, (_, a, _) in zip(slack, g)) for i in range(n)]
-            rhs[-1] -= 1.0
+            cent = centrality(x, lam, g, tau)
+            rhs = [-sum(a[i] / (tau * s_k) for s_k, (_, a, _) in zip(slack, g)) for i in range(d)]
+            rhs.append(sum(1.0 / (tau * s_k) for s_k in slack) - 1.0)
             dx = _solve_linear(matrix, rhs)
             if dx is None:
                 continue  # singular at every sigma, so the loop's else stops
             dlam = [
-                (l_k * sum(map(operator.mul, a, dx)) - c_k) / s_k
+                (l_k * (sum(map(operator.mul, a, dx)) - dx[-1]) - c_k) / s_k
                 for l_k, c_k, s_k, (_, a, _) in zip(lam, cent, slack, g)
             ]
             fraction = max(0.99, 1 - gap) if sigma < 0.1 else 0.99
@@ -669,7 +697,8 @@ def _minimax_interior_point(pieces: list, ratio: float, lp: list[float], u: list
                 lam_new = [a + step * b for a, b in zip(lam, dlam)]
                 g_new = state(x_new)
                 if all(v < x_new[-1] for v, _, _ in g_new):
-                    dual_new, cent_new = residuals(x_new, lam_new, g_new, tau)
+                    dual_new = dual_residual(lam_new, g_new)
+                    cent_new = centrality(x_new, lam_new, g_new, tau)
                     if math.hypot(*dual_new, *cent_new) <= (1 - 0.01 * step) * norm:
                         break
                 step /= 1.5
@@ -678,7 +707,7 @@ def _minimax_interior_point(pieces: list, ratio: float, lp: list[float], u: list
             break
         else:
             break  # none at sigma = 0.1 either: rounding has stalled it
-        x, lam, g = x_new, lam_new, g_new
+        x, lam, g, dual = x_new, lam_new, g_new, dual_new
         whole = tries == 0
     return x[:-1], max(v for v, _, _ in g), steps, gap, converged
 

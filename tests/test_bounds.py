@@ -22,6 +22,7 @@ from pooltest import (
     threshold_pair,
     threshold_upper,
 )
+from pooltest import bounds
 from pooltest.bounds import CURVES, _optimized_margin, linspace
 
 # thresholds below were frozen from an independent high-precision run and
@@ -283,6 +284,15 @@ class TestThresholds:
         assert pair.l == 3 and pair.r == 6
         assert pair.p_lower == pytest.approx(threshold_lower(3, 6), abs=1e-12)
         assert pair.p_upper == pytest.approx(threshold_upper(3, 6), abs=1e-12)
+
+    def test_each_threshold_checks_its_degrees_once(self, monkeypatch):
+        # the scan and bisection evaluate the margins hundreds of times on
+        # the one (l, r) that was checked up front
+        calls = []
+        check = bounds._check_degrees
+        monkeypatch.setattr(bounds, "_check_degrees", lambda *a: calls.append(a) or check(*a))
+        threshold_pair(3, 6)
+        assert calls == [(3, 6), (3, 6)]
 
     def test_unit_ratio_has_no_root(self):
         # a single-object-per-test design recovers everything; the converse

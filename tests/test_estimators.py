@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from brute_force import brute_force_decision_set_noiseless, brute_force_scan, weight_vector
 from pooltest import (
+    Estimate,
     GuardError,
     InputError,
     SystemParams,
@@ -394,6 +395,28 @@ class TestEstimate:
             capped = estimate_noiseless(graph, spec, y, cap=2)
             assert capped.failed == full.failed, trial
             assert capped.value == full.value, trial
+
+    def test_cap_below_two_is_refused(self):
+        # a scan stopped at one member cannot tell it is the only one: here
+        # |D(y)| = 86 and the first member is not x, which a cap of 1 once
+        # returned as the unique answer
+        params = SystemParams(3, 6, 12)
+        spec = TypicalSetSpec(12, 0.5, 0.1)
+        noise_spec = TypicalSetSpec(params.m, 0.0, 0.0)
+        graph = sample_graph(params, 3)
+        x = weight_vector(12, 4)
+        y = forward_or(graph, x)
+        assert decision_set_noiseless(graph, spec, y, cap=1) != [x]
+        for cap in (0, 1):
+            with pytest.raises(InputError, match=f"^cap={cap} must be at least 2$"):
+                estimate_noiseless(graph, spec, y, cap=cap)
+            with pytest.raises(InputError, match=f"^cap={cap} must be at least 2$"):
+                estimate_noisy(graph, spec, noise_spec, y, cap=cap)
+        with pytest.raises(InputError, match="^cap=0 must be at least 1$"):
+            decision_set_noiseless(graph, spec, y, cap=0)
+        with pytest.raises(InputError, match="^cap=0 must be at least 1$"):
+            decision_set_noisy(graph, spec, noise_spec, y, cap=0)
+        assert estimate_noiseless(graph, spec, y, cap=2) == Estimate(None, 2)
 
     def test_noisy_estimate_recovers_with_clean_channel(self):
         params = SystemParams(3, 6, 18, q=0.1)

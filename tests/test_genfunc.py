@@ -1,10 +1,11 @@
 import math
 import random
+import struct
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute_force import exponent_infimum, threshold_function
@@ -12,6 +13,7 @@ from pooltest import TestFunction as PoolFunction
 from pooltest import genfunc
 from pooltest.bounds import _optimized_margin
 from pooltest import (
+    GeneralMargin,
     InputError,
     SystemParams,
     achievable_margin,
@@ -81,6 +83,10 @@ def or_margin_closed_form(l, r, p):
     z = 2 ** (0.5 * (lo + hi))
     pool = (1 + z) ** r - 1
     return -(l - 1) * binary_entropy(p) + (l / r) * math.log2(pool) - l * p * math.log2(z)
+
+
+# the degree pairs of the benchmark's merged-OR margins
+MERGED_PAIRS = ((3, 6), (2, 4), (3, 9), (4, 8))
 
 
 def merged_or_probs(r):
@@ -951,6 +957,21 @@ class TestMinimax1D:
             assert gm.value <= objective + 1e-12
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        j=st.integers(0, 10**4),
+        lg=st.floats(-1e300, 1e300),
+        u=st.floats(-1e300, 1e300),
+    )
+    @example(j=0, lg=-0.0, u=-1.0)  # -0.0, which the loop's + log2(1) turns into 0.0
+    def test_one_term_closed_form_is_the_loop_bit_for_bit(self, j, lg, u):
+        # a term of log2 coefficient -inf has weight exp(-inf) = 0.0, which
+        # adds exactly 0.0 to every sum of the general loop, so the two-term
+        # list runs the loop on the one term's numbers (|lg + j u| < 2e304)
+        closed = genfunc._lse_1d([(j, lg)], u)
+        loop = genfunc._lse_1d([(j, lg), (j, -math.inf)], u)
+        assert struct.pack("<3d", *closed) == struct.pack("<3d", *loop)
+
     def test_step_cap_gives_up(self):
         # one linear piece falling without bound: every step only doubles u
         *_, steps, converged = genfunc._minimax_1d([[(0, 0.0)]], 1.0, 1.0)
@@ -992,7 +1013,7 @@ class TestGeneralDirectMargin:
         scan = min(margin_objective(enumerators, l, r, probs, (a, b)) for a in grid for b in grid)
         assert gm.value <= scan + 1e-12
 
-    @pytest.mark.parametrize("l,r", [(3, 6), (2, 4), (3, 9), (4, 8)])
+    @pytest.mark.parametrize("l,r", MERGED_PAIRS)
     def test_merged_or_matches_closed_form(self, l, r):
         # the test sees only the merged mass m = p1 + p2, and the split of m
         # adds m h(p1 / m); below the crossover the optimum lies on the ridge
@@ -1003,6 +1024,59 @@ class TestGeneralDirectMargin:
             gm = general_direct_margin(merged_or(r), l, r, probs)
             assert gm.converged and gm.gap <= genfunc.GAP_TOL
             assert abs(gm.value - (or_margin_closed_form(l, r, mass) + split)) <= 1e-10
+
+    def test_merged_or_margins_are_pinned(self):
+        # every field, recorded before the interior point stopped forming
+        # Hessians at the points backtracking rejects: that change must not
+        # move a bit, and regrouping its float sums would
+        margins = [
+            general_direct_margin(merged_or(r), l, r, probs)
+            for l, r in MERGED_PAIRS
+            for probs in merged_or_probs(r)
+        ]
+        assert margins == [
+            GeneralMargin(0.10313114196350215, (1.0, 0.0734772289856238, 0.048984819323749186),
+                          6, True, 5.040412531798211e-13),
+            GeneralMargin(0.9381941396028886, (1.0, 0.14578128247529287, 0.09718752165019522),
+                          10, True, 5.137685884475402e-13),
+            GeneralMargin(0.28664244561696983, (1.0, 0.1135242690016326, 0.07568284600108843),
+                          6, True, 5.043743200872086e-13),
+            GeneralMargin(1.1310102271077163, (1.0, 0.2047600774074277, 0.13650671827161848),
+                          9, True, 2.127755562157597e-13),
+            GeneralMargin(0.11977183209580389, (1.0, 0.048035843335383695, 0.03202389555692246),
+                          6, True, 5.039302308773586e-13),
+            GeneralMargin(0.8204941242002712, (1.0, 0.10959916094214325, 0.07306610729476225),
+                          8, True, 6.086473502692608e-15),
+            GeneralMargin(-0.006766383333612236, (1.0, 0.054304639599154596, 0.036203093066103066),
+                          6, True, 5.040412531798211e-13),
+            GeneralMargin(0.8185947045254136, (1.0, 0.11847817860890095, 0.07898545240593395),
+                          8, True, 2.3187151431824052e-14),
+        ]
+
+    def test_hessians_only_where_a_newton_step_starts(self, monkeypatch):
+        # each merged-OR case has 2 pieces, so a Newton step forms 2
+        # covariances; the 150 value-and-mean evaluations are the 75 points
+        # (8 starts, 59 accepted, 8 rejected by backtracking) times 2 pieces,
+        # as many as when every point also formed its Hessians
+        counts = {"mean": 0, "cov": 0}
+        mean, cov = genfunc._lse_mean, genfunc._lse_covariance
+
+        def counting_mean(*args):
+            counts["mean"] += 1
+            return mean(*args)
+
+        def counting_cov(*args):
+            counts["cov"] += 1
+            return cov(*args)
+
+        monkeypatch.setattr(genfunc, "_lse_mean", counting_mean)
+        monkeypatch.setattr(genfunc, "_lse_covariance", counting_cov)
+        for l, r in MERGED_PAIRS:
+            for probs in merged_or_probs(r):
+                before = counts["cov"]
+                gm = general_direct_margin(merged_or(r), l, r, probs)
+                assert counts["cov"] - before == 2 * gm.sweeps, (l, r, probs)
+        assert counts["mean"] == 150
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
