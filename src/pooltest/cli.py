@@ -21,6 +21,7 @@ from . import montecarlo as _mc
 from .ensemble import (
     SystemParams,
     TestFunction,
+    enumeration_fraction_general,
     enumeration_fraction_noiseless,
     enumeration_fraction_noisy,
     or_function,
@@ -259,6 +260,15 @@ def _verify_exact(checks: _Checks) -> None:
                 params, f, (params.n - w, w), (params.m - s, s)
             ),
         )
+
+    # merged OR, far past a walk over all (nl)! wirings
+    merged = TestFunction.from_callable(lambda v: int(any(v)), (0, 1, 2), (0, 1), 6)
+    event = (SystemParams(3, 6, 24), merged, (20, 3, 1), (8, 4))
+    a, b = _genfunc.general_ensemble_event_probability(*event), enumeration_fraction_general(*event)
+    checks.record(
+        "merged-OR formula vs per-test enumeration (l=3, r=6, n=24)",
+        a == b, f"input types (20, 3, 1), output types (8, 4): {a} vs {b}",
+    )
 
     for l, r, n in ((3, 6, 12), (2, 4, 4)):
         params = SystemParams(l, r, n)

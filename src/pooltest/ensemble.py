@@ -8,35 +8,31 @@ bijection uniformly at random defines the ensemble; parallel edges are
 allowed and contribute multiplicity.
 
 Besides sampling and the OR forward map, this module computes exact
-event fractions over the whole ensemble at toy sizes, which the rest of
-the package uses as ground truth.  The event oracles do not walk the
-wirings themselves: the outcome of a fixed input depends only on which
-right sockets each symbol's left sockets land on, and every such
-arrangement is hit by the same number of wirings.  So they walk the
-C(nl, wl) images of the defect sockets (binary inputs) or the
-multinomial arrangements of the symbol classes (general alphabets), and
-give the same exact fractions as a walk over all (nl)! wirings.
+event fractions over the whole ensemble at small sizes, which the rest
+of the package uses as ground truth.  The outcome of a fixed input
+depends only on which symbol each right socket receives, every such
+labelling is hit by the same number of wirings, and prod_j
+multinomial(r; t_j) labellings give each test j its type t_j, its count
+of each symbol.  So one walk over the tests' types gives the same exact
+fractions as a walk over all (nl)! wirings, for the binary, noisy and
+general oracles alike.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
-from operator import or_
+from operator import or_, sub
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .bounds import _check_degrees
 from .errors import GuardError, InputError
 
-# The event oracles walk at most 10! = 3628800 socket arrangements per call,
-# the number of wirings of a 10-socket system.
-ENUMERATION_SOCKET_LIMIT = 10
-_ARRANGEMENT_BUDGET = math.factorial(ENUMERATION_SOCKET_LIMIT)
+# The event oracles refuse past this many walk nodes, about a second's work.
+ORACLE_NODE_LIMIT = 2**17
 
 
 @dataclass(frozen=True)
@@ -383,72 +379,74 @@ def _check_types(
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(arrangements: int) -> None:
-    if arrangements > _ARRANGEMENT_BUDGET:
-        raise GuardError(
-            f"enumeration over {arrangements} socket arrangements refused "
-            f"(limit {ENUMERATION_SOCKET_LIMIT}! = {_ARRANGEMENT_BUDGET})"
-        )
+def _multinomial(counts: Sequence[int]) -> int:
+    """(sum of counts)! / (product of count!), as a product of binomials."""
+    return math.prod(math.comb(sum(counts[: i + 1]), c) for i, c in enumerate(counts))
 
 
-def _fired_mask_counts(params: SystemParams, w: int, s: int) -> tuple[Counter, int]:
-    """Count the C(nl, wl) right-socket images of the canonical weight-w
-    input's defect sockets by the tests they fire.
+def _per_test_sum(
+    params: SystemParams, types: Sequence[tuple[tuple[int, ...], int]], sizes: Sequence[int],
+    output_counts: Sequence[int], match: int, miss: int,
+) -> int:
+    """Sum over the type sequences (t_1, ..., t_m) that place sizes[i]
+    sockets of symbol i + 1, and the rest of symbol 0, of prod_j
+    multinomial(r; t_j) * (match if f(t_j) = y_j, else miss), for y the
+    canonical output with output_counts[k] tests of output k.  `types` pairs
+    each type's counts of symbols 1, 2, ... with its output index f(t).
 
-    Returns the counts keyed by fired-test bitmask (bit j is test j) and the
-    bitmask of the canonical weight-s outcome.
+    The walk runs depth first over the tests on an explicit stack, drops a
+    branch once a count goes negative or the sockets left cannot hold the
+    counts left, and refuses with GuardError past ORACLE_NODE_LIMIT nodes.
     """
-    _check_event(params, w, s)
-    nl, wl = params.num_sockets, w * params.l
-    _check_budget(math.comb(nl, wl))
-    masks = Counter(
-        reduce(or_, image, 0) for image in itertools.combinations(_test_bits(params), wl)
-    )
-    return masks, (1 << s) - 1
+    r, m = params.r, params.m
+    zeros = params.num_sockets - sum(sizes)
+    table = [
+        (t, _multinomial((r - sum(t), *t)), out)
+        for t, out in types
+        if r - sum(t) <= zeros and all(a <= b for a, b in zip(t, sizes))
+    ]
+    # test j outputs the k with ends[k - 1] <= j < ends[k]
+    ends = [sum(output_counts[: k + 1]) for k in range(len(output_counts))]
+    found, visited = 0, 0
+    stack = [(0, tuple(sizes), 1)]
+    while stack:
+        j, left, weight = stack.pop()
+        if j == m:
+            found += weight
+            continue
+        room, target = r * (m - j - 1), bisect_right(ends, j)
+        for t, count, out in table:
+            factor = match if out == target else miss
+            if not factor:
+                continue
+            rest = tuple(map(sub, left, t))
+            if sum(rest) > room or min(rest, default=0) < 0:
+                continue
+            visited += 1
+            if visited > ORACLE_NODE_LIMIT:
+                raise GuardError(
+                    f"oracle walk over {m} tests refused (limit {ORACLE_NODE_LIMIT} nodes)"
+                )
+            stack.append((j + 1, rest, weight * (count * factor)))
+    return found
 
 
 def enumeration_fraction_noiseless(params: SystemParams, w: int, s: int) -> Fraction:
     """Exact fraction of wirings with F_G(x) = y for canonical x of weight w,
-    y of weight s, under pooled OR tests."""
-    masks, target = _fired_mask_counts(params, w, s)
-    return Fraction(masks[target], math.comb(params.num_sockets, w * params.l))
+    y of weight s, under pooled OR tests: the noisy fraction at q = 0."""
+    return enumeration_fraction_noisy(replace(params, q=0), w, s)
 
 
 def enumeration_fraction_noisy(params: SystemParams, w: int, s: int) -> Fraction:
     """Exact probability that the flipped outcome F_G(x) xor e equals canonical y,
-    averaged over wirings and over e ~ Bernoulli(q)^m, as a rational number."""
-    masks, target = _fired_mask_counts(params, w, s)
-    flips: Counter = Counter()
-    for mask, count in masks.items():
-        flips[(mask ^ target).bit_count()] += count
+    averaged over wirings and over e ~ Bernoulli(q)^m, as a rational number.
+    With q = P/Q, a test weighs Q - P where its outcome matches y, else P."""
+    _check_event(params, w, s)
     q = Fraction(params.q)  # exact for Fraction and for any float's binary value
-    big_p, big_q, m = q.numerator, q.denominator, params.m
-    weight = sum(count * big_p**f * (big_q - big_p) ** (m - f) for f, count in flips.items())
-    return Fraction(weight, big_q**m * math.comb(params.num_sockets, w * params.l))
-
-
-def _socket_labellings(sizes: Sequence[int]) -> Iterator[list[int]]:
-    """Yield every labelling of sockets 0..sum(sizes)-1 that uses label i
-    exactly sizes[i] times, once each, as one list mutated in place.
-
-    Each class but the last picks its sockets by one combination over the
-    sockets still free; the last class takes what is left.
-    """
-    last = len(sizes) - 1
-    labels = [last] * sum(sizes)
-
-    def place(i: int, free: list[int]) -> Iterator[list[int]]:
-        if i == last:
-            yield labels
-            return
-        for chosen in itertools.combinations(free, sizes[i]):
-            for k in chosen:
-                labels[k] = i
-            yield from place(i + 1, [k for k in free if labels[k] == last])
-            for k in chosen:
-                labels[k] = last
-
-    return place(0, list(range(len(labels))))
+    big_p, big_q, wl = q.numerator, q.denominator, w * params.l
+    types = [((d,), int(d > 0)) for d in range(min(params.r, wl) + 1)]
+    weight = _per_test_sum(params, types, (wl,), (params.m - s, s), big_q - big_p, big_p)
+    return Fraction(weight, big_q**params.m * math.comb(params.num_sockets, wl))
 
 
 def enumeration_fraction_general(
@@ -460,20 +458,7 @@ def enumeration_fraction_general(
     """Exact fraction of wirings with F_G(x) = y for canonical representatives
     of the given input/output type-count vectors."""
     _check_types(params, f, input_counts, output_counts)
-    # the canonical output, as output indices in alphabet order
-    y = [k for k, c in enumerate(output_counts) for _ in range(c)]
     sizes = [params.l * c for c in input_counts]
-    arrangements = math.factorial(params.num_sockets)
-    for size in sizes:
-        arrangements //= math.factorial(size)
-    _check_budget(arrangements)
-    r, symbols, table = params.r, range(f.num_inputs), f.table
-    starts = range(0, params.num_sockets, r)
-    hits = sum(
-        all(
-            table[tuple([labels[a : a + r].count(i) for i in symbols])] == b
-            for a, b in zip(starts, y)
-        )
-        for labels in _socket_labellings(sizes)
-    )
-    return Fraction(hits, arrangements)
+    types = [(t[1:], out) for t, out in f.table.items()]
+    hits = _per_test_sum(params, types, sizes[1:], output_counts, 1, 0)
+    return Fraction(hits, _multinomial(sizes))

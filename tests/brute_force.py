@@ -27,7 +27,6 @@ from pooltest import (
     typical_weight_set,
 )
 from pooltest.ensemble import (
-    ENUMERATION_SOCKET_LIMIT,
     _check_arity,
     _shuffle,
     _shuffle_steps,
@@ -82,6 +81,9 @@ def type_vector_representative(alphabet: Sequence, counts: Sequence[int]) -> tup
 # ---------------------------------------------------------------------------
 # the ensemble, wiring by wiring
 # ---------------------------------------------------------------------------
+
+# at most 10! = 3628800 wirings per walk
+ENUMERATION_SOCKET_LIMIT = 10
 
 
 def enumerate_ensemble(params: SystemParams) -> Iterator[PoolingGraph]:

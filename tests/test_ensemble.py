@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -344,7 +345,7 @@ def _wiring_outcomes(params, forward, inputs):
 
 
 class TestOraclesAgainstBruteForce:
-    """The socket-arrangement oracles equal a count over every wiring."""
+    """The per-test oracles equal a count over every wiring."""
 
     @pytest.mark.parametrize("l,r,n", CROSS_CHECK_SYSTEMS)
     def test_binary_oracles(self, l, r, n):
@@ -446,19 +447,23 @@ class TestOracleRefusals:
         with pytest.raises(InputError):
             call()
 
-    def test_over_budget_refused_before_enumerating(self, monkeypatch):
-        # (3,6,12) at w=6 has C(36,18) ~ 9.1e9 arrangements, above the 10! budget
-        class NoWalk:
-            def __getattr__(self, name):
-                raise AssertionError(f"itertools.{name} used before the guard")
+    def test_over_budget_walk_is_refused_on_its_nodes(self):
+        # OR at (3,6,48), w=8, s=12 sums over about 6.3 million type sequences
+        limit = ensemble_module.ORACLE_NODE_LIMIT
+        start = time.perf_counter()
+        with pytest.raises(
+            GuardError, match=rf"^oracle walk over 24 tests refused \(limit {limit} nodes\)$"
+        ):
+            enumeration_fraction_noiseless(SystemParams(3, 6, 48), 8, 12)
+        assert time.perf_counter() - start < 10
 
-        monkeypatch.setattr(ensemble_module, "itertools", NoWalk())
-        params = SystemParams(3, 6, 12)
-        with pytest.raises(GuardError):
-            enumeration_fraction_noiseless(params, 6, 3)
-        with pytest.raises(GuardError):
-            enumeration_fraction_noisy(SystemParams(3, 6, 12, q=Fraction(1, 10)), 6, 3)
-        with pytest.raises(GuardError):
-            enumeration_fraction_general(
-                params, count_function(6), (6, 6), (6, 0, 0, 0, 0, 0, 0)
-            )
+    @pytest.mark.parametrize("q", [0, Fraction(1, 10)], ids=["noiseless", "noisy"])
+    def test_walk_over_many_tests_builds_nothing_per_test(self, q):
+        # 5e8 tests: nothing of size m is built before the walk, which does not
+        # recurse, and it is refused once its node budget is spent
+        params = SystemParams(1, 2, 10**9, q=q)
+        oracle = enumeration_fraction_noisy if q else enumeration_fraction_noiseless
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match=r"^oracle walk over 500000000 tests refused"):
+            oracle(params, 1, 1)
+        assert time.perf_counter() - start < 10

@@ -173,23 +173,26 @@ class TestEventProbabilityOracles:
             )
 
     @pytest.mark.parametrize(
-        "params,weights",
+        "params,weights,noisy_weights",
         [
-            (SystemParams(2, 4, 8), range(9)),
-            (SystemParams(1, 2, 16), range(17)),
-            (SystemParams(3, 6, 12), (1,)),
+            (SystemParams(2, 4, 8), range(9), range(9)),
+            (SystemParams(1, 2, 16), range(17), range(17)),
+            (SystemParams(3, 6, 12), range(13), range(4)),
+            (SystemParams(3, 6, 24), range(4), range(2)),
         ],
-        ids=["2-4-8", "1-2-16", "3-6-12-w1"],
+        ids=["2-4-8", "1-2-16", "3-6-12", "3-6-24"],
     )
-    def test_oracles_past_the_wiring_ceiling(self, params, weights):
-        # 16 and 36 sockets: beyond a walk over every wiring, within the
-        # oracles' budget of socket arrangements (at most C(16, 8) = 12870 here)
+    def test_oracles_past_the_wiring_ceiling(self, params, weights, noisy_weights):
+        # 16 to 72 sockets, beyond a walk over every wiring; the noisy walk
+        # keeps every type sequence, so it stops at smaller w than the
+        # noiseless one, which keeps only those giving y
         noisy = SystemParams(params.l, params.r, params.n, q=Fraction(1, 10))
-        for w in weights:
-            for s in range(params.m + 1):
+        for s in range(params.m + 1):
+            for w in weights:
                 assert enumeration_fraction_noiseless(params, w, s) == (
                     ensemble_event_probability(params, w, s)
                 ), (w, s)
+            for w in noisy_weights:
                 assert enumeration_fraction_noisy(noisy, w, s) == (
                     noisy_ensemble_event_probability(noisy, w, s)
                 ), (w, s)
@@ -529,6 +532,30 @@ class TestGeneralEventProbability:
                 assert value == enumeration_fraction_general(params, f, ic, oc), (ic, oc)
                 hits_without_symbol_0 += ic[0] == 0 and value > 0
         assert hits_without_symbol_0 > 0
+
+    @pytest.mark.parametrize(
+        "params,f,input_counts,outputs",
+        [
+            pytest.param(
+                SystemParams(3, 6, 12), count_function(6), (12 - w, w), list(compositions(6, 7)),
+                id=f"3-6-12-count-w{w}",
+            )
+            for w in (2, 6)
+        ]
+        + [
+            # past s = 5 the walk over the fired tests' types grows past a second
+            pytest.param(
+                SystemParams(3, 6, 24), merged_or(6), (20, 3, 1), [(12 - s, s) for s in range(6)],
+                id="3-6-24-merged-or",
+            )
+        ],
+    )
+    def test_oracle_past_the_wiring_ceiling(self, params, f, input_counts, outputs):
+        # 36 and 72 sockets, beyond a walk over every wiring
+        for oc in outputs:
+            assert enumeration_fraction_general(params, f, input_counts, oc) == (
+                general_ensemble_event_probability(params, f, input_counts, oc)
+            ), oc
 
     def test_negative_counts_rejected(self):
         params = SystemParams(1, 2, 4)

@@ -12,13 +12,17 @@ from pooltest import (
     converse_margin,
     derive_seed,
     ensemble_event_probability,
+    enumeration_fraction_general,
     forward_or,
+    general_ensemble_event_probability,
     noisy_converse_margin,
     noisy_ensemble_event_probability,
     or_pool_poly,
     sample_graph,
     typical_weight_set,
 )
+from pooltest import TestFunction as PoolFunction
+from pooltest.ensemble import compositions
 from pooltest.estimators import weight_rate
 
 SMALL_PARAMS = st.sampled_from(
@@ -110,6 +114,34 @@ def test_noisy_extraction_matches_dense_product(params, q):
             assert noisy_ensemble_event_probability(rounded, w, s) == float(
                 noisy_ensemble_event_probability(stored, w, s)
             ), (q, params, w, s)
+
+
+# systems just past a walk over every wiring: 12 to 16 sockets, r = 2 to 4
+PAST_THE_WIRING_CEILING = st.sampled_from([
+    SystemParams(l, r, nl // l)
+    for nl in range(12, 17)
+    for l in range(1, 4)
+    for r in range(2, 5)
+    if nl % l == 0 and nl % r == 0
+])
+
+
+@given(PAST_THE_WIRING_CEILING, st.data())
+@settings(max_examples=40, deadline=None)
+def test_oracle_matches_extraction_for_random_ternary_tests(params, data):
+    # a random table over 3 input symbols, every output type of one input type
+    types = list(compositions(params.r, 3))
+    outputs = data.draw(st.integers(2, 3), label="outputs")
+    values = data.draw(
+        st.lists(st.integers(0, outputs - 1), min_size=len(types), max_size=len(types)),
+        label="table",
+    )
+    f = PoolFunction((0, 1, 2), tuple(range(outputs)), params.r, dict(zip(types, values)))
+    ic = data.draw(st.sampled_from(list(compositions(params.n, 3))), label="input counts")
+    for oc in compositions(params.m, outputs):
+        assert enumeration_fraction_general(params, f, ic, oc) == (
+            general_ensemble_event_probability(params, f, ic, oc)
+        ), (params, ic, oc)
 
 
 @given(
