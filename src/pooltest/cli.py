@@ -265,10 +265,8 @@ def _verify_exact(checks: _Checks) -> None:
     merged = TestFunction.from_callable(lambda v: int(any(v)), (0, 1, 2), (0, 1), 6)
     event = (SystemParams(3, 6, 24), merged, (20, 3, 1), (8, 4))
     a, b = _genfunc.general_ensemble_event_probability(*event), enumeration_fraction_general(*event)
-    checks.record(
-        "merged-OR formula vs per-test enumeration (l=3, r=6, n=24)",
-        a == b, f"input types (20, 3, 1), output types (8, 4): {a} vs {b}",
-    )
+    name = "merged-OR formula vs per-test enumeration (l=3, r=6, n=24)"
+    checks.record(name, a == b, f"input types (20, 3, 1), output types (8, 4): {a} vs {b}")
 
     for l, r, n in ((3, 6, 12), (2, 4, 4)):
         params = SystemParams(l, r, n)

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import or_, sub
-from typing import Callable, Iterator, Mapping, Sequence
+from operator import itemgetter, le, or_, sub
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bounds import _check_degrees
 from .errors import GuardError, InputError
@@ -384,51 +384,56 @@ def _multinomial(counts: Sequence[int]) -> int:
     return math.prod(math.comb(sum(counts[: i + 1]), c) for i, c in enumerate(counts))
 
 
-def _per_test_sum(
-    params: SystemParams, types: Sequence[tuple[tuple[int, ...], int]], sizes: Sequence[int],
-    output_counts: Sequence[int], match: int, miss: int,
-) -> int:
-    """Sum over the type sequences (t_1, ..., t_m) that place sizes[i]
-    sockets of symbol i + 1, and the rest of symbol 0, of prod_j
-    multinomial(r; t_j) * (match if f(t_j) = y_j, else miss), for y the
-    canonical output with output_counts[k] tests of output k.  `types` pairs
-    each type's counts of symbols 1, 2, ... with its output index f(t).
-
-    The walk runs depth first over the tests on an explicit stack, drops a
-    branch once a count goes negative or the sockets left cannot hold the
-    counts left, and refuses with GuardError past ORACLE_NODE_LIMIT nodes.
-    """
-    r, m = params.r, params.m
-    zeros = params.num_sockets - sum(sizes)
-    table = [
-        (t, _multinomial((r - sum(t), *t)), out)
-        for t, out in types
-        if r - sum(t) <= zeros and all(a <= b for a, b in zip(t, sizes))
-    ]
-    # test j outputs the k with ends[k - 1] <= j < ends[k]
-    ends = [sum(output_counts[: k + 1]) for k in range(len(output_counts))]
-    found, visited = 0, 0
-    stack = [(0, tuple(sizes), 1)]
+def _per_test_sums(
+    params: SystemParams, types: Iterable[tuple[tuple[int, ...], int]], sizes: Sequence[int],
+    output_counts: Sequence[int], misses: bool,
+) -> dict[int, int]:
+    """Map k to the sum of prod_j multinomial(r; t_j) over the type sequences
+    (t_1, ..., t_m) with sizes[i] sockets of symbol i + 1, the rest symbol 0,
+    and f(t_j) != y_j at k tests, y canonical with output_counts[o] tests of
+    output o; `types` pairs each type's counts of symbols 1, 2, ... with f(t).
+    Only k = 0 is walked unless `misses`.  Depth first, the path's product in
+    one integer; each type examined at a test is a node, and reading a type
+    costs 1 + W^2, W the 64-bit words of r*ceil(log2(#symbols)) bits."""
+    r, m, visited = params.r, params.m, 0
+    refusal = GuardError(f"oracle walk over {m} tests refused (limit {ORACLE_NODE_LIMIT} nodes)")
+    # (sum(t), t, f(t), multinomial) for each type that fits, by sum(t)
+    table: list[tuple[int, tuple[int, ...], int, int]] = []
+    for t, out in types:
+        visited += 1 + (r * len(t).bit_length() // 64) ** 2  # W bounds its multinomial's words
+        if visited > ORACLE_NODE_LIMIT:
+            raise refusal
+        if all(map(le, t, sizes)):
+            table.append((sum(t), t, out, _multinomial((r - sum(t), *t))))
+    table.sort(key=itemgetter(0))
+    ends = [sum(output_counts[: o + 1]) for o in range(len(output_counts))]  # y_j = bisect(ends, j)
+    sums: dict[int, int] = {}
+    weight = 1
+    # stack[j]: the (counts left, multinomial, misses) of the nodes with j
+    # tests placed that are left to visit, and their parent's multinomial
+    stack = [([(tuple(sizes), 1, 0)], 1)]
     while stack:
-        j, left, weight = stack.pop()
-        if j == m:
-            found += weight
+        pending = stack[-1][0]
+        if not pending:
+            weight //= stack.pop()[1]
             continue
-        room, target = r * (m - j - 1), bisect_right(ends, j)
-        for t, count, out in table:
-            factor = match if out == target else miss
-            if not factor:
-                continue
-            rest = tuple(map(sub, left, t))
-            if sum(rest) > room or min(rest, default=0) < 0:
-                continue
-            visited += 1
-            if visited > ORACLE_NODE_LIMIT:
-                raise GuardError(
-                    f"oracle walk over {m} tests refused (limit {ORACLE_NODE_LIMIT} nodes)"
-                )
-            stack.append((j + 1, rest, weight * (count * factor)))
-    return found
+        left, count, k = pending.pop()
+        if (j := len(stack) - 1) == m:
+            sums[k] = sums.get(k, 0) + weight * count
+            continue
+        # the types leaving counts >= 0 that the sockets after test j can hold
+        y, total = bisect_right(ends, j), sum(left)
+        lo = bisect_left(table, total - r * (m - j - 1), key=itemgetter(0))
+        hi = bisect_right(table, total, key=itemgetter(0))
+        visited += hi - lo
+        if visited > ORACLE_NODE_LIMIT:
+            raise refusal
+        weight *= count
+        stack.append(([
+            (rest, c, k + (out != y)) for _, t, out, c in table[lo:hi]
+            if (misses or out == y) and min(rest := tuple(map(sub, left, t)), default=0) >= 0
+        ], count))
+    return sums
 
 
 def enumeration_fraction_noiseless(params: SystemParams, w: int, s: int) -> Fraction:
@@ -444,8 +449,9 @@ def enumeration_fraction_noisy(params: SystemParams, w: int, s: int) -> Fraction
     _check_event(params, w, s)
     q = Fraction(params.q)  # exact for Fraction and for any float's binary value
     big_p, big_q, wl = q.numerator, q.denominator, w * params.l
-    types = [((d,), int(d > 0)) for d in range(min(params.r, wl) + 1)]
-    weight = _per_test_sum(params, types, (wl,), (params.m - s, s), big_q - big_p, big_p)
+    types = (((d,), int(d > 0)) for d in range(min(params.r, wl) + 1))
+    sums = _per_test_sums(params, types, (wl,), (params.m - s, s), big_p > 0)
+    weight = sum(v * (big_q - big_p) ** (params.m - k) * big_p**k for k, v in sums.items())
     return Fraction(weight, big_q**params.m * math.comb(params.num_sockets, wl))
 
 
@@ -459,6 +465,6 @@ def enumeration_fraction_general(
     of the given input/output type-count vectors."""
     _check_types(params, f, input_counts, output_counts)
     sizes = [params.l * c for c in input_counts]
-    types = [(t[1:], out) for t, out in f.table.items()]
-    hits = _per_test_sum(params, types, sizes[1:], output_counts, 1, 0)
-    return Fraction(hits, _multinomial(sizes))
+    types = ((t[1:], out) for t, out in f.table.items())
+    hits = _per_test_sums(params, types, sizes[1:], output_counts, False)
+    return Fraction(hits.get(0, 0), _multinomial(sizes))

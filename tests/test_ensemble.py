@@ -448,14 +448,28 @@ class TestOracleRefusals:
             call()
 
     def test_over_budget_walk_is_refused_on_its_nodes(self):
-        # OR at (3,6,48), w=8, s=12 sums over about 6.3 million type sequences
+        # OR at (3,6,48), w=8, s=12 sums over about 6.3 million type sequences;
+        # the sum mod 4 at (3,12,48) reads a table of 455 types at every test;
+        # at r = 5000 to 2^30 the types' multinomials run to hundreds or
+        # thousands of 64-bit words, and forming them all takes seconds to minutes
+        mod4 = PoolFunction.from_callable(lambda v: sum(v) % 4, (0, 1, 2, 3), (0, 1, 2, 3), 12)
+        calls = [
+            (24, lambda: enumeration_fraction_noiseless(SystemParams(3, 6, 48), 8, 12)),
+            (12, lambda: enumeration_fraction_general(
+                SystemParams(3, 12, 48), mod4, (12, 12, 12, 12), (3, 3, 3, 3)
+            )),
+            (2, lambda: enumeration_fraction_noiseless(SystemParams(1, 5000, 10000), 5000, 2)),
+            (2, lambda: enumeration_fraction_noiseless(SystemParams(1, 20000, 40000), 20000, 2)),
+            (1, lambda: enumeration_fraction_noiseless(SystemParams(1, 2**30, 2**30), 2**16, 1)),
+        ]
         limit = ensemble_module.ORACLE_NODE_LIMIT
-        start = time.perf_counter()
-        with pytest.raises(
-            GuardError, match=rf"^oracle walk over 24 tests refused \(limit {limit} nodes\)$"
-        ):
-            enumeration_fraction_noiseless(SystemParams(3, 6, 48), 8, 12)
-        assert time.perf_counter() - start < 10
+        for case, (m, call) in enumerate(calls):
+            start = time.perf_counter()
+            with pytest.raises(
+                GuardError, match=rf"^oracle walk over {m} tests refused \(limit {limit} nodes\)$"
+            ):
+                call()
+            assert time.perf_counter() - start < 10, case
 
     @pytest.mark.parametrize("q", [0, Fraction(1, 10)], ids=["noiseless", "noisy"])
     def test_walk_over_many_tests_builds_nothing_per_test(self, q):
