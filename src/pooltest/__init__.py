@@ -18,7 +18,6 @@ from .bounds import (
     emit_curve,
     entropy,
     fixed_point_z,
-    noisy_achievable_margin,
     noisy_collision_factor,
     noisy_converse_margin,
     threshold_lower,
@@ -111,7 +110,6 @@ __all__ = [
     "general_direct_margin",
     "general_ensemble_event_probability",
     "noiseless_direct_exponent",
-    "noisy_achievable_margin",
     "noisy_collision_factor",
     "noisy_converse_margin",
     "noisy_direct_exponent",

@@ -120,12 +120,6 @@ def _achievable(l: int, r: int, p: float) -> float:
     return -(l - 1) * binary_entropy(p) - l * p * math.log2(2 ** (1 / r) - 1)
 
 
-def noisy_achievable_margin(l: int, r: int, p: float, q: float) -> float:
-    """Achievable margin with test outcomes flipped at rate q."""
-    _check_flip_rate(q)
-    return achievable_margin(l, r, p) + (l / r) * binary_entropy(q)
-
-
 def collision_exponent(l: int, r: int, p: float, sigma: float, z: float) -> float:
     """Growth rate (bits per object) of the expected number of confusable
     typical inputs, before optimizing the generating variable z, for outcome

@@ -180,16 +180,16 @@ class _Checks:
         worst = max(abs(a - b) for a, b in pairs)
         self.record(name, worst <= tol, f"max difference {worst:.3e}")
 
-    def all_events_equal(self, name: str, params: SystemParams, formula, reference) -> None:
-        """Record whether formula(params, w, s) == reference(params, w, s)
-        for every input weight w and output weight s."""
-        for w in range(params.n + 1):
+    def all_events_equal(self, name: str, params: SystemParams, formula, reference, w=None) -> None:
+        """Record whether formula(params, v, s) == reference(params, v, s)
+        for every output weight s and every input weight v, or v = w alone."""
+        for v in range(params.n + 1) if w is None else (w,):
             for s in range(params.m + 1):
-                a, b = formula(params, w, s), reference(params, w, s)
+                a, b = formula(params, v, s), reference(params, v, s)
                 if a != b:
-                    self.record(name, False, f"first mismatch at (w={w}, s={s}): {a} vs {b}")
+                    self.record(name, False, f"first mismatch at (w={v}, s={s}): {a} vs {b}")
                     return
-        self.record(name, True, "exact rational match on all (w, s)")
+        self.record(name, True, "exact rational match on all " + ("(w, s)" if w is None else f"s at w={w}"))
 
 
 def _verify_exact(checks: _Checks) -> None:
@@ -201,16 +201,18 @@ def _verify_exact(checks: _Checks) -> None:
             enumeration_fraction_noiseless,
         )
 
-    for l, r, n, q in (
-        (1, 2, 2, Fraction(1, 4)),
-        (1, 2, 2, Fraction(1, 2)),
-        (2, 4, 4, Fraction(1, 10)),
+    for l, r, n, q, w in (
+        (1, 2, 2, Fraction(1, 4), None),
+        (1, 2, 2, Fraction(1, 2), None),
+        (2, 4, 4, Fraction(1, 10), None),
+        (3, 6, 24, Fraction(1, 10), 2),  # one walk per fired weight, past all (nl)! wirings
     ):
         checks.all_events_equal(
             f"noisy formula vs enumeration (l={l}, r={r}, n={n}, q={q})",
             SystemParams(l, r, n, q=q),
             _genfunc.noisy_ensemble_event_probability,
             enumeration_fraction_noisy,
+            w,
         )
 
     # at w=60 neither power is stable, so the float is the recurrence's exact

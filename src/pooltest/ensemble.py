@@ -13,9 +13,9 @@ of the package uses as ground truth.  The outcome of a fixed input
 depends only on which symbol each right socket receives, every such
 labelling is hit by the same number of wirings, and prod_j
 multinomial(r; t_j) labellings give each test j its type t_j, its count
-of each symbol.  So one walk over the tests' types gives the same exact
-fractions as a walk over all (nl)! wirings, for the binary, noisy and
-general oracles alike.
+of each symbol.  So a walk over the type sequences that give y has the
+exact fraction of all (nl)! wirings; flips ignore the wiring, so the
+noisy one is a binomial mixture of such walks, one per fired weight.
 """
 
 from __future__ import annotations
@@ -384,18 +384,18 @@ def _multinomial(counts: Sequence[int]) -> int:
     return math.prod(math.comb(sum(counts[: i + 1]), c) for i, c in enumerate(counts))
 
 
-def _per_test_sums(
+def _per_test_sum(
     params: SystemParams, types: Iterable[tuple[tuple[int, ...], int]], sizes: Sequence[int],
-    output_counts: Sequence[int], misses: bool,
-) -> dict[int, int]:
-    """Map k to the sum of prod_j multinomial(r; t_j) over the type sequences
-    (t_1, ..., t_m) with sizes[i] sockets of symbol i + 1, the rest symbol 0,
-    and f(t_j) != y_j at k tests, y canonical with output_counts[o] tests of
-    output o; `types` pairs each type's counts of symbols 1, 2, ... with f(t).
-    Only k = 0 is walked unless `misses`.  Depth first, the path's product in
-    one integer; each type examined at a test is a node, and reading a type
-    costs 1 + W^2, W the 64-bit words of r*ceil(log2(#symbols)) bits."""
-    r, m, visited = params.r, params.m, 0
+    output_counts: Sequence[int], visited: int,
+) -> tuple[int, int]:
+    """Sum of prod_j multinomial(r; t_j) over the type sequences (t_1, ..., t_m)
+    with sizes[i] sockets of symbol i + 1, the rest symbol 0, and f(t_j) = y_j
+    at every test, y canonical with output_counts[o] tests of output o; `types`
+    pairs each type's counts of symbols 1, 2, ... with f(t).  Depth first, the
+    path's product in one integer.  Also returns the node count, begun at
+    `visited` so a call's walks share one budget: each type examined at a test
+    is a node; reading one costs 1 + W^2, W the 64-bit words of r*ceil(log2(#symbols)) bits."""
+    r, m = params.r, params.m
     refusal = GuardError(f"oracle walk over {m} tests refused (limit {ORACLE_NODE_LIMIT} nodes)")
     # (sum(t), t, f(t), multinomial) for each type that fits, by sum(t)
     table: list[tuple[int, tuple[int, ...], int, int]] = []
@@ -407,21 +407,20 @@ def _per_test_sums(
             table.append((sum(t), t, out, _multinomial((r - sum(t), *t))))
     table.sort(key=itemgetter(0))
     ends = [sum(output_counts[: o + 1]) for o in range(len(output_counts))]  # y_j = bisect(ends, j)
-    sums: dict[int, int] = {}
-    weight = 1
-    # stack[j]: the (counts left, multinomial, misses) of the nodes with j
-    # tests placed that are left to visit, and their parent's multinomial
-    stack = [([(tuple(sizes), 1, 0)], 1)]
+    hits, weight = 0, 1
+    # stack[j]: the (counts left, multinomial) of the nodes with j tests
+    # placed that are left to visit, and their parent's multinomial
+    stack = [([(tuple(sizes), 1)], 1)]
     while stack:
         pending = stack[-1][0]
         if not pending:
             weight //= stack.pop()[1]
             continue
-        left, count, k = pending.pop()
+        left, count = pending.pop()
         if (j := len(stack) - 1) == m:
-            sums[k] = sums.get(k, 0) + weight * count
+            hits += weight * count
             continue
-        # the types leaving counts >= 0 that the sockets after test j can hold
+        # the types giving y_j and leaving counts >= 0 that the sockets after test j can hold
         y, total = bisect_right(ends, j), sum(left)
         lo = bisect_left(table, total - r * (m - j - 1), key=itemgetter(0))
         hi = bisect_right(table, total, key=itemgetter(0))
@@ -430,10 +429,10 @@ def _per_test_sums(
             raise refusal
         weight *= count
         stack.append(([
-            (rest, c, k + (out != y)) for _, t, out, c in table[lo:hi]
-            if (misses or out == y) and min(rest := tuple(map(sub, left, t)), default=0) >= 0
+            (rest, c) for _, t, out, c in table[lo:hi]
+            if out == y and min(rest := tuple(map(sub, left, t)), default=0) >= 0
         ], count))
-    return sums
+    return hits, visited
 
 
 def enumeration_fraction_noiseless(params: SystemParams, w: int, s: int) -> Fraction:
@@ -445,14 +444,21 @@ def enumeration_fraction_noiseless(params: SystemParams, w: int, s: int) -> Frac
 def enumeration_fraction_noisy(params: SystemParams, w: int, s: int) -> Fraction:
     """Exact probability that the flipped outcome F_G(x) xor e equals canonical y,
     averaged over wirings and over e ~ Bernoulli(q)^m, as a rational number.
-    With q = P/Q, a test weighs Q - P where its outcome matches y, else P."""
+    Test relabelling makes F_G(x) take each weight-f outcome alike; C(s, b) C(m - s, a)
+    of them, a = f - s + b, flip into y with chance P^(a+b) (Q - P)^(m-a-b) / Q^m, q = P/Q."""
     _check_event(params, w, s)
     q = Fraction(params.q)  # exact for Fraction and for any float's binary value
-    big_p, big_q, wl = q.numerator, q.denominator, w * params.l
-    types = (((d,), int(d > 0)) for d in range(min(params.r, wl) + 1))
-    sums = _per_test_sums(params, types, (wl,), (params.m - s, s), big_p > 0)
-    weight = sum(v * (big_q - big_p) ** (params.m - k) * big_p**k for k, v in sums.items())
-    return Fraction(weight, big_q**params.m * math.comb(params.num_sockets, wl))
+    big_p, big_q, wl, m = q.numerator, q.denominator, w * params.l, params.m
+    types = tuple(((d,), int(d > 0)) for d in range(min(params.r, wl) + 1))
+    hits, visited = {}, 0  # every walk before any power, so a huge m is refused at once
+    for f in range(-(-wl // params.r), min(wl, m) + 1) if big_p else (s,):  # q = 0: only y
+        hits[f], visited = _per_test_sum(params, types, (wl,), (m - f, f), visited)
+    weight = sum(
+        h * math.comb(s, b) * math.comb(m - s, f - s + b) * big_p ** (f - s + 2 * b)
+        * (big_q - big_p) ** (m - f + s - 2 * b)
+        for f, h in hits.items() if h for b in range(max(0, s - f), min(s, m - f) + 1)
+    )
+    return Fraction(weight, big_q**m * math.comb(params.num_sockets, wl))
 
 
 def enumeration_fraction_general(
@@ -466,5 +472,5 @@ def enumeration_fraction_general(
     _check_types(params, f, input_counts, output_counts)
     sizes = [params.l * c for c in input_counts]
     types = ((t[1:], out) for t, out in f.table.items())
-    hits = _per_test_sums(params, types, sizes[1:], output_counts, False)
-    return Fraction(hits.get(0, 0), _multinomial(sizes))
+    hits, _ = _per_test_sum(params, types, sizes[1:], output_counts, 0)
+    return Fraction(hits, _multinomial(sizes))

@@ -15,7 +15,6 @@ from pooltest import (
     entropy,
     fixed_point_z,
     noiseless_direct_exponent,
-    noisy_achievable_margin,
     noisy_collision_factor,
     noisy_converse_margin,
     threshold_lower,
@@ -103,7 +102,7 @@ class TestConverseMargin:
         with pytest.raises(InputError, match="^" + re.escape(f"p={p} outside [0, 1]") + "$"):
             noisy_converse_margin(3, 6, p, 0.1)
 
-    @pytest.mark.parametrize("margin", [noisy_converse_margin, noisy_achievable_margin])
+    @pytest.mark.parametrize("margin", [noisy_converse_margin])
     @pytest.mark.parametrize("q", [1.5, -0.1, math.nan])
     def test_noisy_margins_name_q_when_it_is_out_of_range(self, margin, q):
         with pytest.raises(InputError, match=rf"^q={q} outside \[0, 1\]$"):
@@ -128,11 +127,6 @@ class TestAchievableMargin:
             mid = achievable_margin(3, 6, (a + b) / 2)
             chord = (achievable_margin(3, 6, a) + achievable_margin(3, 6, b)) / 2
             assert mid <= chord + 1e-10
-
-    def test_noisy_adds_noise_entropy(self):
-        l, r, p, q = 3, 6, 0.05, 0.08
-        expected = achievable_margin(l, r, p) + (l / r) * binary_entropy(q)
-        assert noisy_achievable_margin(l, r, p, q) == pytest.approx(expected, abs=1e-13)
 
 
 class TestCollisionExponent:

@@ -592,6 +592,23 @@ class TestVerifyCommand:
             " (20, 3, 1), output types (8, 4): 1314953/3840821075364 vs 1314953/7681642150728"
         ]
 
+    def test_noisy_per_test_line_can_fail(self, capsys, monkeypatch):
+        # the n=24 line holds the noisy formula to the per-test oracle at w=2
+        true = pooltest.genfunc.noisy_ensemble_event_probability
+
+        def wrong(params, *args):
+            return true(params, *args) * (2 if params.n == 24 else 1)
+
+        monkeypatch.setattr(pooltest.genfunc, "noisy_ensemble_event_probability", wrong)
+        code, out, _ = run(capsys, "verify", "--suite", "exact")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert failed == [
+            "[FAIL] noisy formula vs enumeration (l=3, r=6, n=24, q=1/10): first mismatch"
+            " at (w=2, s=0): 279474680411397/6509954500000000000 vs"
+            " 279474680411397/13019909000000000000"
+        ]
+
     def test_numerator_line_sees_a_dropped_term(self, capsys, monkeypatch):
         # without its t = ceil(lw/r) term the numerator is wrong, but by far
         # less than half an ulp of the float, so only the integer line fails

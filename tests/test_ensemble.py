@@ -30,6 +30,7 @@ from pooltest import (
     enumeration_fraction_noiseless,
     enumeration_fraction_noisy,
     forward_or,
+    noisy_ensemble_event_probability,
     or_function,
     sample_graph,
 )
@@ -448,13 +449,17 @@ class TestOracleRefusals:
             call()
 
     def test_over_budget_walk_is_refused_on_its_nodes(self):
-        # OR at (3,6,48), w=8, s=12 sums over about 6.3 million type sequences;
+        # OR at (3,6,48), w=8, s=12 sums over about 6.3 million type sequences,
+        # and noisy it walks once per fired weight under the same budget;
         # the sum mod 4 at (3,12,48) reads a table of 455 types at every test;
         # at r = 5000 to 2^30 the types' multinomials run to hundreds or
         # thousands of 64-bit words, and forming them all takes seconds to minutes
         mod4 = PoolFunction.from_callable(lambda v: sum(v) % 4, (0, 1, 2, 3), (0, 1, 2, 3), 12)
         calls = [
             (24, lambda: enumeration_fraction_noiseless(SystemParams(3, 6, 48), 8, 12)),
+            (24, lambda: enumeration_fraction_noisy(
+                SystemParams(3, 6, 48, q=Fraction(1, 10)), 8, 12
+            )),
             (12, lambda: enumeration_fraction_general(
                 SystemParams(3, 12, 48), mod4, (12, 12, 12, 12), (3, 3, 3, 3)
             )),
@@ -470,6 +475,18 @@ class TestOracleRefusals:
             ):
                 call()
             assert time.perf_counter() - start < 10, case
+
+    def test_one_budget_covers_every_walk_of_a_call(self, monkeypatch):
+        # the noisy oracle walks once per fired weight f = 2, ..., 9; the eight
+        # walks visit 85 to 1,025 nodes each and 4,840 in all
+        params = SystemParams(3, 6, 24, q=Fraction(1, 10))
+        monkeypatch.setattr(ensemble_module, "ORACLE_NODE_LIMIT", 4839)
+        refusal = r"^oracle walk over 12 tests refused \(limit 4839 nodes\)$"
+        with pytest.raises(GuardError, match=refusal):
+            enumeration_fraction_noisy(params, 3, 6)
+        monkeypatch.setattr(ensemble_module, "ORACLE_NODE_LIMIT", 4840)
+        exact = noisy_ensemble_event_probability(params, 3, 6)
+        assert enumeration_fraction_noisy(params, 3, 6) == exact
 
     @pytest.mark.parametrize("q", [0, Fraction(1, 10)], ids=["noiseless", "noisy"])
     def test_walk_over_many_tests_builds_nothing_per_test(self, q):

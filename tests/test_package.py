@@ -16,8 +16,9 @@ REMOVED = (
     "EmptyTypicalSetError", "Infimum", "Margin", "NoThresholdError", "ReducedAlphabetError",
     "brute_force_decision_set_noiseless", "compositions", "enumerate_ensemble",
     "exponent_infimum", "forward_general", "graph_from_json", "graph_to_json",
-    "is_typical", "linspace", "multinomial", "parity_function", "threshold_function",
-    "type_vector_representative", "typical_weights", "weight_rate", "weight_vector",
+    "is_typical", "linspace", "multinomial", "noisy_achievable_margin", "parity_function",
+    "threshold_function", "type_vector_representative", "typical_weights", "weight_rate",
+    "weight_vector",
 )
 
 
@@ -36,7 +37,7 @@ def test_polynomial_classes_are_gone():
 
 
 def test_removed_names_are_gone():
-    assert len(pooltest.__all__) == 54
+    assert len(pooltest.__all__) == 53
     assert not [name for name in REMOVED if name in pooltest.__all__ or hasattr(pooltest, name)]
     assert not hasattr(pooltest.errors, "EmptyTypicalSetError")
     assert not hasattr(pooltest.ensemble, "type_vector_representative")
@@ -118,3 +119,32 @@ def test_import_scan_sees_unused_and_duplicate_names():
         "from typing import List\n__all__ = ['path']\nx: 'List[int]' = 0\ny = 'math' + sep\n"
     )
     assert _import_problems(tree) == ["math imported and never used", "sep imported 2 times"]
+
+
+def _genfunc_imports(tree: ast.Module) -> list[int]:
+    """Lines of the imports, at module or function level, that reach genfunc."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("genfunc" in name.split(".") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_ensemble_oracles_import_nothing_from_genfunc():
+    # the oracles are the generating functions' ground truth, so they share none of their code
+    tree = ast.parse((ROOT / "src" / "pooltest" / "ensemble.py").read_text(encoding="utf-8"))
+    assert _genfunc_imports(tree) == []
+
+
+def test_genfunc_import_scan_sees_every_form():
+    tree = ast.parse(
+        "from .genfunc import x\ndef f():\n    from . import genfunc\n    import pooltest.genfunc\n"
+        "from .bounds import genfunc_limit\nimport genfuncs\n"
+    )
+    assert _genfunc_imports(tree) == [1, 3, 4]
