@@ -384,6 +384,10 @@ def _multinomial(counts: Sequence[int]) -> int:
     return math.prod(math.comb(sum(counts[: i + 1]), c) for i, c in enumerate(counts))
 
 
+def _walk_refusal(m: int) -> GuardError:
+    return GuardError(f"oracle walk over {m} tests refused (limit {ORACLE_NODE_LIMIT} nodes)")
+
+
 def _per_test_sum(
     params: SystemParams, types: Iterable[tuple[tuple[int, ...], int]], sizes: Sequence[int],
     output_counts: Sequence[int], visited: int,
@@ -396,13 +400,12 @@ def _per_test_sum(
     `visited` so a call's walks share one budget: each type examined at a test
     is a node; reading one costs 1 + W^2, W the 64-bit words of r*ceil(log2(#symbols)) bits."""
     r, m = params.r, params.m
-    refusal = GuardError(f"oracle walk over {m} tests refused (limit {ORACLE_NODE_LIMIT} nodes)")
     # (sum(t), t, f(t), multinomial) for each type that fits, by sum(t)
     table: list[tuple[int, tuple[int, ...], int, int]] = []
     for t, out in types:
         visited += 1 + (r * len(t).bit_length() // 64) ** 2  # W bounds its multinomial's words
         if visited > ORACLE_NODE_LIMIT:
-            raise refusal
+            raise _walk_refusal(m)
         if all(map(le, t, sizes)):
             table.append((sum(t), t, out, _multinomial((r - sum(t), *t))))
     table.sort(key=itemgetter(0))
@@ -426,7 +429,7 @@ def _per_test_sum(
         hi = bisect_right(table, total, key=itemgetter(0))
         visited += hi - lo
         if visited > ORACLE_NODE_LIMIT:
-            raise refusal
+            raise _walk_refusal(m)
         weight *= count
         stack.append(([
             (rest, c) for _, t, out, c in table[lo:hi]

@@ -144,7 +144,44 @@ def _scan_or_consistent(
 ) -> list[tuple[int, ...]]:
     """Depth-first scan over supports, collecting in pre-order those whose
     weight is typical and whose union-of-pools mask differs from `target`
-    in a number of tests that lies in the noise window `flips`.
+    in a number of tests that lies in the noise window `flips`."""
+    if not weights or not flips:
+        return []
+    return _scan(masks, _candidates(masks, target, max(flips)), target, flips, weights, cap)
+
+
+def _candidates(masks: list[int], target: int, budget: int) -> list[int]:
+    """The objects lighting at most `budget` tests outside `target`: every
+    object of a support whose flip count is at most the budget."""
+    outside = ~target
+    return [i for i in range(len(masks)) if (masks[i] & outside).bit_count() <= budget]
+
+
+def _scan_may_refuse(c: int, w_max: int) -> bool:
+    """Whether a scan over c candidates to depth w_max may try more than
+    SCAN_NODE_LIMIT supports; it tries each nonempty subset of at most
+    w_max candidates at most once."""
+    if (1 << c) <= SCAN_NODE_LIMIT:
+        return False
+    total, term = 0, 1
+    for d in range(1, min(c, w_max) + 1):
+        term = term * (c - d + 1) // d  # C(c, d)
+        total += term
+        if total > SCAN_NODE_LIMIT:
+            return True
+    return False
+
+
+def _scan(
+    masks: list[int],
+    candidates: list[int],
+    target: int,
+    flips: frozenset[int],
+    weights: frozenset[int],
+    cap: int | None,
+) -> list[tuple[int, ...]]:
+    """_scan_or_consistent over the supports made of `candidates`, both
+    windows nonempty.
 
     A support that lights more than max(flips) tests outside `target` is
     pruned together with everything below it, since that count only grows
@@ -155,13 +192,8 @@ def _scan_or_consistent(
     not bounded by the interpreter's stack.  It counts the supports it
     tries and refuses with GuardError once they pass SCAN_NODE_LIMIT."""
     found: list[tuple[int, ...]] = []
-    if not weights or not flips:
-        return found
     budget = max(flips)
     outside = ~target
-    candidates = [
-        i for i in range(len(masks)) if (masks[i] & outside).bit_count() <= budget
-    ]
     candidate_masks = [masks[i] for i in candidates]
     c = len(candidates)
     w_max = max(weights)
@@ -200,6 +232,48 @@ def _scan_or_consistent(
         path.append(nxt)
         unions.append(child)
         nxt += 1
+
+
+def _has_other_member(
+    masks: list[int],
+    target: int,
+    flips: frozenset[int],
+    weights: frozenset[int],
+    support: list[int],
+) -> bool:
+    """Whether the decision set holds a support besides `support`, itself a
+    member: the verdict of _scan_or_consistent(..., 2) != [tuple(support)],
+    refusals included.
+
+    A second member is most often one object away from `support`: a hidden
+    non-defective added, a masked defective dropped, or one defective
+    swapped for another object (the COMP/DD picture).  When the scan cannot
+    pass SCAN_NODE_LIMIT it cannot refuse, and any other member decides the
+    verdict, so these neighbours are tried first.  Otherwise, or when none
+    is a member, the capped scan decides over the same candidates."""
+    candidates = _candidates(masks, target, max(flips))
+    if not _scan_may_refuse(len(candidates), max(weights)):
+        w, chosen = len(support), set(support)
+        # every member is made of candidates, so only they are added
+        others = [masks[i] for i in candidates if i not in chosen]
+        union = 0
+        for k in support:
+            union |= masks[k]
+        if w + 1 in weights:
+            for mask in others:
+                if ((union | mask) ^ target).bit_count() in flips:
+                    return True
+        for k in support:
+            rest = 0
+            for j in support:
+                if j != k:
+                    rest |= masks[j]
+            if w - 1 in weights and (rest ^ target).bit_count() in flips:
+                return True
+            for mask in others:  # weight w is typical: `support` is a member
+                if ((rest | mask) ^ target).bit_count() in flips:
+                    return True
+    return _scan(masks, candidates, target, flips, weights, 2) != [tuple(support)]
 
 
 def decision_set_noiseless(

@@ -20,6 +20,15 @@ its per-call overhead.  A gate runs only the first w*l steps of that
 shuffle: they fix the last w*l entries of the list, a uniform ordered
 sample of its sockets (Knuth, TAOCP vol. 2, sec. 3.4.2, Algorithm P).
 
+A decoding trial fails when the decision set holds a typical input
+besides x, itself always a member.  Such a second member is most often one
+object away from x: a hidden non-defective added, a masked defective
+dropped, or one swapped for another (Aldridge, Baldassini and Johnson,
+IEEE Trans. IT 2014).  So those supports are tried first, and the
+decoder's scan, capped at two supports, runs only when none of them is a
+member.  They are tried only where the scan cannot pass its node limit:
+elsewhere the scan runs as before, so every refusal is unchanged.
+
 Noiseless is the flip rate q = 0: the noiseless trials and gate run the
 noisy loop and gate at q = 0, which never draw a flip.
 """
@@ -44,7 +53,7 @@ from .errors import InputError
 from .estimators import (
     TypicalSetSpec,
     _check_guard,
-    _scan_or_consistent,
+    _has_other_member,
     typical_weight_set,
 )
 from .genfunc import noisy_ensemble_event_probability
@@ -125,8 +134,9 @@ def _run_trials(
     fixed graph's are drawn once per run).  Skipping the flips or the graph
     moves no other draw: the flips are the last draws of the trial's
     stream, and each graph has its own seed.  The trial ORs its defects'
-    masks into y, XORs the flip mask into that, and runs the decoder's scan
-    capped at two supports."""
+    masks into y, XORs the flip mask into that, and counts an error when
+    the decision set holds another member: one object from x, else found by
+    the decoder's scan capped at two supports."""
     if graph_mode not in ("fixed", "fresh"):
         raise InputError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
     if trials < 0:
@@ -167,7 +177,7 @@ def _run_trials(
             y |= masks[k]
         # the flips act on the OR outcome, so they go in after every mask
         y ^= flip_mask
-        if _scan_or_consistent(masks, y, e_weights, x_weights, 2) != [tuple(support)]:
+        if _has_other_member(masks, y, e_weights, x_weights, support):
             ambiguous += 1
     errors = source_atypical + noise_atypical + ambiguous
     rate = halfwidth = None

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,8 @@ from pooltest import PoolingGraph, estimators
 from pooltest.estimators import (
     WEIGHT_WALK_LIMIT,
     _check_guard,
+    _has_other_member,
+    _scan_may_refuse,
     _scan_or_consistent,
     weight_rate,
 )
@@ -255,6 +259,103 @@ class TestScanNodeLimit:
         expected = brute_force_scan(masks, target, flips, weights)
         found = _scan_or_consistent(masks, target, flips, weights, cap)
         assert found == expected[:cap]
+
+
+def _verdict(decide):
+    """decide()'s value, or the message of the GuardError it raises."""
+    try:
+        return decide()
+    except GuardError as refusal:
+        return str(refusal)
+
+
+class TestOtherMember:
+    """The trial harness's pre-check against the cap-2 scan it stands in for:
+    the same verdict, and the same refusal wherever the scan refuses."""
+
+    @staticmethod
+    def scan_verdict(masks, target, flips, weights, support):
+        return _verdict(
+            lambda: _scan_or_consistent(masks, target, flips, weights, 2) != [tuple(support)]
+        )
+
+    @staticmethod
+    def verdict(masks, target, flips, weights, support):
+        return _verdict(lambda: _has_other_member(masks, target, flips, weights, support))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=0, max_value=12),
+        m=st.integers(min_value=1, max_value=10),
+        limit=st.none() | st.integers(min_value=1, max_value=64),
+    )
+    def test_matches_the_capped_scan(self, data, n, m, limit):
+        # a window pair in which the drawn support is a member, as in a trial
+        # that reaches the decoder: its weight and its flip count are typical
+        masks = data.draw(st.lists(st.integers(0, 2**m - 1), min_size=n, max_size=n))
+        support = sorted(data.draw(st.sets(st.integers(0, n - 1))) if n else [])
+        flip_mask = data.draw(st.integers(0, 2**m - 1))
+        target = reduce(or_, (masks[k] for k in support), 0) ^ flip_mask
+        flips = frozenset({flip_mask.bit_count()}) | data.draw(st.frozensets(st.integers(0, m), max_size=2))
+        weights = frozenset({len(support)}) | data.draw(st.frozensets(st.integers(0, n), max_size=3))
+        args = (masks, target, flips, weights, support)
+        with pytest.MonkeyPatch.context() as patch:
+            if limit is not None:
+                patch.setattr(estimators, "SCAN_NODE_LIMIT", limit)
+            assert self.verdict(*args) == self.scan_verdict(*args)
+
+    # six tests, each lit by one of objects 1..6; object 0 lights none, so
+    # x = {1..6} plus object 0 is a member one object away from x
+    MASKS = [0] + [1 << i for i in range(6)]
+    TARGET = 0b111111
+    SUPPORT = [1, 2, 3, 4, 5, 6]
+
+    def test_scan_that_may_refuse_is_left_to_the_scan(self, monkeypatch):
+        # the second member in pre-order is x itself, after all 2^6 supports
+        # holding object 0; the pre-check would find {0..6} at once, but 127
+        # supports may pass the limit, so the scan runs and refuses
+        monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", 40)
+        args = (self.MASKS, self.TARGET, frozenset({0}), frozenset({6, 7}), self.SUPPORT)
+        message = r"^decoder scan over 7 candidate objects refused \(limit 40 supports\)$"
+        with pytest.raises(GuardError, match=message):
+            _has_other_member(*args)
+        with pytest.raises(GuardError, match=message):
+            _scan_or_consistent(*args[:4], 2)
+        monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", 127)
+        assert _has_other_member(*args)
+
+    def test_member_two_objects_away_is_found_by_the_scan(self, monkeypatch):
+        # x = {0, 1} and {2, 3} each light all four tests, and no support one
+        # object from x of weight 2 does
+        masks = [0b0011, 0b1100, 0b0101, 0b1010]
+        calls = []
+        scan = estimators._scan
+        monkeypatch.setattr(estimators, "_scan", lambda *a: calls.append(a) or scan(*a))
+        assert _has_other_member(masks, 0b1111, frozenset({0}), frozenset({2}), [0, 1])
+        assert not _has_other_member(masks[:2], 0b1111, frozenset({0}), frozenset({2}), [0, 1])
+        assert len(calls) == 2
+
+    def test_member_one_object_away_needs_no_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(estimators, "_scan", no_scan)
+        flips = frozenset({0})
+        # add: object 0 joins x = {1..6}
+        assert _has_other_member(self.MASKS, self.TARGET, flips, frozenset({6, 7}), self.SUPPORT)
+        # drop: x = {0..6} without object 0 still lights every test
+        assert _has_other_member(self.MASKS, self.TARGET, flips, frozenset({6, 7}), list(range(7)))
+        # swap: object 7 lights test 0 as object 1 does
+        masks = self.MASKS + [1]
+        assert _has_other_member(masks, self.TARGET, flips, frozenset({6}), self.SUPPORT)
+
+    @pytest.mark.parametrize("c, w_max, supports", [(5, 5, 31), (5, 2, 15), (30, 2, 465), (3, 9, 7)])
+    def test_refusal_bound_counts_the_supports_a_scan_can_try(self, monkeypatch, c, w_max, supports):
+        monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", supports)
+        assert not _scan_may_refuse(c, w_max)
+        monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", supports - 1)
+        assert _scan_may_refuse(c, w_max)
 
 
 class TestDecisionSetNoisy:

@@ -28,7 +28,9 @@ from pooltest import (
     validate_event_probability,
     validate_noisy_event_probability,
 )
+from pooltest import estimators
 from pooltest.ensemble import _object_masks, _partial_shuffles, _shuffle, _shuffle_steps, _test_bits
+from pooltest.estimators import _scan_or_consistent
 from pooltest.montecarlo import _mask_sampler
 
 
@@ -221,6 +223,53 @@ class TestEagerReference:
             "noisy", params, epsilon_input, epsilon_noise, trials, seed, graph_mode,
             settings=noisy_settings,
         )
+
+
+def _trial_shaped_runs():
+    """(runner, args) for the benchmark's decoding configs at (3, 6, 18/24)."""
+    for n in (18, 24):
+        for p in (0.1, 0.2):
+            for mode in ("fixed", "fresh"):
+                yield run_noiseless_trials, (SystemParams(3, 6, n, p=p), 0.1, 300, 1, mode)
+        for q in (0.05, 0.1):
+            for eps in (0.1, 0.3):
+                yield run_noisy_trials, (SystemParams(3, 6, n, p=0.1, q=q), eps, eps, 150, 1)
+
+
+class TestConfusablePreCheck:
+    """The trial loop decides each trial from the supports one object from
+    x before it scans; its reports are those of the scan alone."""
+
+    @staticmethod
+    def scan_only(masks, y, flips, weights, support):
+        return _scan_or_consistent(masks, y, flips, weights, 2) != [tuple(support)]
+
+    @pytest.mark.parametrize("runner, args", list(_trial_shaped_runs()))
+    def test_reports_equal_the_scan_alone(self, monkeypatch, runner, args):
+        report = runner(*args)
+        monkeypatch.setattr(pooltest.montecarlo, "_has_other_member", self.scan_only)
+        assert report == runner(*args)
+
+    @pytest.mark.parametrize("runner, args, decoded, scanned", [
+        (run_noiseless_trials, (SystemParams(3, 6, 24, p=0.1), 0.1, 300, 1), 151, 59),
+        (run_noisy_trials, (SystemParams(3, 6, 24, p=0.1, q=0.05), 0.3, 0.3, 150, 1), 109, 5),
+    ])
+    def test_most_trials_need_no_scan(self, monkeypatch, runner, args, decoded, scanned):
+        counts = {"decoded": 0, "scanned": 0}
+        decide, scan = pooltest.montecarlo._has_other_member, estimators._scan
+
+        def counting_decide(*a):
+            counts["decoded"] += 1
+            return decide(*a)
+
+        def counting_scan(*a):
+            counts["scanned"] += 1
+            return scan(*a)
+
+        monkeypatch.setattr(pooltest.montecarlo, "_has_other_member", counting_decide)
+        monkeypatch.setattr(estimators, "_scan", counting_scan)
+        runner(*args)
+        assert counts == {"decoded": decoded, "scanned": scanned}
 
 
 class TestGraphDraws:
