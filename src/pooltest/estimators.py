@@ -32,7 +32,8 @@ WEIGHT_WALK_LIMIT = 10**6
 # n*l*m: the decoder holds one test bit per right socket, each up to m bits
 # wide and about m/2 on average, so this is about 128 MB of them
 TEST_BITS_LIMIT = 2**31
-# supports one decoder scan may try, about 2-4 s of scanning
+# supports one decoder scan, or one trial's check of the supports one object
+# from x, may try: about 2-4 s of scanning
 SCAN_NODE_LIMIT = 2**22
 
 
@@ -157,21 +158,6 @@ def _candidates(masks: list[int], target: int, budget: int) -> list[int]:
     return [i for i in range(len(masks)) if (masks[i] & outside).bit_count() <= budget]
 
 
-def _scan_may_refuse(c: int, w_max: int) -> bool:
-    """Whether a scan over c candidates to depth w_max may try more than
-    SCAN_NODE_LIMIT supports; it tries each nonempty subset of at most
-    w_max candidates at most once."""
-    if (1 << c) <= SCAN_NODE_LIMIT:
-        return False
-    total, term = 0, 1
-    for d in range(1, min(c, w_max) + 1):
-        term = term * (c - d + 1) // d  # C(c, d)
-        total += term
-        if total > SCAN_NODE_LIMIT:
-            return True
-    return False
-
-
 def _scan(
     masks: list[int],
     candidates: list[int],
@@ -242,19 +228,22 @@ def _has_other_member(
     support: list[int],
 ) -> bool:
     """Whether the decision set holds a support besides `support`, itself a
-    member: the verdict of _scan_or_consistent(..., 2) != [tuple(support)],
-    refusals included.
+    member: the verdict of _scan_or_consistent(..., 2) != [tuple(support)]
+    wherever that scan completes.
 
     A second member is most often one object away from `support`: a hidden
     non-defective added, a masked defective dropped, or one defective
-    swapped for another object (the COMP/DD picture).  When the scan cannot
-    pass SCAN_NODE_LIMIT it cannot refuse, and any other member decides the
-    verdict, so these neighbours are tried first.  Otherwise, or when none
-    is a member, the capped scan decides over the same candidates."""
+    swapped for another (the COMP/DD picture).  These neighbours are tried
+    first, unless there are more of them than SCAN_NODE_LIMIT; any of them
+    that is a member settles the verdict, even where the scan would have
+    refused.  Otherwise the capped scan decides over the same candidates,
+    refusals included."""
     candidates = _candidates(masks, target, max(flips))
-    if not _scan_may_refuse(len(candidates), max(weights)):
-        w, chosen = len(support), set(support)
-        # every member is made of candidates, so only they are added
+    c, w = len(candidates), len(support)
+    # every member is made of candidates, so `support` is too: this counts
+    # the c - w additions and, for each of the w objects, a drop and c - w swaps
+    if (w + 1) * (c - w) + w <= SCAN_NODE_LIMIT:
+        chosen = set(support)
         others = [masks[i] for i in candidates if i not in chosen]
         union = 0
         for k in support:

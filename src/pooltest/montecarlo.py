@@ -26,8 +26,7 @@ object away from x: a hidden non-defective added, a masked defective
 dropped, or one swapped for another (Aldridge, Baldassini and Johnson,
 IEEE Trans. IT 2014).  So those supports are tried first, and the
 decoder's scan, capped at two supports, runs only when none of them is a
-member.  They are tried only where the scan cannot pass its node limit:
-elsewhere the scan runs as before, so every refusal is unchanged.
+member or when they outnumber the scan's node limit.
 
 Noiseless is the flip rate q = 0: the noiseless trials and gate run the
 noisy loop and gate at q = 0, which never draw a flip.

@@ -441,20 +441,32 @@ class TestSimulateCommand:
         )
 
     def test_decoder_scan_past_the_node_limit_is_a_guard_refusal(self, capsys):
-        # n = 1200 passes the n*l*m guard and the weight walk, but a trial's
-        # scan would try more supports than SCAN_NODE_LIMIT
+        # n = 240 passes the n*l*m guard and the weight walk, but a trial
+        # with no member one object from x needs a scan that would try more
+        # supports than SCAN_NODE_LIMIT
         start = time.perf_counter()
         code, out, err = run(
             capsys,
-            "simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", "1200",
-            "--p", "0.1", "--trials", "3", "--seed", "1",
+            "simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", "240",
+            "--p", "0.05", "--trials", "100", "--seed", "1",
         )
         assert time.perf_counter() - start < 10
         assert code == 3
         assert out == ""
         assert err == (
-            "error: decoder scan over 169 candidate objects refused (limit 4194304 supports)\n"
+            "error: decoder scan over 24 candidate objects refused (limit 4194304 supports)\n"
         )
+
+    def test_member_one_object_away_settles_a_trial_past_the_node_limit(self, capsys):
+        # a trial's scan over its 169 candidates would pass SCAN_NODE_LIMIT,
+        # but every trial has a member one object from x, so no scan runs
+        code, out, _ = run(
+            capsys,
+            "simulate", "--mode", "noiseless", "--l", "3", "--r", "6", "--n", "1200",
+            "--p", "0.1", "--trials", "3", "--seed", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["trials"] == 3
 
     def test_decoder_scan_under_the_node_limit_decodes(self, capsys):
         code, out, _ = run(

@@ -28,7 +28,6 @@ from pooltest.estimators import (
     WEIGHT_WALK_LIMIT,
     _check_guard,
     _has_other_member,
-    _scan_may_refuse,
     _scan_or_consistent,
     weight_rate,
 )
@@ -271,7 +270,8 @@ def _verdict(decide):
 
 class TestOtherMember:
     """The trial harness's pre-check against the cap-2 scan it stands in for:
-    the same verdict, and the same refusal wherever the scan refuses."""
+    the same verdict wherever the scan completes; where the scan refuses,
+    the same refusal or a second member one object away."""
 
     @staticmethod
     def scan_verdict(masks, target, flips, weights, support):
@@ -303,7 +303,11 @@ class TestOtherMember:
         with pytest.MonkeyPatch.context() as patch:
             if limit is not None:
                 patch.setattr(estimators, "SCAN_NODE_LIMIT", limit)
-            assert self.verdict(*args) == self.scan_verdict(*args)
+            verdict, scan_verdict = self.verdict(*args), self.scan_verdict(*args)
+        if isinstance(scan_verdict, bool) or verdict is not True:
+            assert verdict == scan_verdict
+        else:
+            assert brute_force_scan(masks, target, flips, weights) != [tuple(support)]
 
     # six tests, each lit by one of objects 1..6; object 0 lights none, so
     # x = {1..6} plus object 0 is a member one object away from x
@@ -311,19 +315,15 @@ class TestOtherMember:
     TARGET = 0b111111
     SUPPORT = [1, 2, 3, 4, 5, 6]
 
-    def test_scan_that_may_refuse_is_left_to_the_scan(self, monkeypatch):
+    def test_member_one_object_away_settles_a_trial_the_scan_refuses(self, monkeypatch):
         # the second member in pre-order is x itself, after all 2^6 supports
-        # holding object 0; the pre-check would find {0..6} at once, but 127
-        # supports may pass the limit, so the scan runs and refuses
+        # holding object 0, so the scan refuses at 40 supports; the pre-check
+        # tries 13 neighbours and finds {0..6} among them
         monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", 40)
         args = (self.MASKS, self.TARGET, frozenset({0}), frozenset({6, 7}), self.SUPPORT)
-        message = r"^decoder scan over 7 candidate objects refused \(limit 40 supports\)$"
-        with pytest.raises(GuardError, match=message):
-            _has_other_member(*args)
-        with pytest.raises(GuardError, match=message):
-            _scan_or_consistent(*args[:4], 2)
-        monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", 127)
         assert _has_other_member(*args)
+        with pytest.raises(GuardError, match=r"^decoder scan over 7 candidate objects refused \(limit 40 supports\)$"):
+            _scan_or_consistent(*args[:4], 2)
 
     def test_member_two_objects_away_is_found_by_the_scan(self, monkeypatch):
         # x = {0, 1} and {2, 3} each light all four tests, and no support one
@@ -350,12 +350,23 @@ class TestOtherMember:
         masks = self.MASKS + [1]
         assert _has_other_member(masks, self.TARGET, flips, frozenset({6}), self.SUPPORT)
 
-    @pytest.mark.parametrize("c, w_max, supports", [(5, 5, 31), (5, 2, 15), (30, 2, 465), (3, 9, 7)])
-    def test_refusal_bound_counts_the_supports_a_scan_can_try(self, monkeypatch, c, w_max, supports):
-        monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", supports)
-        assert not _scan_may_refuse(c, w_max)
-        monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", supports - 1)
-        assert _scan_may_refuse(c, w_max)
+    @pytest.mark.parametrize("c, w", [(7, 6), (5, 2), (30, 2), (3, 1), (4, 0)])
+    def test_neighbours_are_tried_only_within_the_node_limit(self, monkeypatch, c, w):
+        # c - w objects light no test and w light one test each; x is the w,
+        # and adding any of the others gives a member
+        masks = [0] * (c - w) + [1 << i for i in range(w)]
+        args = (masks, (1 << w) - 1, frozenset({0}), frozenset({w, w + 1}), list(range(c - w, c)))
+        neighbours = (w + 1) * (c - w) + w
+        scans = []
+        scan = estimators._scan
+        monkeypatch.setattr(estimators, "_scan", lambda *a: scans.append(a) or scan(*a))
+        monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", neighbours)
+        assert _has_other_member(*args)
+        assert not scans
+        monkeypatch.setattr(estimators, "SCAN_NODE_LIMIT", neighbours - 1)
+        verdict = _verdict(lambda: _has_other_member(*args))
+        assert len(scans) == 1
+        assert verdict == self.scan_verdict(*args)
 
 
 class TestDecisionSetNoisy:

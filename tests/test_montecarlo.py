@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import pooltest.montecarlo
 from brute_force import eager_run_trials, loop_gate, object_tests
 from pooltest import (
+    GuardError,
     InputError,
     SystemParams,
     TypicalSetSpec,
@@ -244,15 +245,38 @@ class TestConfusablePreCheck:
     def scan_only(masks, y, flips, weights, support):
         return _scan_or_consistent(masks, y, flips, weights, 2) != [tuple(support)]
 
+    @staticmethod
+    def report_or_refusal(runner, args):
+        try:
+            return runner(*args)
+        except GuardError as refusal:
+            return str(refusal)
+
     @pytest.mark.parametrize("runner, args", list(_trial_shaped_runs()))
     def test_reports_equal_the_scan_alone(self, monkeypatch, runner, args):
         report = runner(*args)
+        # at a small node limit some scans refuse: a run the scan alone
+        # completes gives the same report, and a run that completes with the
+        # pre-check gives the report of the scan at the full limit
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators, "SCAN_NODE_LIMIT", 64)
+            small = self.report_or_refusal(runner, args)
+            patch.setattr(pooltest.montecarlo, "_has_other_member", self.scan_only)
+            small_scan_only = self.report_or_refusal(runner, args)
         monkeypatch.setattr(pooltest.montecarlo, "_has_other_member", self.scan_only)
         assert report == runner(*args)
+        if not isinstance(small_scan_only, str):
+            assert small == small_scan_only
+        if not isinstance(small, str):
+            assert small == report
 
     @pytest.mark.parametrize("runner, args, decoded, scanned", [
         (run_noiseless_trials, (SystemParams(3, 6, 24, p=0.1), 0.1, 300, 1), 151, 59),
         (run_noisy_trials, (SystemParams(3, 6, 24, p=0.1, q=0.05), 0.3, 0.3, 150, 1), 109, 5),
+        # a trial here has a scan past SCAN_NODE_LIMIT; a neighbour settles it
+        (run_noisy_trials, (SystemParams(3, 6, 144, p=0.05, q=0.05), 0.1, 0.1, 20, 1), 16, 0),
+        # every decoded trial here has a member one object from x
+        (run_noisy_trials, (SystemParams(3, 6, 96, p=0.05, q=0.05), 0.1, 0.1, 200, 1), 73, 0),
     ])
     def test_most_trials_need_no_scan(self, monkeypatch, runner, args, decoded, scanned):
         counts = {"decoded": 0, "scanned": 0}
