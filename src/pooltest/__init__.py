@@ -18,7 +18,6 @@ from .bounds import (
     emit_curve,
     entropy,
     fixed_point_z,
-    noisy_collision_factor,
     noisy_converse_margin,
     threshold_lower,
     threshold_pair,
@@ -47,7 +46,6 @@ from .estimators import (
     typical_weight_set,
 )
 from .genfunc import (
-    DirectExponent,
     GeneralMargin,
     binary_direct_margin,
     ensemble_event_probability,
@@ -75,7 +73,6 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DirectExponent",
     "Estimate",
     "EventRateCheck",
     "GeneralMargin",
@@ -110,7 +107,6 @@ __all__ = [
     "general_direct_margin",
     "general_ensemble_event_probability",
     "noiseless_direct_exponent",
-    "noisy_collision_factor",
     "noisy_converse_margin",
     "noisy_direct_exponent",
     "noisy_ensemble_event_probability",

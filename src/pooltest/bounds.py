@@ -151,24 +151,6 @@ def _collision(l: int, r: int, p: float, sigma: float, z: float) -> float:
     )
 
 
-def noisy_collision_factor(r: int, q: float, sigma: float, z: float) -> float:
-    """Per-test factor of the noisy confusion count: the firing-pool and
-    quiet-pool enumerators mixed at rate q, weighted sigma and 1 - sigma.
-    Equals 1 at z = fixed_point_z(r) for every sigma and q."""
-    _check_degrees(1, r)
-    if not z > 0:
-        raise InputError(f"z={z} must be positive")
-    _check_flip_rate(q)
-    if not 0 <= sigma <= 1:
-        raise InputError(f"sigma={sigma} outside [0, 1]")
-    x = r * math.log1p(z)
-    pool = math.expm1(x) if x < _LN_FLOAT_MAX else math.inf
-    # a zero weight on an infinite pool contributes nothing, not inf * 0
-    fire = pool * (1 - q) + q if q < 1 else 1.0
-    quiet = pool * q + (1 - q) if q > 0 else 1.0
-    return fire**sigma * quiet ** (1 - sigma)
-
-
 # ---------------------------------------------------------------------------
 # thresholds
 # ---------------------------------------------------------------------------

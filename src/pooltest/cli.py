@@ -302,13 +302,6 @@ def _verify_identities(checks: _Checks) -> None:
         f"spread {spread:.3e} over {len(sigmas)} sigma values",
     )
 
-    checks.max_difference(
-        "noisy per-test factor equals 1 at the fixed point",
-        [(_bounds.noisy_collision_factor(r, q, sigma, z_star), 1.0)
-         for q in (0.0, 0.1, 0.3, 0.5) for sigma in (0.0, 0.25, 0.5)],
-        1e-15,
-    )
-
     grid = (0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20)
     checks.max_difference(
         "noiseless direct exponent matches the closed form below the crossover",

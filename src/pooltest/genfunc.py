@@ -40,8 +40,9 @@ maximize such an infimum over an outcome-weight fraction sigma; the
 objective is affine in sigma, so by minimax each exponent is one 1-D
 minimization of the max over the two endpoint weights, started at the
 branches' crossing at the fixed point z* = 2^(1/r) - 1, which is kept when
-nothing lower is found.  The noiseless exponent is the noisy one at flip
-rate q = 0, where fire is the pool and quiet is 1.
+nothing lower is found.  Margins and exponents alike come back as a
+GeneralMargin.  The noiseless exponent is the noisy one at flip rate q = 0,
+where fire is the pool and quiet is 1.
 """
 
 from __future__ import annotations
@@ -519,10 +520,10 @@ def _pieces_1d(enums: list, weight: float, lp: float, shift: float, u: float) ->
 
 def _minimax_1d(
     enums: list, weight: float, lp: float, shift: float = 0.0, kink: float | None = None
-) -> tuple[float, float, bool, int, bool]:
+) -> tuple[float, float, int, bool]:
     """inf over real u of max_k (weight*L_k + shift*L_0) - lp*u, with
     L_k = log2 A_k(2^u) for A_k = enums[k] in _log_terms form; returns
-    (u*, value, at_kink, steps, converged).
+    (u*, value, steps, converged), steps counting the points evaluated.
 
     A bracketed Newton iteration on a max of smooth convex pieces
     (safeguarded Newton, Nocedal & Wright, Numerical Optimization, 2006).
@@ -538,9 +539,9 @@ def _minimax_1d(
     the bracket, the Newton step of the active piece, which stops the
     iteration once it would lower the value by at most TIE_TOL.  Bisection
     comes last, and a side not yet bracketed is probed by doubling.  The
-    iteration starts at `kink` when one is given, and the kink wins
-    (at_kink) unless a later point is strictly lower.  converged is False
-    when MAX_NEWTON_STEPS ran out.
+    iteration starts at `kink` when one is given, and the kink is kept as
+    u* unless a later point is strictly lower.  converged is False when
+    MAX_NEWTON_STEPS ran out.
     """
     lo = hi = None  # (u, active piece) at the bracket ends
     u = 0.0 if kink is None else kink
@@ -587,7 +588,7 @@ def _minimax_1d(
             u += math.copysign(max(1.0, abs(u)), -slope)
     else:
         converged = False
-    return best_u, best, kink is not None and best_u == kink, steps, converged
+    return best_u, best, steps, converged
 
 
 def _solve_linear(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
@@ -718,30 +719,14 @@ def _check_exponent_args(l: int, r: int, p: float) -> None:
         raise InputError(f"p={p} must lie strictly inside (0, 1)")
 
 
-@dataclass(frozen=True)
-class DirectExponent:
-    """A maximized error exponent, the outcome-weight fraction sigma and the
-    argument z (inf when the infimum is the limit z -> inf) at its saddle
-    point, and whether z is the fixed-point kink 2^(1/r) - 1; with the 1-D
-    solver's evaluated points and whether it converged (0 and True for the
-    closed-form limit)."""
-
-    value: float
-    sigma: float
-    z: float
-    at_kink: bool
-    steps: int
-    converged: bool
-
-
-def noiseless_direct_exponent(l: int, r: int, p: float) -> DirectExponent:
+def noiseless_direct_exponent(l: int, r: int, p: float) -> GeneralMargin:
     """Worst-case growth rate of the expected number of confusable typical
     inputs under noiseless OR tests; negative means decoding succeeds.
     This is the noisy exponent at flip rate q = 0."""
     return noisy_direct_exponent(l, r, p, 0.0)
 
 
-def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
+def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> GeneralMargin:
     """Direct-part exponent with test outcomes flipped at rate q:
     -(l-1) h(p) + (l/r) h(q) plus the max over sigma in [0, l/r] of
     inf over z > 0 of sigma*log2 fire(z) + (1-sigma)*log2 quiet(z) - l*p*log2 z,
@@ -753,8 +738,8 @@ def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
     endpoint: the value is inf over u of max(Q, (1 - l/r) Q + (l/r) F)
     - l*p*u, with F, Q the log2 fire and quiet enumerators at z = 2^u.
     fire - quiet is a multiple of pool - 1, so the branches cross at the
-    kink z* = 2^(1/r) - 1.  sigma* balances the subgradient at u*: the
-    active endpoint off the kink, (l*p - Q') / (F' - Q') clipped on it.
+    kink z* = 2^(1/r) - 1, where the 1-D iteration starts.  The result is a
+    binary-alphabet GeneralMargin whose z = (1, z) holds the minimizer.
     """
     _check_exponent_args(l, r, p)
     if not 0 <= q < 1:
@@ -766,25 +751,16 @@ def noisy_direct_exponent(l: int, r: int, p: float, q: float) -> DirectExponent:
     # as z -> inf the steepest branch governs it, through each top nonzero
     # term (at q = 0 quiet is the constant 1)
     (dq, lq), (df, lf) = quiet_terms[-1], fire_terms[-1]
-    slope, limit, sigma = max(
-        (dq + s * (df - dq) - lp, lq + s * (lf - lq), s) for s in (0.0, ratio)
-    )
+    slope, limit = max((dq + s * (df - dq) - lp, lq + s * (lf - lq)) for s in (0.0, ratio))
     if slope < 0:
         raise InputError("the exponent is unbounded for every outcome weight")
     if slope == 0:
         # convex and leveling off: the infimum is the limit at z -> inf
-        return DirectExponent(base + limit, sigma, math.inf, False, 0, True)
-    u_star, val, at_kink, steps, converged = _minimax_1d(
+        return GeneralMargin(base + limit, (1.0, math.inf), 0, True, None)
+    u_star, val, steps, converged = _minimax_1d(
         [quiet_terms, fire_terms], ratio, lp, 1.0 - ratio, math.log2(fixed_point_z(r))
     )
-    if at_kink:
-        f_slope, q_slope = (_lse_1d(terms, u_star)[1] for terms in (fire_terms, quiet_terms))
-        sigma = 0.0  # fire == quiet (q = 1/2): no sigma dependence at all
-        if f_slope != q_slope:
-            sigma = min(max((lp - q_slope) / (f_slope - q_slope), 0.0), ratio)
-    else:
-        sigma = ratio if _lse_1d(fire_terms, u_star)[0] > _lse_1d(quiet_terms, u_star)[0] else 0.0
-    return DirectExponent(base + val, sigma, 2.0**u_star, at_kink, steps, converged)
+    return GeneralMargin(base + val, (1.0, 2.0**u_star), steps, converged, None)
 
 
 # ---------------------------------------------------------------------------
@@ -803,13 +779,16 @@ def binary_direct_margin(f: TestFunction, l: int, r: int, p: float) -> GeneralMa
 
 @dataclass(frozen=True)
 class GeneralMargin:
-    """Direct-part margin over a u-ary alphabet, with optimizer diagnostics:
-    the solver's Newton step count (interior-point steps, or the points the
-    1-D iteration of a binary alphabet evaluated), and for the
-    interior-point iteration its surrogate duality gap, which bounds how far
+    """Direct-part margin or exponent over a u-ary alphabet, with optimizer
+    diagnostics.  `z` is the minimizer with z_1 pinned to 1.  `sweeps` is
+    the solver's Newton step count: interior-point steps, or the points the
+    1-D iteration of a binary alphabet evaluated.  `gap` is the
+    interior-point iteration's surrogate duality gap, which bounds how far
     `value` sits above the infimum (None for a binary alphabet).
     `converged` is False when the iteration stopped at MAX_NEWTON_STEPS, or
-    before its gap reached GAP_TOL."""
+    before its gap reached GAP_TOL.  A direct exponent is binary: z is
+    (1, z*) and gap None; when its infimum is the limit z -> inf, z is
+    (1, inf), sweeps 0 and converged True."""
 
     value: float
     z: tuple[float, ...]
@@ -837,7 +816,7 @@ def general_direct_margin(
         raise InputError("a symbol probability is 0; drop the symbol first")
     if len(probs) == 2:
         enums = [_log_terms(weight_enumerator(f, k)) for k in range(f.num_outputs)]
-        u_star, val, _, steps, converged = _minimax_1d(
+        u_star, val, steps, converged = _minimax_1d(
             [terms for terms in enums if terms], l / r, l * probs[1]
         )
         return GeneralMargin(base + val, (1.0, 2.0**u_star), steps, converged, None)

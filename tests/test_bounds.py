@@ -15,7 +15,6 @@ from pooltest import (
     entropy,
     fixed_point_z,
     noiseless_direct_exponent,
-    noisy_collision_factor,
     noisy_converse_margin,
     threshold_lower,
     threshold_pair,
@@ -150,8 +149,6 @@ class TestCollisionExponent:
     def test_rejects_nan_z(self):
         with pytest.raises(InputError):
             collision_exponent(3, 6, 0.08, 0.5, math.nan)
-        with pytest.raises(InputError):
-            noisy_collision_factor(6, 0.1, 0.5, math.nan)
 
     def test_rejects_infinite_z(self):
         with pytest.raises(InputError, match=r"^z=inf must be positive and finite$"):
@@ -170,30 +167,6 @@ class TestCollisionExponent:
         edge = math.expm1(math.log(sys.float_info.max) / r)
         below, above = (collision_exponent(3, r, 0.1, 0.3, edge * f) for f in (1 - 1e-9, 1 + 1e-9))
         assert below == pytest.approx(above, rel=1e-8)
-
-    def test_noisy_factor_is_infinite_past_the_float_range(self):
-        assert noisy_collision_factor(6, 0.1, 0.3, 1e100) == math.inf
-        assert noisy_collision_factor(6, 0.1, 0.3, math.inf) == math.inf
-
-    def test_noisy_factor_weights_off_an_infinite_pool_at_the_noise_extremes(self):
-        # q = 0 with sigma = 0 leaves only quiet = 1; q = 1 with sigma = 1 only fire = 1
-        assert noisy_collision_factor(6, 0.0, 0.0, 1e100) == 1.0
-        assert noisy_collision_factor(6, 1.0, 1.0, 1e100) == 1.0
-
-    @pytest.mark.parametrize("sigma", [math.nan, -0.1, 5.0])
-    def test_noisy_factor_rejects_sigma_outside_unit_interval(self, sigma):
-        with pytest.raises(InputError):
-            noisy_collision_factor(6, 0.1, sigma, 0.3)
-
-    def test_noisy_factor_is_one_at_fixed_point(self):
-        for r in (2, 4, 6, 10):
-            z = fixed_point_z(r)
-            for q in (0.0, 0.1, 0.3, 0.5):
-                for sigma in (0.0, 0.25, 0.5, 1.0):
-                    assert abs(noisy_collision_factor(r, q, sigma, z) - 1.0) <= 1e-15
-
-    def test_noisy_factor_varies_off_fixed_point(self):
-        assert noisy_collision_factor(6, 0.1, 0.5, 0.3) != pytest.approx(1.0, abs=1e-3)
 
 
 def _bisect(fn, lo: float, hi: float, steps: int = 80) -> float:

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -388,6 +389,38 @@ def test_numeric_flag_sweep_exits_cleanly(capsys, tmp_path):
     assert not failures, failures[:5]
 
 
+# Flag pairs are swept through fewer values, since their cases multiply.
+PAIR_SWEEP_VALUES = ("0", "1e308", HUGE)
+
+
+def _pair_sweep_cases(function_path):
+    for base in SWEEP_BASES:
+        base = [function_path if a == "{function}" else a for a in base]
+        for (i, a), (j, b) in itertools.combinations(_numeric_flags(base), 2):
+            for u, v in itertools.product(PAIR_SWEEP_VALUES, repeat=2):
+                if not (a in WORK_FLAGS and u == HUGE or b in WORK_FLAGS and v == HUGE):
+                    argv = list(base)
+                    argv[i + 1], argv[j + 1] = u, v
+                    yield argv
+
+
+def test_numeric_flag_pair_sweep_exits_cleanly(capsys, tmp_path):
+    """Two numeric flags set at once, each pair of them on every base:
+    every command line exits 0, 2 or 3 with no traceback."""
+    function = tmp_path / "or.json"
+    function.write_text(json.dumps(or_function(6).to_json_dict()))
+    failures = []
+    for argv in _pair_sweep_cases(str(function)):
+        try:
+            code, _, err = run(capsys, *argv)
+        except Exception as exc:
+            failures.append((argv, repr(exc)))
+            continue
+        if code not in (0, 2, 3) or "Traceback" in err:
+            failures.append((argv, code, err[-200:]))
+    assert not failures, failures[:5]
+
+
 class TestSimulateCommand:
     def test_noiseless_report(self, capsys):
         code, out, _ = run(
@@ -655,8 +688,6 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("line,module,name,delta", [
         ("collision exponent is sigma-independent at the fixed point",
          "bounds", "collision_exponent", lambda l, r, p, sigma, z: 1e-9 * sigma),
-        ("noisy per-test factor equals 1 at the fixed point",
-         "bounds", "noisy_collision_factor", lambda *args: 1e-9),
         ("noiseless direct exponent matches the closed form below the crossover",
          "genfunc", "noiseless_direct_exponent", lambda *args: 1e-9),
         ("binary OR margin matches the closed form below the crossover",

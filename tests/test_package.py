@@ -10,15 +10,16 @@ README = ROOT / "README.md"
 # names that left the package: they had no caller outside their own tests,
 # or moved to tests/brute_force.py, or stay in their modules for src/ only,
 # or (the three exception types) folded into InputError, or (Margin) folded
-# into GeneralMargin, or (ENUMERATION_LIMIT) gave way to the scan's budget
+# into GeneralMargin, or (ENUMERATION_LIMIT) gave way to the scan's budget,
+# or (DirectExponent) gave way to GeneralMargin as the direct exponents' result
 REMOVED = (
-    "CURVE_IDS", "ConfigurationError", "DEFAULT_EPSILON", "ENUMERATION_LIMIT",
+    "CURVE_IDS", "ConfigurationError", "DEFAULT_EPSILON", "DirectExponent", "ENUMERATION_LIMIT",
     "EmptyTypicalSetError", "Infimum", "Margin", "NoThresholdError", "ReducedAlphabetError",
     "brute_force_decision_set_noiseless", "compositions", "enumerate_ensemble",
     "exponent_infimum", "forward_general", "graph_from_json", "graph_to_json",
-    "is_typical", "linspace", "multinomial", "noisy_achievable_margin", "parity_function",
-    "threshold_function", "type_vector_representative", "typical_weights", "weight_rate",
-    "weight_vector",
+    "is_typical", "linspace", "multinomial", "noisy_achievable_margin", "noisy_collision_factor",
+    "parity_function", "threshold_function", "type_vector_representative", "typical_weights",
+    "weight_rate", "weight_vector",
 )
 
 
@@ -37,11 +38,13 @@ def test_polynomial_classes_are_gone():
 
 
 def test_removed_names_are_gone():
-    assert len(pooltest.__all__) == 53
+    assert len(pooltest.__all__) == 51
     assert not [name for name in REMOVED if name in pooltest.__all__ or hasattr(pooltest, name)]
     assert not hasattr(pooltest.errors, "EmptyTypicalSetError")
     assert not hasattr(pooltest.ensemble, "type_vector_representative")
     assert not hasattr(pooltest.genfunc, "Margin")
+    assert not hasattr(pooltest.genfunc, "DirectExponent")
+    assert not hasattr(pooltest.bounds, "noisy_collision_factor")
     assert not hasattr(pooltest.PoolingGraph, "object_tests")
     assert not hasattr(pooltest.PoolingGraph, "test_pools")
 
