@@ -833,4 +833,7 @@ def general_direct_margin(
     u, val, steps, gap, converged = _minimax_interior_point(
         pieces, l / r, [l * p_i for p_i in probs[1:]], [math.log2(p / probs[0]) for p in probs[1:]]
     )
+    # 2.0**u overflows from u = 1024; a NaN fails both tests
+    if not (math.isfinite(val) and all(u_i < 1024 for u_i in u)):
+        raise InputError(f"probs {tuple(probs)} put the margin's z past the float range")
     return GeneralMargin(base + val, (1.0, *(2.0**u_i for u_i in u)), steps, converged, gap)

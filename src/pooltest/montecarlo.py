@@ -1,22 +1,23 @@
 """Seeded trial harnesses for the decoder and for the exact ensemble formulas.
 
-Every decoding trial draws from its own RNG stream, seeded by
-derive_seed(master seed, stream label, trial index), so its outcome does
-not depend on which other trials ran or in what order.  A trial whose x or
-flips fall outside their typicality windows is an error whatever the
-graph, so a graph is drawn only for a trial that passed both checks; each
-graph has its own seed, so skipping one moves no other draw.  A run keeps
-one generator for the trials and one for the graphs and reseeds it for
-each stream: Random.seed(int) resets the whole Mersenne Twister state, so
-every stream is the one random.Random(seed) gives, without building a
-generator per trial.  The event-rate gates only count hits, so each gate
-seeds one stream per label once and draws every trial from it, the
-sockets of a block of trials in one call.  Each harness is one serial loop.
+A run seeds each of its RNG streams once, with derive_seed(master seed,
+stream label, 0), and every trial draws from them in turn, as the gates
+do: seeding fills the whole Mersenne Twister state, which costs more than
+a trial's draws.  A decoding run has three streams.  x is the only draw
+from "trial", n uniforms per trial, so runs at the same seed and
+different p see the same uniforms trial by trial.  The flips come from
+"noise", read only for a trial whose x is typical and never at q = 0.
+The graphs come from "graph": a trial whose x or flips fall outside their
+typicality windows is an error whatever the graph, so only a trial that
+passed both checks takes the next graph of that stream.  A fixed graph
+has its own "fixed-graph" stream.  The event-rate gates only count hits,
+so each gate draws the sockets of a block of trials in one call.  Each
+harness is one serial loop.
 
 The graph draws replay random.Random.shuffle through the generator's
-getrandbits, drawing each index as Random._randbelow does, so a trial's
-stream and its seeded report are the ones the stdlib call gives, without
-its per-call overhead.  A gate runs only the first w*l steps of that
+getrandbits, drawing each index as Random._randbelow does, so a stream
+and its seeded report are the ones the stdlib call gives, without its
+per-call overhead.  A gate runs only the first w*l steps of that
 shuffle: they fix the last w*l entries of the list, a uniform ordered
 sample of its sockets (Knuth, TAOCP vol. 2, sec. 3.4.2, Algorithm P).
 
@@ -63,9 +64,15 @@ CONFIDENCE_FACTOR = 1.96  # two-sided 95% normal quantile
 
 
 def derive_seed(master_seed: int, label: str, index: int) -> int:
-    """Stable per-trial seed; independent draws for distinct (label, index)."""
+    """Stable seed of one RNG stream; independent draws for distinct
+    (label, index).  The harnesses seed one stream per label, at index 0."""
     data = f"{master_seed}:{label}:{index}".encode()
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
+def _stream(master_seed: int, label: str) -> random.Random:
+    """A run's generator for one stream label, seeded once."""
+    return random.Random(derive_seed(master_seed, label, 0))
 
 
 @dataclass(frozen=True)
@@ -91,20 +98,21 @@ class TrialReport:
         return asdict(self)
 
 
-def _mask_sampler(params: SystemParams) -> Callable[[int], list[int]]:
-    """masks(seed): the object masks of sample_graph(params, seed), mask i
-    having bit j set when object i feeds test j.  The shuffle moves each
-    right socket's test bit in place of the socket index, so the shuffled
-    list holds the left sockets' test bits, and no PoolingGraph is built.
-    One generator, reseeded for each graph, draws them all."""
+def _mask_sampler(
+    params: SystemParams, getrandbits: Callable[[int], int]
+) -> Callable[[], list[int]]:
+    """masks(): the object masks of the next graph drawn from the stream
+    that owns getrandbits, mask i having bit j set when object i feeds test
+    j.  The k-th call's graph is the permutation that the k-th
+    shuffle(list(range(n*l))) on that generator makes, as in sample_graph.
+    The shuffle moves each right socket's test bit in place of the socket
+    index, so the shuffled list, a fresh copy each call, holds the left
+    sockets' test bits, and no PoolingGraph is built."""
     l = params.l
     test_bits = _test_bits(params)
     steps = _shuffle_steps(len(test_bits))
-    rng = random.Random()
-    reseed, getrandbits = rng.seed, rng.getrandbits
 
-    def masks(seed: int) -> list[int]:
-        reseed(seed)
+    def masks() -> list[int]:
         wiring = test_bits[:]
         _shuffle(getrandbits, wiring, steps)
         return _object_masks(wiring, l)
@@ -127,15 +135,16 @@ def _run_trials(
     a Fraction q draws the flips of its float.  `settings` holds the mode's
     own config keys, which follow p.
 
-    A trial draws only what its first failing check reads: x from its own
-    stream; then, when x is typical and q != 0, the flips from the same
-    stream; and only when both are typical, its graph's object masks (a
-    fixed graph's are drawn once per run).  Skipping the flips or the graph
-    moves no other draw: the flips are the last draws of the trial's
-    stream, and each graph has its own seed.  The trial ORs its defects'
-    masks into y, XORs the flip mask into that, and counts an error when
-    the decision set holds another member: one object from x, else found by
-    the decoder's scan capped at two supports."""
+    Each stream is seeded once per run, and a trial draws only what its
+    first failing check reads: n uniforms from "trial" for x; then, when x
+    is typical and q != 0, m uniforms from "noise" for the flips; and only
+    when both are typical, the next graph's object masks from "graph" (a
+    fixed graph's are drawn once per run, from "fixed-graph").  So a
+    skipped draw moves no draw of another stream, and x's draws do not
+    depend on p.  The trial ORs its defects' masks into y, XORs the flip
+    mask into that, and counts an error when the decision set holds another
+    member: one object from x, else found by the decoder's scan capped at
+    two supports."""
     if graph_mode not in ("fixed", "fresh"):
         raise InputError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
     if trials < 0:
@@ -146,18 +155,17 @@ def _run_trials(
     _check_guard(params)
     x_weights = typical_weight_set(x_spec)
     e_weights = typical_weight_set(TypicalSetSpec(m, q, epsilon_noise))
-    graph_masks = _mask_sampler(params)
+    graph_masks = _mask_sampler(params, _stream(master_seed, "graph").getrandbits)
     fixed = (
-        graph_masks(derive_seed(master_seed, "fixed-graph", 0))
+        _mask_sampler(params, _stream(master_seed, "fixed-graph").getrandbits)()
         if graph_mode == "fixed"
         else None
     )
+    draw = _stream(master_seed, "trial").random
+    noise = _stream(master_seed, "noise").random
     test_bits = [1 << j for j in range(m)]
-    rng = random.Random()
-    reseed, draw = rng.seed, rng.random
     source_atypical = noise_atypical = ambiguous = 0
-    for i in range(trials):
-        reseed(derive_seed(master_seed, "trial", i))
+    for _ in range(trials):
         support = [k for k in range(n) if draw() < p]
         if len(support) not in x_weights:
             source_atypical += 1
@@ -165,12 +173,12 @@ def _run_trials(
         flip_mask = 0
         if q:
             for bit in test_bits:
-                if draw() < q:
+                if noise() < q:
                     flip_mask |= bit
         if flip_mask.bit_count() not in e_weights:
             noise_atypical += 1
             continue
-        masks = fixed or graph_masks(derive_seed(master_seed, "graph", i))
+        masks = fixed or graph_masks()
         y = 0
         for k in support:
             y |= masks[k]
@@ -301,8 +309,8 @@ def _gate(
     m, nl, wl = params.m, params.num_sockets, w * params.l
     wiring = _test_bits(params)
     steps = _shuffle_steps(nl)[:wl]
-    getrandbits = random.Random(derive_seed(master_seed, "graph", 0)).getrandbits
-    noise = random.Random(derive_seed(master_seed, "noise", 0)).random
+    getrandbits = _stream(master_seed, "graph").getrandbits
+    noise = _stream(master_seed, "noise").random
     test_bits = [1 << j for j in range(m)]
     target = (1 << s) - 1
     hits = 0

@@ -3,8 +3,8 @@
 None of these is part of pooltest.  Each is the direct form of something
 the package computes by a faster route: every wiring of the ensemble,
 every input of the decoder, the exponent's inner infimum one sigma at a
-time, every trial's graph drawn whether or not the trial reads it, a
-gate's trials drawn one at a time.  The tests compare the two at toy
+time, the decoding trials from the stdlib's own RNG calls, a gate's
+trials drawn one at a time.  The tests compare the two at toy
 sizes.
 """
 
@@ -14,6 +14,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterator, Sequence
 
 from pooltest import (
@@ -45,7 +47,6 @@ from pooltest.montecarlo import (
     Z_GATE,
     EventRateCheck,
     TrialReport,
-    _mask_sampler,
     derive_seed,
 )
 
@@ -239,11 +240,11 @@ def exponent_infimum(sigma: float, l: int, r: int, p: float) -> Infimum:
 
 
 # ---------------------------------------------------------------------------
-# the trial harness, drawing every trial's graph and flips up front
+# the trial harness, rebuilt from the stdlib's calls
 # ---------------------------------------------------------------------------
 
 
-def eager_run_trials(
+def stdlib_run_trials(
     mode: str,
     params: SystemParams,
     epsilon_input: float,
@@ -253,10 +254,14 @@ def eager_run_trials(
     graph_mode: str,
     settings: dict | None = None,
 ) -> TrialReport:
-    """montecarlo._run_trials as it was before a trial skipped what its
-    first failing check does not read: every trial draws x, its graph and
-    its flips, XORing each flip into the OR outcome as it is drawn, and
-    only then checks typicality.  The same streams, so the same report."""
+    """montecarlo._run_trials from the stdlib's own calls: one
+    random.Random per stream label, seeded once; x drawn by random() from
+    "trial"; the flips of a typical x by random() from "noise", one per
+    test, never at q = 0; and the graph of a trial whose x and flips are
+    typical by Random.shuffle of a fresh list(range(n*l)) on "graph" (on
+    "fixed-graph", once, for a fixed graph).  Each object's mask is the OR
+    of the tests object_tests gives it, and the decoder's scan alone decides
+    the trial.  The same streams, so the same report."""
     if graph_mode not in ("fixed", "fresh"):
         raise InputError(f"graph_mode {graph_mode!r} is not 'fixed' or 'fresh'")
     if trials < 0:
@@ -266,32 +271,34 @@ def eager_run_trials(
     _check_guard(params)
     x_weights = typical_weight_set(x_spec)
     e_weights = typical_weight_set(TypicalSetSpec(m, q, epsilon_noise))
-    graph_masks = _mask_sampler(params)
-    fixed = (
-        graph_masks(derive_seed(master_seed, "fixed-graph", 0))
-        if graph_mode == "fixed"
-        else None
+    xs, noise, graphs, fixed_graph = (
+        random.Random(derive_seed(master_seed, label, 0))
+        for label in ("trial", "noise", "graph", "fixed-graph")
     )
+
+    def object_masks(rng: random.Random) -> list[int]:
+        wiring = list(range(params.num_sockets))
+        rng.shuffle(wiring)
+        graph = PoolingGraph(params, wiring)
+        return [reduce(or_, (1 << j for j in tests)) for tests in object_tests(graph)]
+
+    fixed = object_masks(fixed_graph) if graph_mode == "fixed" else None
     source_atypical = noise_atypical = ambiguous = 0
-    for i in range(trials):
-        rng = random.Random(derive_seed(master_seed, "trial", i))
-        support = tuple(k for k in range(n) if rng.random() < p)
-        masks = fixed or graph_masks(derive_seed(master_seed, "graph", i))
-        y = 0
-        for k in support:
-            y |= masks[k]
-        flips = 0
-        if q:
-            for j in range(m):
-                if rng.random() < q:
-                    y ^= 1 << j
-                    flips += 1
+    for _ in range(trials):
+        support = tuple(k for k in range(n) if xs.random() < p)
         if len(support) not in x_weights:
             source_atypical += 1
             continue
-        if flips not in e_weights:
+        flips = [j for j in range(m) if noise.random() < q] if q else []
+        if len(flips) not in e_weights:
             noise_atypical += 1
             continue
+        masks = fixed or object_masks(graphs)
+        y = 0
+        for k in support:
+            y |= masks[k]
+        for j in flips:
+            y ^= 1 << j
         if _scan_or_consistent(masks, y, e_weights, x_weights, 2) != [support]:
             ambiguous += 1
     errors = source_atypical + noise_atypical + ambiguous

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from pooltest import (
+    PoolingGraph,
     SystemParams,
     TypicalSetSpec,
     achievable_margin,
@@ -38,7 +39,6 @@ from pooltest import (
     or_function,
     run_noiseless_trials,
     run_noisy_trials,
-    sample_graph,
     threshold_lower,
     threshold_upper,
     typical_weight_set,
@@ -269,19 +269,25 @@ def test_a11_estimator_soundness():
     x_window = typical_weight_set(spec)
     e_window = typical_weight_set(noise_spec)
 
+    # the run's three streams, each seeded once: x, then the flips of a
+    # typical x, then the graph of a trial whose x and flips are typical
+    xs, noise, graphs = (
+        random.Random(derive_seed(master, label, 0)) for label in ("trial", "noise", "graph")
+    )
     source_atypical = noise_atypical = ambiguous = unsound = 0
-    for i in range(trials):
-        rng = random.Random(derive_seed(master, "trial", i))
-        x = tuple(1 if rng.random() < params.p else 0 for _ in range(params.n))
-        e = tuple(1 if rng.random() < params.q else 0 for _ in range(params.m))
-        graph = sample_graph(params, derive_seed(master, "graph", i))
-        y = tuple(a ^ b for a, b in zip(forward_or(graph, x), e))
+    for _ in range(trials):
+        x = tuple(1 if xs.random() < params.p else 0 for _ in range(params.n))
         if sum(x) not in x_window:
             source_atypical += 1
             continue
+        e = tuple(1 if noise.random() < params.q else 0 for _ in range(params.m))
         if sum(e) not in e_window:
             noise_atypical += 1
             continue
+        wiring = list(range(params.num_sockets))
+        graphs.shuffle(wiring)
+        graph = PoolingGraph(params, wiring)
+        y = tuple(a ^ b for a, b in zip(forward_or(graph, x), e))
         est = estimate_noisy(graph, spec, noise_spec, y, cap=2)
         if est.failed or est.value != x:
             ambiguous += 1

@@ -761,6 +761,20 @@ class TestGeneralCommand:
         # the 1-D Newton iteration reports its steps
         assert 1 < margin["sweeps"] <= 20
 
+    @pytest.mark.parametrize("probs", ["1e-300,0.5,0.5", "5e-324,0.3,0.7"])
+    def test_tiny_probability_is_a_usage_error(self, capsys, tmp_path, probs):
+        # neither a traceback nor a "value": NaN, which is not JSON, may reach the output
+        merged = PoolFunction.from_callable(lambda v: int(any(v)), (0, 1, 2), (0, 1), 6)
+        fn = self.write_function(tmp_path / "merged.json", merged)
+        code, out, err = run(
+            capsys, "general", "--function", fn, "--l", "3", "--r", "6", "--probs", probs,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: probs (") and err.endswith(
+            "put the margin's z past the float range\n"
+        )
+
     def test_threshold_function(self, capsys, tmp_path):
         fn = self.write_function(tmp_path / "thr.json", threshold_function(4, 2))
         code, out, _ = run(

@@ -1195,6 +1195,13 @@ class TestGeneralDirectMargin:
         with pytest.raises(InputError, match="^a symbol probability is 0; drop the symbol first$"):
             general_direct_margin(ternary_max(), 1, 2, [0.5, 0.5, 0.0])
 
+    @pytest.mark.parametrize("probs", [(1e-300, 0.5, 0.5), (5e-324, 0.3, 0.7)])
+    def test_margin_past_the_float_range_is_refused(self, probs):
+        # z is reported with z_1 pinned to 1, and a tiny p_1 sends the other
+        # coordinates past the float range
+        with pytest.raises(InputError, match=r"put the margin's z past the float range$"):
+            general_direct_margin(merged_or(6), 3, 6, probs)
+
     def test_count_function_is_fully_informative(self):
         # the count output determines the pool type, so confusion carries no
         # entropy beyond the source and the margin drops well below the OR one

@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pooltest.montecarlo
-from brute_force import eager_run_trials, loop_gate, object_tests
+from brute_force import loop_gate, object_tests, stdlib_run_trials
 from pooltest import (
     GuardError,
     InputError,
+    PoolingGraph,
     SystemParams,
     TypicalSetSpec,
     derive_seed,
@@ -24,7 +25,6 @@ from pooltest import (
     forward_or,
     run_noiseless_trials,
     run_noisy_trials,
-    sample_graph,
     typical_weight_set,
     validate_event_probability,
     validate_noisy_event_probability,
@@ -79,9 +79,10 @@ class TestTrialHarness:
         params = SystemParams(3, 6, 18, p=0.05)
         report = run_noiseless_trials(params, 0.1, 500, master_seed=2)
         window = typical_weight_set(TypicalSetSpec(18, 0.05, 0.1))
+        # x is the only draw from the run's "trial" stream
+        rng = random.Random(derive_seed(2, "trial", 0))
         atypical = 0
-        for i in range(500):
-            rng = random.Random(derive_seed(2, "trial", i))
+        for _ in range(500):
             x = tuple(1 if rng.random() < 0.05 else 0 for _ in range(18))
             if sum(x) not in window:
                 atypical += 1
@@ -92,13 +93,17 @@ class TestTrialHarness:
         report = run_noiseless_trials(params, 0.1, 300, master_seed=4)
         spec = TypicalSetSpec(18, 0.05, 0.1)
         window = typical_weight_set(spec)
+        # a typical x takes the next shuffle of the run's "graph" stream
+        rng = random.Random(derive_seed(4, "trial", 0))
+        graphs = random.Random(derive_seed(4, "graph", 0))
         ambiguous = 0
-        for i in range(300):
-            rng = random.Random(derive_seed(4, "trial", i))
+        for _ in range(300):
             x = tuple(1 if rng.random() < 0.05 else 0 for _ in range(18))
-            graph = sample_graph(params, derive_seed(4, "graph", i))
             if sum(x) not in window:
                 continue
+            wiring = list(range(params.num_sockets))
+            graphs.shuffle(wiring)
+            graph = PoolingGraph(params, wiring)
             est = estimate_noiseless(graph, spec, forward_or(graph, x), cap=2)
             if est.failed or est.value != x:
                 ambiguous += 1
@@ -183,10 +188,10 @@ class TestTrialHarness:
         assert report.trials == 400
 
 
-class TestEagerReference:
-    """The harness against the loop that draws every trial's graph and
-    flips before any check: skipping what a failed check does not read
-    moves no draw of any other trial."""
+class TestStdlibReference:
+    """The harness against brute_force.stdlib_run_trials, the loop rebuilt
+    from the stdlib's RNG calls on the run's streams, with object masks
+    read off each graph and the decoder's scan alone deciding each trial."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -206,21 +211,21 @@ class TestEagerReference:
         system=(3, 2, 6), p=0.15, q=0.1, epsilon_input=0.3, epsilon_noise=0.3,
         graph_mode="fresh", seed=1,
     )
-    def test_reports_equal_the_eager_loop(
+    def test_reports_equal_the_stdlib_loop(
         self, system, p, q, epsilon_input, epsilon_noise, graph_mode, seed
     ):
         params = SystemParams(*system, p=p, q=q)
         trials = 40
         assert run_noiseless_trials(
             params, epsilon_input, trials, seed, graph_mode
-        ) == eager_run_trials(
+        ) == stdlib_run_trials(
             "noiseless", replace(params, q=0), epsilon_input, 0.0, trials, seed, graph_mode,
             settings={"epsilon": epsilon_input},
         )
         noisy_settings = {"q": q, "epsilon_input": epsilon_input, "epsilon_noise": epsilon_noise}
         assert run_noisy_trials(
             params, epsilon_input, epsilon_noise, trials, seed, graph_mode
-        ) == eager_run_trials(
+        ) == stdlib_run_trials(
             "noisy", params, epsilon_input, epsilon_noise, trials, seed, graph_mode,
             settings=noisy_settings,
         )
@@ -271,12 +276,12 @@ class TestConfusablePreCheck:
             assert small == report
 
     @pytest.mark.parametrize("runner, args, decoded, scanned", [
-        (run_noiseless_trials, (SystemParams(3, 6, 24, p=0.1), 0.1, 300, 1), 151, 59),
-        (run_noisy_trials, (SystemParams(3, 6, 24, p=0.1, q=0.05), 0.3, 0.3, 150, 1), 109, 5),
+        (run_noiseless_trials, (SystemParams(3, 6, 24, p=0.1), 0.1, 300, 1), 139, 47),
+        (run_noisy_trials, (SystemParams(3, 6, 24, p=0.1, q=0.05), 0.3, 0.3, 150, 1), 115, 4),
         # a trial here has a scan past SCAN_NODE_LIMIT; a neighbour settles it
-        (run_noisy_trials, (SystemParams(3, 6, 144, p=0.05, q=0.05), 0.1, 0.1, 20, 1), 16, 0),
+        (run_noisy_trials, (SystemParams(3, 6, 144, p=0.05, q=0.05), 0.1, 0.1, 20, 1), 14, 0),
         # every decoded trial here has a member one object from x
-        (run_noisy_trials, (SystemParams(3, 6, 96, p=0.05, q=0.05), 0.1, 0.1, 200, 1), 73, 0),
+        (run_noisy_trials, (SystemParams(3, 6, 96, p=0.05, q=0.05), 0.1, 0.1, 200, 1), 65, 0),
     ])
     def test_most_trials_need_no_scan(self, monkeypatch, runner, args, decoded, scanned):
         counts = {"decoded": 0, "scanned": 0}
@@ -296,9 +301,10 @@ class TestConfusablePreCheck:
         assert counts == {"decoded": decoded, "scanned": scanned}
 
 
-class TestGraphDraws:
-    """Which seeds a run derives: a trial's graph only once its x and its
-    flips are typical."""
+class TestStreams:
+    """A decoding run seeds each of its streams once and draws every trial
+    from them in turn; a trial takes a graph only once its x and its flips
+    are typical."""
 
     @staticmethod
     def _recorded_labels(monkeypatch) -> list[tuple[str, int]]:
@@ -312,31 +318,44 @@ class TestGraphDraws:
         monkeypatch.setattr(pooltest.montecarlo, "derive_seed", recording)
         return labels
 
+    @pytest.mark.parametrize("graph_mode", ["fresh", "fixed"])
     @pytest.mark.parametrize("q", [0.0, 0.1])
-    def test_graph_is_drawn_only_for_typical_trials(self, monkeypatch, q):
+    def test_each_stream_is_seeded_once(self, monkeypatch, q, graph_mode):
         params = SystemParams(3, 6, 18, p=0.1, q=q)
         labels = self._recorded_labels(monkeypatch)
-        report = run_noisy_trials(params, 0.2, 0.2, 300, master_seed=2)
+        run_noisy_trials(params, 0.2, 0.2, 300, master_seed=2, graph_mode=graph_mode)
+        expected = [("trial", 0), ("noise", 0), ("graph", 0)]
+        if graph_mode == "fixed":
+            expected.append(("fixed-graph", 0))
+        assert sorted(labels) == sorted(expected)
+
+    @pytest.mark.parametrize("graph_mode", ["fresh", "fixed"])
+    @pytest.mark.parametrize("q", [0.0, 0.1])
+    def test_graph_is_shuffled_once_per_typical_trial(self, monkeypatch, q, graph_mode):
+        params = SystemParams(3, 6, 18, p=0.1, q=q)
+        shuffles = []
+        shuffle = pooltest.montecarlo._shuffle
+
+        def counting(*args):
+            shuffles.append(args)
+            return shuffle(*args)
+
+        monkeypatch.setattr(pooltest.montecarlo, "_shuffle", counting)
+        report = run_noisy_trials(params, 0.2, 0.2, 300, master_seed=2, graph_mode=graph_mode)
         x_window = typical_weight_set(TypicalSetSpec(18, 0.1, 0.2))
         e_window = typical_weight_set(TypicalSetSpec(9, q, 0.2))
-        typical = []
-        for i in range(300):
-            rng = random.Random(derive_seed(2, "trial", i))
-            if sum(rng.random() < 0.1 for _ in range(18)) not in x_window:
+        xs = random.Random(derive_seed(2, "trial", 0))
+        noise = random.Random(derive_seed(2, "noise", 0))
+        typical = 0
+        for _ in range(300):
+            if sum(xs.random() < 0.1 for _ in range(18)) not in x_window:
                 continue
-            if q and sum(rng.random() < q for _ in range(9)) not in e_window:
+            if q and sum(noise.random() < q for _ in range(9)) not in e_window:
                 continue
-            typical.append(i)
-        assert [i for label, i in labels if label == "graph"] == typical
+            typical += 1
         assert typical and report.errors_source_atypical > 0
         assert (report.errors_noise_atypical > 0) == (q > 0)
-
-    @pytest.mark.parametrize("q", [0.0, 0.1])
-    def test_fixed_graph_is_drawn_once(self, monkeypatch, q):
-        params = SystemParams(3, 6, 18, p=0.1, q=q)
-        labels = self._recorded_labels(monkeypatch)
-        run_noisy_trials(params, 0.2, 0.2, 300, master_seed=2, graph_mode="fixed")
-        assert [label for label, _ in labels if label != "trial"] == ["fixed-graph"]
+        assert len(shuffles) == (1 if graph_mode == "fixed" else typical)
 
 
 class TestEventRateValidators:
@@ -500,13 +519,16 @@ class TestStdlibReplay:
         # the trials' masks and the decoder's fold of a graph's wiring, both
         # against the tests each object feeds by brute_force.object_tests
         params = SystemParams(l, r, n)
-        masks = _mask_sampler(params)
+        masks = _mask_sampler(params, random.Random(derive_seed(31, "graph", 0)).getrandbits)
+        replay = random.Random(derive_seed(31, "graph", 0))
         bits = _test_bits(params)
-        for i in range(20):
-            seed = derive_seed(31, "graph", i)
-            graph = sample_graph(params, seed)
+        for _ in range(20):
+            # each call is the next shuffle of a fresh list(range(n*l))
+            wiring = list(range(params.num_sockets))
+            replay.shuffle(wiring)
+            graph = PoolingGraph(params, wiring)
             expected = [reduce(or_, (1 << j for j in tests)) for tests in object_tests(graph)]
-            assert masks(seed) == expected
+            assert masks() == expected
             assert _object_masks([bits[k] for k in graph.wiring], l) == expected
 
 
@@ -591,9 +613,9 @@ class TestPinnedOutput:
             SystemParams(2, 4, 12, p=0.1), 0.2, 60, master_seed=2024, graph_mode="fixed"
         )
         self.assert_pinned(report, {
-            "trials": 60, "errors": 43, "error_rate": 0.7166666666666667,
-            "confidence_halfwidth": 0.11402179778608286, "master_seed": 2024,
-            "errors_source_atypical": 39, "errors_noise_atypical": 0, "errors_ambiguous": 4,
+            "trials": 60, "errors": 50, "error_rate": 0.8333333333333334,
+            "confidence_halfwidth": 0.09430054396763886, "master_seed": 2024,
+            "errors_source_atypical": 41, "errors_noise_atypical": 0, "errors_ambiguous": 9,
             "config": {
                 "mode": "noiseless", "l": 2, "r": 4, "n": 12, "p": 0.1, "epsilon": 0.2,
                 "trials": 60, "master_seed": 2024, "graph_mode": "fixed",
@@ -605,9 +627,9 @@ class TestPinnedOutput:
             SystemParams(2, 4, 12, p=0.15, q=0.05), 0.3, 0.3, 60, master_seed=2024
         )
         self.assert_pinned(report, {
-            "trials": 60, "errors": 54, "error_rate": 0.9,
-            "confidence_halfwidth": 0.07591047358566537, "master_seed": 2024,
-            "errors_source_atypical": 16, "errors_noise_atypical": 12, "errors_ambiguous": 26,
+            "trials": 60, "errors": 51, "error_rate": 0.85,
+            "confidence_halfwidth": 0.0903515356814703, "master_seed": 2024,
+            "errors_source_atypical": 17, "errors_noise_atypical": 12, "errors_ambiguous": 22,
             "config": {
                 "mode": "noisy", "l": 2, "r": 4, "n": 12, "p": 0.15, "q": 0.05,
                 "epsilon_input": 0.3, "epsilon_noise": 0.3, "trials": 60,
