@@ -328,6 +328,8 @@ def _verify_identities(checks: _Checks) -> None:
     # the merged defect mass m = p1 + p2, so its margin is the binary OR
     # margin at m plus m h(p1 / m) for the split; 0.06 and 0.27 lie either
     # side of the crossover 2 - 2^((r-1)/r), where the optimum leaves the kink.
+    # general_direct_margin makes that very merge, so the ternary side is
+    # solved unmerged, by the interior point.
     merged = TestFunction.from_callable(lambda v: int(any(v)), (0, 1, 2), (0, 1), r)
     pairs = []
     for pp in (0.06, 0.27):
@@ -335,7 +337,7 @@ def _verify_identities(checks: _Checks) -> None:
         mass = probs[1] + probs[2]
         split = mass * _bounds.binary_entropy(probs[1] / mass)
         pairs.append((
-            _genfunc.general_direct_margin(merged, l, r, probs).value,
+            _genfunc._unmerged_margin(merged, l, r, probs).value,
             _genfunc.binary_direct_margin(f, l, r, mass).value + split,
         ))
     checks.max_difference(

@@ -35,8 +35,13 @@ a linear term.  With one free coordinate that is a bracketed Newton
 iteration on the active piece, which lands on a crossing of two pieces by
 the Newton step on their difference (_minimax_1d); with more, a primal-dual
 interior-point iteration on the epigraph form (_minimax_interior_point),
-which certifies its value by a duality gap.  The direct exponents
-maximize such an infimum over an outcome-weight fraction sigma; the
+which certifies its value by a duality gap.  Before either runs, a general
+margin merges every two input symbols its test cannot tell apart: then
+each enumerator depends only on z_i + z_j, the optimal split is
+z_i : z_j = p_i : p_j, and the margin is the merged alphabet's plus
+P h(p_i / P) for the merged mass P.  So a test that sees only whether a
+symbol is nonzero is solved in 1-D whatever its alphabet.  The direct
+exponents maximize such an infimum over an outcome-weight fraction sigma; the
 objective is affine in sigma, so by minimax each exponent is one 1-D
 minimization of the max over the two endpoint weights, started at the
 branches' crossing at the fixed point z* = 2^(1/r) - 1, which is kept when
@@ -47,9 +52,10 @@ where fire is the pool and quiet is 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -119,14 +125,25 @@ def _source_entropy(f: TestFunction, probs: Sequence[float]) -> float:
 
 def outcome_distribution(f: TestFunction, probs: Sequence[float]) -> list[float]:
     """Probability of each test outcome when the r pooled symbols are drawn
-    independently from probs: each output's type enumerator at z = probs."""
+    independently from probs: each output's type enumerator at z = probs.
+    A multiplicity past the float range, as C(r, r/2) is from r = 1030,
+    enters its term in the log domain, from math.log of the integer."""
     _source_entropy(f, probs)
     dist = []
     for k in range(f.num_outputs):
         total = 0
         for t, c in type_enumerator(f, k).items():
-            for e, z in zip(t, probs):
-                c = c * z**e
+            try:
+                for e, z in zip(t, probs):
+                    c = c * z**e
+            except OverflowError:
+                # the first product converts c, so c is still the integer;
+                # the term is a probability, so exp can only underflow
+                powers = [(e, z) for e, z in zip(t, probs) if e]
+                if all(z for _, z in powers):
+                    c = math.exp(math.log(c) + sum(e * math.log(z) for e, z in powers))
+                else:
+                    c = 0.0
             total = total + c
         dist.append(total)
     return dist
@@ -780,11 +797,14 @@ def binary_direct_margin(f: TestFunction, l: int, r: int, p: float) -> GeneralMa
 @dataclass(frozen=True)
 class GeneralMargin:
     """Direct-part margin or exponent over a u-ary alphabet, with optimizer
-    diagnostics.  `z` is the minimizer with z_1 pinned to 1.  `sweeps` is
-    the solver's Newton step count: interior-point steps, or the points the
-    1-D iteration of a binary alphabet evaluated.  `gap` is the
-    interior-point iteration's surrogate duality gap, which bounds how far
-    `value` sits above the infimum (None for a binary alphabet).
+    diagnostics.  `z` is the minimizer with z_1 pinned to 1.  The solver
+    runs on the alphabet left after merging the symbols the test cannot
+    tell apart, and each merged coordinate is split back in proportion to
+    the symbols' probabilities.  `sweeps` is the solver's Newton step
+    count: interior-point steps, or the points the 1-D iteration of a binary
+    alphabet, merged or not, evaluated.  `gap` is the interior-point
+    iteration's surrogate duality gap, which bounds how far `value` sits
+    above the infimum (None when the alphabet is or merges down to binary).
     `converged` is False when the iteration stopped at MAX_NEWTON_STEPS, or
     before its gap reached GAP_TOL.  A direct exponent is binary: z is
     (1, z*) and gap None; when its infimum is the limit z -> inf, z is
@@ -797,6 +817,48 @@ class GeneralMargin:
     gap: float | None
 
 
+def _mergeable(table: dict, i: int, j: int) -> bool:
+    """Whether a test cannot tell input symbols i and j apart: moving one
+    pooled symbol from j to i never changes its output."""
+    for t, k in table.items():
+        if t[j]:
+            moved = list(t)
+            moved[i] += 1
+            moved[j] -= 1
+            if table[tuple(moved)] != k:
+                return False
+    return True
+
+
+def _merge_symbols(f: TestFunction, probs: Sequence[float]):
+    """(f', masses, groups, split): f with the first pair of input symbols
+    i < j that it cannot tell apart merged into i, again while more than two
+    symbols remain.  Each A_k then depends only on z_i + z_j (multinomial
+    theorem), and at the optimal split z_i : z_j = p_i : p_j the margin
+    gains P h(p_i / P), P = p_i + p_j (chain rule for H): `split` sums
+    those.  f' has input symbol g of probability masses[g] for the symbols
+    groups[g] of f merged into it, symbol 0 always in group 0."""
+    masses, groups, split = list(probs), [[i] for i in range(len(probs))], 0.0
+    while len(masses) > 2:
+        pair = next(
+            (pair for pair in itertools.combinations(range(len(masses)), 2)
+             if _mergeable(f.table, *pair)),
+            None,
+        )
+        if pair is None:
+            break
+        i, j = pair
+        mass = masses[i] + masses[j]
+        split += mass * binary_entropy(masses[i] / mass)
+        masses[i] = mass
+        del masses[j]
+        groups[i] += groups.pop(j)
+        table = {t[:j] + t[j + 1:]: k for t, k in f.table.items() if not t[j]}
+        alphabet = f.input_alphabet[:j] + f.input_alphabet[j + 1:]
+        f = TestFunction(alphabet, f.output_alphabet, f.arity, table)
+    return f, masses, groups, split
+
+
 def general_direct_margin(
     f: TestFunction, l: int, r: int, probs: Sequence[float]
 ) -> GeneralMargin:
@@ -805,15 +867,43 @@ def general_direct_margin(
 
     The inner objective (l/r) max_k log2 A_k(z) - l sum_i p_i log2 z_i is a
     max of convex functions of u_i = log2 z_i and scale invariant, so z_1 is
-    pinned to 1.  A binary alphabet leaves one coordinate, for the 1-D
-    bracketed Newton iteration _minimax_1d; larger ones go to a primal-dual
-    interior-point iteration, which does not stall where enumerators tie.
+    pinned to 1.  Symbols the test cannot tell apart are merged first
+    (_merge_symbols), which is exact; the merged alphabet is solved by
+    _unmerged_margin, and each merged coordinate Z of mass P is reported
+    as z_i = Z p_i / P, rescaled so that z_1 = 1.  A value or z past the
+    float range is refused with InputError.
     """
     _check_degrees(l, r)
     _check_arity(f, r)
-    base = -(l - 1) * _source_entropy(f, probs)
+    _source_entropy(f, probs)
     if 0 in probs:
         raise InputError("a symbol probability is 0; drop the symbol first")
+    if len(probs) == 2:
+        return _unmerged_margin(f, l, r, probs)  # a binary alphabet never merges
+    merged, masses, groups, split = _merge_symbols(f, probs)
+    margin = _unmerged_margin(merged, l, r, masses)
+    if merged is not f:
+        scale = probs[0] / masses[0]
+        z = [0.0] * len(probs)
+        for z_g, mass, group in zip(margin.z, masses, groups):
+            for i in group:
+                z[i] = z_g * (probs[i] / mass) / scale
+        margin = replace(margin, value=margin.value + split, z=tuple(z))
+    if not (math.isfinite(margin.value) and all(map(math.isfinite, margin.z))):
+        raise InputError(f"probs {tuple(probs)} put the margin's z past the float range")
+    return margin
+
+
+def _unmerged_margin(
+    f: TestFunction, l: int, r: int, probs: Sequence[float]
+) -> GeneralMargin:
+    """general_direct_margin without the merge or the float-range refusal,
+    on checked arguments.  A binary alphabet leaves one coordinate, for the
+    1-D bracketed Newton iteration _minimax_1d; larger ones go to a
+    primal-dual interior-point iteration, which does not stall where
+    enumerators tie.  A coordinate of z past the float range is inf.
+    """
+    base = -(l - 1) * entropy(probs)
     if len(probs) == 2:
         enums = [_log_terms(weight_enumerator(f, k)) for k in range(f.num_outputs)]
         u_star, val, steps, converged = _minimax_1d(
@@ -833,7 +923,6 @@ def general_direct_margin(
     u, val, steps, gap, converged = _minimax_interior_point(
         pieces, l / r, [l * p_i for p_i in probs[1:]], [math.log2(p / probs[0]) for p in probs[1:]]
     )
-    # 2.0**u overflows from u = 1024; a NaN fails both tests
-    if not (math.isfinite(val) and all(u_i < 1024 for u_i in u)):
-        raise InputError(f"probs {tuple(probs)} put the margin's z past the float range")
-    return GeneralMargin(base + val, (1.0, *(2.0**u_i for u_i in u)), steps, converged, gap)
+    # 2.0**u overflows from u = 1024, and a NaN fails the test too
+    z = (2.0**u_i if u_i < 1024 else math.inf for u_i in u)
+    return GeneralMargin(base + val, (1.0, *z), steps, converged, gap)

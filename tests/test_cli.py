@@ -569,6 +569,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_merged_or_identity_compares_two_routes(self, capsys):
+        # the ternary side is the interior point's and the binary side the
+        # 1-D iteration's, so their difference is a rounding residue, not 0
+        code, out, _ = run(capsys, "verify", "--suite", "identities")
+        [line] = [line for line in out.splitlines() if "merged-OR ternary margin" in line]
+        difference = float(line.rsplit(" ", 1)[1])
+        assert code == 0 and 0 < difference <= 1e-10
+
     def test_montecarlo_suite_passes(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "montecarlo", "--trials", "2000",
@@ -738,6 +746,22 @@ class TestGeneralCommand:
         assert sum(data["outcome_distribution"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_ternary_function_reports_duality_gap(self, capsys, tmp_path):
+        # the largest pooled symbol tells every pair of symbols apart, so no
+        # merge applies and the interior point solves it
+        ternary_max = PoolFunction.from_callable(max, (0, 1, 2), (0, 1, 2), 6)
+        fn = self.write_function(tmp_path / "max.json", ternary_max)
+        code, out, _ = run(
+            capsys, "general", "--function", fn, "--l", "3", "--r", "6",
+            "--probs", "0.94,0.036,0.024",
+        )
+        assert code == 0
+        margin = json.loads(out)["direct_margin"]
+        assert margin["converged"] is True
+        assert 0 <= margin["gap"] <= 1e-12
+
+    def test_merged_or_has_no_duality_gap(self, capsys, tmp_path):
+        # both nonzero symbols fire a test alike: the alphabet merges down to
+        # two symbols, and the 1-D iteration reports the points it evaluated
         merged = PoolFunction.from_callable(lambda v: int(any(v)), (0, 1, 2), (0, 1), 6)
         fn = self.write_function(tmp_path / "merged.json", merged)
         code, out, _ = run(
@@ -747,7 +771,9 @@ class TestGeneralCommand:
         assert code == 0
         margin = json.loads(out)["direct_margin"]
         assert margin["converged"] is True
-        assert 0 <= margin["gap"] <= 1e-12
+        assert margin["gap"] is None
+        assert 1 < margin["sweeps"] <= 20
+        assert margin["z"][1] / margin["z"][2] == pytest.approx(0.036 / 0.024, rel=1e-12)
 
     def test_binary_alphabet_has_no_duality_gap(self, capsys, tmp_path):
         fn = self.write_function(tmp_path / "or.json", or_function(6))
@@ -764,8 +790,8 @@ class TestGeneralCommand:
     @pytest.mark.parametrize("probs", ["1e-300,0.5,0.5", "5e-324,0.3,0.7"])
     def test_tiny_probability_is_a_usage_error(self, capsys, tmp_path, probs):
         # neither a traceback nor a "value": NaN, which is not JSON, may reach the output
-        merged = PoolFunction.from_callable(lambda v: int(any(v)), (0, 1, 2), (0, 1), 6)
-        fn = self.write_function(tmp_path / "merged.json", merged)
+        ternary_max = PoolFunction.from_callable(max, (0, 1, 2), (0, 1, 2), 6)
+        fn = self.write_function(tmp_path / "max.json", ternary_max)
         code, out, err = run(
             capsys, "general", "--function", fn, "--l", "3", "--r", "6", "--probs", probs,
         )
@@ -774,6 +800,20 @@ class TestGeneralCommand:
         assert err.startswith("error: probs (") and err.endswith(
             "put the margin's z past the float range\n"
         )
+
+    def test_or_function_past_the_float_range_of_its_multiplicities(self, capsys, tmp_path):
+        # C(1031, 515) is past the float range, so those outcome terms are
+        # formed in the log domain instead of raising OverflowError
+        fn = self.write_function(tmp_path / "or1031.json", or_function(1031))
+        code, out, err = run(
+            capsys, "general", "--function", fn, "--l", "3", "--r", "1031", "--p", "0.5",
+        )
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["outcome_distribution"][0] == 0.5**1031
+        assert sum(data["outcome_distribution"]) == pytest.approx(1.0, abs=1e-12)
+        assert data["converse_bound"] == pytest.approx(converse_margin(3, 1031, 0.5), abs=1e-12)
+        assert data["direct_margin"]["converged"] is True
 
     def test_threshold_function(self, capsys, tmp_path):
         fn = self.write_function(tmp_path / "thr.json", threshold_function(4, 2))

@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brute_force import exponent_infimum, threshold_function
@@ -47,8 +47,10 @@ from pooltest.genfunc import multinomial
 PAIRS = ((3, 6), (2, 4), (3, 9), (4, 8), (3, 12), (2, 8), (2, 3), (1, 2))
 
 
-def ternary_max():
-    return PoolFunction.from_callable(lambda vals: max(vals), (0, 1, 2), (0, 1, 2), 2)
+def ternary_max(r=2):
+    """Ternary test whose output is the largest pooled symbol: no two of its
+    input symbols can be merged."""
+    return PoolFunction.from_callable(lambda vals: max(vals), (0, 1, 2), (0, 1, 2), r)
 
 
 def merged_or(r):
@@ -643,12 +645,27 @@ class TestTypeEnumerators:
         with pytest.raises(InputError):
             outcome_distribution(f, (0.5, 0.6, 0.2))
 
+    def test_outcome_distribution_past_the_float_range_of_its_multiplicities(self):
+        # C(1031, 515) is past the float range: such terms are formed in the
+        # log domain, and the rest exactly as below it
+        f = or_function(1031)
+        dist = outcome_distribution(f, (0.5, 0.5))
+        assert dist[0] == 0.5**1031
+        assert dist[1] == pytest.approx(1.0, abs=1e-12)
+        assert outcome_distribution(f, (0.3, 0.7)) == [0.0, pytest.approx(1.0, abs=1e-12)]
+        # a zero probability zeroes every term that pools its symbol
+        assert outcome_distribution(f, (1.0, 0.0)) == [1.0, 0.0]
+
 
 class TestGeneralConverse:
     def test_or_function_recovers_binary_converse(self):
         for l, r, p in ((3, 6, 0.08), (2, 4, 0.05)):
             a = general_converse_bound(or_function(r), l, r, [1 - p, p])
             assert abs(a - converse_margin(l, r, p)) <= 1e-12
+
+    def test_arity_past_the_float_range_of_its_multiplicities(self):
+        a = general_converse_bound(or_function(1031), 3, 1031, (0.5, 0.5))
+        assert abs(a - converse_margin(3, 1031, 0.5)) <= 1e-12
 
     def test_constant_function_gives_source_entropy(self):
         const = PoolFunction((0, 1), (0,), 2, {(2, 0): 0, (1, 1): 0, (0, 2): 0})
@@ -1071,16 +1088,19 @@ class TestGeneralDirectMargin:
         for probs in merged_or_probs(r):
             mass = probs[1] + probs[2]
             split = mass * binary_entropy(probs[1] / mass)
-            gm = general_direct_margin(merged_or(r), l, r, probs)
-            assert gm.converged and gm.gap <= genfunc.GAP_TOL
-            assert abs(gm.value - (or_margin_closed_form(l, r, mass) + split)) <= 1e-10
+            expected = or_margin_closed_form(l, r, mass) + split
+            for gm in (general_direct_margin(merged_or(r), l, r, probs),
+                       genfunc._unmerged_margin(merged_or(r), l, r, probs)):
+                assert gm.converged
+                assert abs(gm.value - expected) <= 1e-10
+            assert gm.gap <= genfunc.GAP_TOL
 
     def test_merged_or_margins_are_pinned(self):
-        # every field, recorded before the interior point stopped forming
-        # Hessians at the points backtracking rejects: that change must not
-        # move a bit, and regrouping its float sums would
+        # every field of the interior point's solve, recorded before it
+        # stopped forming Hessians at the points backtracking rejects: that
+        # change must not move a bit, and regrouping its float sums would
         margins = [
-            general_direct_margin(merged_or(r), l, r, probs)
+            genfunc._unmerged_margin(merged_or(r), l, r, probs)
             for l, r in MERGED_PAIRS
             for probs in merged_or_probs(r)
         ]
@@ -1124,7 +1144,7 @@ class TestGeneralDirectMargin:
         for l, r in MERGED_PAIRS:
             for probs in merged_or_probs(r):
                 before = counts["cov"]
-                gm = general_direct_margin(merged_or(r), l, r, probs)
+                gm = genfunc._unmerged_margin(merged_or(r), l, r, probs)
                 assert counts["cov"] - before == 2 * gm.sweeps, (l, r, probs)
         assert counts["mean"] == 150
 
@@ -1150,14 +1170,18 @@ class TestGeneralDirectMargin:
     def test_newton_step_totals(self):
         # Pins the superlinear tail of the interior point's centering.  With
         # sigma fixed at 0.1, t started 1 above the top piece and backtracking
-        # by 2, these totals were 121 and 3,396.
+        # by 2, these totals were 121 and 3,396.  Both are the interior
+        # point's own: general_direct_margin merges merged-OR, and 31 of the
+        # 200 random tables, down to the 1-D iteration.
         merged = sum(
-            general_direct_margin(merged_or(r), l, r, probs).sweeps
+            genfunc._unmerged_margin(merged_or(r), l, r, probs).sweeps
             for l, r in ((3, 6), (2, 4), (3, 9), (4, 8))
             for probs in merged_or_probs(r)
         )
         assert merged <= 59
-        sample = sum(general_direct_margin(*case).sweeps for case in random_ternary_cases(23, 200))
+        sample = sum(
+            genfunc._unmerged_margin(*case).sweeps for case in random_ternary_cases(23, 200)
+        )
         assert sample <= 1952
 
     def test_vertex_without_strict_complementarity(self):
@@ -1200,7 +1224,97 @@ class TestGeneralDirectMargin:
         # z is reported with z_1 pinned to 1, and a tiny p_1 sends the other
         # coordinates past the float range
         with pytest.raises(InputError, match=r"put the margin's z past the float range$"):
-            general_direct_margin(merged_or(6), 3, 6, probs)
+            general_direct_margin(ternary_max(6), 3, 6, probs)
+        # a fourth symbol that the test cannot tell from the third merges
+        # into it, and the refusal still names the caller's probabilities
+        wide = PoolFunction.from_callable(
+            lambda vals: min(max(vals), 2), (0, 1, 2, 3), (0, 1, 2), 6
+        )
+        split = (*probs[:2], probs[2] / 2, probs[2] / 2)
+        with pytest.raises(InputError, match=rf"^probs \({split[0]}, {split[1]}, {split[2]}, "):
+            general_direct_margin(wide, 3, 6, split)
+
+    def test_split_back_z_past_the_float_range_is_refused(self):
+        # symbols 0 and 1 merge, and splitting their coordinate back puts
+        # z_1 at p_1 / p_2 times the others: past the float range at 5e-324
+        fires_on_2 = PoolFunction.from_callable(lambda vals: int(2 in vals), (0, 1, 2), (0, 1), 6)
+        assert general_direct_margin(fires_on_2, 3, 6, (1e-300, 0.5, 0.5)).z[1] == pytest.approx(5e299)
+        with pytest.raises(InputError, match=r"^probs \(5e-324, 0.5, 0.5\) put the margin's z past"):
+            general_direct_margin(fires_on_2, 3, 6, (5e-324, 0.5, 0.5))
+
+    @pytest.mark.parametrize("probs", [(1e-20, 0.5, 0.5), (1e-300, 0.5, 0.5), (5e-324, 0.3, 0.7)])
+    def test_merged_or_at_a_tiny_first_probability_is_finite(self, probs):
+        # the interior point diverges there; the 1-D iteration on the merged
+        # alphabet does not, and z_2 : z_3 = p_2 : p_3
+        gm = general_direct_margin(merged_or(6), 3, 6, probs)
+        assert math.isfinite(gm.value) and gm.converged
+        assert gm.z[0] == 1.0 and all(map(math.isfinite, gm.z))
+        assert gm.z[1] / gm.z[2] == pytest.approx(probs[1] / probs[2], rel=1e-12)
+
+    def test_merged_or_reports_no_gap(self):
+        # both nonzero symbols fire a test alike, so the alphabet merges down
+        # to two symbols and the 1-D iteration reports its points
+        for l, r in MERGED_PAIRS:
+            for probs in merged_or_probs(r):
+                gm = general_direct_margin(merged_or(r), l, r, probs)
+                assert gm.gap is None and gm.converged and 1 <= gm.sweeps <= 20
+                assert gm.z[0] == 1.0 and len(gm.z) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_merged_value_is_the_unmerged_infimum(self, data):
+        # a random table on a smaller alphabet, read through a map of the
+        # symbols onto it that sends at least two symbols to one
+        symbols = data.draw(st.integers(3, 4), label="symbols")
+        smaller = data.draw(st.integers(2, symbols - 1), label="smaller")
+        image = data.draw(st.permutations(
+            list(range(smaller)) + data.draw(st.lists(
+                st.integers(0, smaller - 1), min_size=symbols - smaller, max_size=symbols - smaller
+            ))
+        ), label="image")
+        r = data.draw(st.integers(2, 3), label="r")
+        outputs = data.draw(st.integers(2, 3), label="outputs")
+        inner = {t: data.draw(st.integers(0, outputs - 1)) for t in compositions(r, smaller)}
+        table = {
+            t: inner[tuple(sum(c for c, g in zip(t, image) if g == h) for h in range(smaller))]
+            for t in compositions(r, symbols)
+        }
+        f = PoolFunction(tuple(range(symbols)), tuple(range(outputs)), r, table)
+        weights = data.draw(st.lists(st.integers(1, 20), min_size=symbols, max_size=symbols))
+        probs = tuple(w / sum(weights) for w in weights)
+        l = data.draw(st.integers(1, 3), label="l")
+        gm = general_direct_margin(f, l, r, probs)
+        un = genfunc._unmerged_margin(f, l, r, probs)
+        # the interior point's value sits at most its gap above the infimum
+        assert un.value - un.gap - 1e-12 <= gm.value <= un.value + 1e-12
+        assert len(gm.z) == symbols and gm.z[0] == 1.0
+        enumerators = [type_enumerator(f, k) for k in range(outputs)]
+        u = [math.log2(z) for z in gm.z[1:]]
+        assert abs(margin_objective(enumerators, l, r, probs, u) - gm.value) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_unmergeable_function_is_solved_unmerged(self, data):
+        symbols = data.draw(st.integers(3, 4), label="symbols")
+        r = data.draw(st.integers(2, 3), label="r")
+        outputs = data.draw(st.integers(2, 3), label="outputs")
+        table = {t: data.draw(st.integers(0, outputs - 1)) for t in compositions(r, symbols)}
+
+        def told_apart(i, j):
+            # some two types alike but for i and j's split differ in output
+            seen = {}
+            for t, k in table.items():
+                rest = tuple(c for h, c in enumerate(t) if h not in (i, j)) + (t[i] + t[j],)
+                if seen.setdefault(rest, k) != k:
+                    return True
+            return False
+
+        assume(all(told_apart(i, j) for j in range(symbols) for i in range(j)))
+        f = PoolFunction(tuple(range(symbols)), tuple(range(outputs)), r, table)
+        weights = data.draw(st.lists(st.integers(1, 20), min_size=symbols, max_size=symbols))
+        probs = tuple(w / sum(weights) for w in weights)
+        l = data.draw(st.integers(1, 3), label="l")
+        assert general_direct_margin(f, l, r, probs) == genfunc._unmerged_margin(f, l, r, probs)
 
     def test_count_function_is_fully_informative(self):
         # the count output determines the pool type, so confusion carries no
