@@ -55,6 +55,15 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(payload, out_path: str | None) -> None:
+    # JSON has no NaN or infinity: a payload holding one is refused, not printed
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InputError(f"result is not finite: {exc}") from None
+    _emit(text + "\n", out_path)
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -83,7 +92,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {"config": config, "columns": [xname, yname],
                    "rows": [[x, y] for x, y in rows]}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         lines = [_config_line(config), f"{xname},{yname}"]
         lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in rows]
@@ -126,7 +135,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
             records.append({"l": l, "r": r, "error": str(exc)})
     config = {"pairs": ";".join(f"{l}:{r}" for l, r in pairs), "precision": digits}
     if args.format == "json":
-        _emit(json.dumps({"config": config, "rows": records}, indent=2) + "\n", args.out)
+        _emit_json({"config": config, "rows": records}, args.out)
         return EXIT_OK
     lines = [_config_line(config), "l,r,p_lower,p_upper,error"]
     for rec in records:
@@ -157,7 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise InputError("noisy mode needs --q")
         params = SystemParams(args.l, args.r, args.n, p=args.p, q=args.q)
         report = _mc.run_noisy_trials(params, epsilon_input=args.eps, epsilon_noise=args.eps2, **run)
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+    _emit_json(report.to_json_dict(), args.out)
     return EXIT_OK
 
 
@@ -429,7 +438,7 @@ def cmd_general(args: argparse.Namespace) -> int:
         "outcome_distribution": outcome_dist,
         "direct_margin": asdict(margin),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 

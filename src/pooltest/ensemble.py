@@ -408,6 +408,9 @@ def _per_test_sum(
             raise _walk_refusal(m)
         if all(map(le, t, sizes)):
             table.append((sum(t), t, out, _multinomial((r - sum(t), *t))))
+    # an output asked of some test that no fitting type gives: no sequence
+    if {o for o, c in enumerate(output_counts) if c} - {out for _, _, out, _ in table}:
+        return 0, visited
     table.sort(key=itemgetter(0))
     ends = [sum(output_counts[: o + 1]) for o in range(len(output_counts))]  # y_j = bisect(ends, j)
     hits, weight = 0, 1

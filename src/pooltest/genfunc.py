@@ -17,11 +17,14 @@ l*counts), which cannot reach the target coefficient.  Results are exact
 Fractions, or that exact value rounded once to a float when q is a float.
 A power a^e is stable when its truncation, after the z^order split, stops
 by z^(e+1): its recurrence weights are then all nonnegative.  When neither
-power is stable, the exact numerator comes without either power, from a
-three-term recurrence for the product as a polynomial in Y = (1+z)^r, and
-is rounded by one int/int division.  Otherwise the float is certified
-without forming the exact numerator, a sum of products of
-thousands-of-bits integers, by the first of three routes that decides it.
+power is stable, the exact numerator comes without either power: the
+product is a polynomial in Y = (1+z)^r whose coefficients follow a
+three-term recurrence, and the numerator, their sum weighted by binomials,
+is taken backward by the transposed recurrence (Clenshaw), so that every
+step multiplies a big integer by a small one; one int/int division rounds
+it.  Otherwise the float is certified without forming the exact
+numerator, a sum of products of thousands-of-bits integers, by the first
+of three routes that decides it.
 Bounds: certified floor and ceiling mantissas of 2 * _ROUND_BITS bits stand
 in for a stable power's exact coefficients.  Exact factors: an unstable
 power enters as its exact coefficients.  The leading bits of every factor
@@ -278,28 +281,31 @@ def _noisy_numerator(keep: int, flip: int, r: int, m: int, s: int, lw: int) -> i
     sum_t d^(m-t) e_t Y^t with e_t = [Y^t] (a Y - 1)^s (b Y + 1)^(m-s).  That
     polynomial P solves (ab Y^2 + (a-b) Y - 1) P' = (m ab Y + s a - (m-s) b) P,
     so e_t follows a three-term recurrence (the holonomic-sequence method of
-    Petkovsek, Wilf and Zeilberger, A = B, 1996): e_{-1} = 0, e_0 = (-1)^s and
-    (t+1) e_{t+1} = ab (t-1-m) e_{t-1} + ((a-b) t - s a + (m-s) b) e_t,
-    where the division is exact because every e_t is an integer.
-    [z^lw] Y^t = C(rt, lw) vanishes below t = ceil(lw/r), so the numerator is
-    sum_{t >= ceil(lw/r)} d^(m-t) e_t C(rt, lw), summed by Horner in d, with
-    C(rt, lw) carried from t to t + 1 by r small factors on each side.
+    Petkovsek, Wilf and Zeilberger, A = B, 1996), which f_t = t! e_t takes
+    with integer coefficients: f_{-1} = 0, f_0 = (-1)^s and
+    f_{t+1} = B_t f_t + t A_t f_{t-1}, B_t = (a-b) t - s a + (m-s) b and
+    A_t = ab (t-1-m).  [z^lw] Y^t = C(rt, lw), so m! times the numerator is
+    sum_t X_t f_t with X_t = d^(m-t) C(rt, lw) m!/t!.  That sum is taken
+    backward, by the transposed recurrence (C. W. Clenshaw, A note on the
+    summation of Chebyshev series, MTAC 9, 1955):
+    y_t = X_t + B_t y_{t+1} + (t+1) A_{t+1} y_{t+2} from t = m down to 0,
+    and the sum is (-1)^s y_0.  X_t steps to X_{t-1} by the factor
+    d t C(r(t-1), lw) / C(rt, lw), r small factors on each side, and is 0
+    once r(t-1) < lw.  So every step multiplies or divides a big integer by
+    a small one, and every division, the last by m! included, is exact.
     d = 0 (q = 1/2) and d < 0 (q > 1/2) need no special case."""
     ab, d, lin = keep * flip, keep - flip, (m - s) * flip - s * keep
-    first = -(-lw // r)
-    binom = math.comb(r * first, lw)
-    prev, e, numer = 0, (-1) ** s, 0
-    for t in range(m + 1):
-        if t >= first:
-            numer = numer * d + e * binom
-            # rt >= lw, so every factor of the divisor is positive
+    x, y, y_next = math.comb(r * m, lw), 0, 0
+    for t in range(m, -1, -1):
+        y, y_next = x + (d * t + lin) * y + (t + 1) * ab * (t - m) * y_next, y
+        if t:
+            # every factor of the divisor is positive; the dividend's is 0 once r(t-1) < lw
             rt = r * t
-            binom = binom * math.prod(range(rt + 1, rt + r + 1)) // math.prod(
-                range(rt + 1 - lw, rt + r + 1 - lw)
+            x = x * (d * t * math.prod(range(rt + 1 - r - lw, rt + 1 - lw))) // math.prod(
+                range(rt + 1 - r, rt + 1)
             )
-        if t < m:
-            prev, e = e, (ab * (t - 1 - m) * prev + (d * t + lin) * e) // (t + 1)
-    return numer
+    numer = y // math.factorial(m)
+    return -numer if s % 2 else numer
 
 
 def _round_from_bounds(fired: list[tuple], quieted: list[tuple], denom: int) -> float | None:

@@ -787,6 +787,22 @@ class TestGeneralCommand:
         # the 1-D Newton iteration reports its steps
         assert 1 < margin["sweeps"] <= 20
 
+    def test_nan_result_is_a_usage_error_not_json(self, capsys, tmp_path, monkeypatch):
+        # JSON has no NaN: a non-finite value in the payload exits 2 and prints nothing
+        true = pooltest.genfunc.general_direct_margin
+
+        def nan_margin(*args):
+            return dataclasses.replace(true(*args), value=math.nan)
+
+        monkeypatch.setattr(pooltest.genfunc, "general_direct_margin", nan_margin)
+        fn = self.write_function(tmp_path / "or.json", or_function(6))
+        code, out, err = run(
+            capsys, "general", "--function", fn, "--l", "3", "--r", "6", "--p", "0.08",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: result is not finite: ")
+
     @pytest.mark.parametrize("probs", ["1e-300,0.5,0.5", "5e-324,0.3,0.7"])
     def test_tiny_probability_is_a_usage_error(self, capsys, tmp_path, probs):
         # neither a traceback nor a "value": NaN, which is not JSON, may reach the output

@@ -30,6 +30,7 @@ from pooltest import (
     enumeration_fraction_noiseless,
     enumeration_fraction_noisy,
     forward_or,
+    general_ensemble_event_probability,
     noisy_ensemble_event_probability,
     or_function,
     sample_graph,
@@ -316,6 +317,14 @@ class TestEnumerationFractions:
         params = SystemParams(1, 2, 4)
         with pytest.raises(InputError):
             enumeration_fraction_general(params, or_function(2), (1, 1), (1, 1))
+
+    def test_output_that_no_type_gives_is_zero_without_a_walk(self):
+        # every type gives output 0, so no wiring gives the one test of
+        # output 1; walking the seven output-0 tests first ran out of budget
+        params = SystemParams(1, 2, 16)
+        constant = PoolFunction((0, 1, 2), (0, 1), 2, {t: 0 for t in compositions(2, 3)})
+        assert enumeration_fraction_general(params, constant, (4, 4, 8), (7, 1)) == 0
+        assert general_ensemble_event_probability(params, constant, (4, 4, 8), (7, 1)) == 0
 
 
 # Every system with at most 7 sockets, and four 8-socket systems, among them

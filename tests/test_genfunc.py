@@ -498,6 +498,27 @@ class TestNoisyNumerator:
         s = data.draw(st.sampled_from((0, m)) | st.integers(0, m), label="s")
         self._check(l, r, n, q, w, s)
 
+    @pytest.mark.parametrize("n, w, s, q", [
+        (720, 359, 90, 0.1),
+        (720, 360, 90, 0.1),
+        (240, 120, 30, 0.5),            # d = 0
+        (240, 120, 30, 0.9),            # d < 0
+        (240, 120, 30, 1 - 1e-16),
+    ])
+    def test_large_event_where_neither_power_is_stable(self, n, w, s, q):
+        # the float-q route takes the recurrence here; C(rt, lw) runs to
+        # thousands of bits at n = 720
+        big_p, big_q = Fraction(q).numerator, Fraction(q).denominator
+        fire, quiet = genfunc._fire_quiet(6, big_p, big_q - big_p)
+        assert genfunc._power_bounds(fire, s, 3 * w) is None
+        assert genfunc._power_bounds(quiet, n // 2 - s, 3 * w) is None
+        self._check(3, 6, n, q, w, s)
+
+    def test_large_event_is_the_exact_value_rounded_once(self):
+        rounded = noisy_ensemble_event_probability(SystemParams(3, 6, 720, q=0.1), 359, 90)
+        exact = noisy_ensemble_event_probability(SystemParams(3, 6, 720, q=Fraction(0.1)), 359, 90)
+        assert rounded == float(exact)
+
 
 class TestGeneralEventProbability:
     def test_reduces_to_binary_or(self):
