@@ -214,7 +214,7 @@ def _verify_exact(checks: _Checks) -> None:
         (1, 2, 2, Fraction(1, 4), None),
         (1, 2, 2, Fraction(1, 2), None),
         (2, 4, 4, Fraction(1, 10), None),
-        (3, 6, 24, Fraction(1, 10), 2),  # one walk per fired weight, past all (nl)! wirings
+        (3, 6, 24, Fraction(1, 10), 2),  # one per-test pass per fired weight, not (nl)! wirings
     ):
         checks.all_events_equal(
             f"noisy formula vs enumeration (l={l}, r={r}, n={n}, q={q})",
@@ -272,12 +272,21 @@ def _verify_exact(checks: _Checks) -> None:
             ),
         )
 
-    # merged OR, far past a walk over all (nl)! wirings
+    # forward passes, one sum per vector of counts left, not the (nl)! wirings
+    params = SystemParams(3, 6, 96)
+    a, b = _genfunc.ensemble_event_probability(params, 16, 24), enumeration_fraction_noiseless(params, 16, 24)
+    checks.record("noiseless formula vs per-test enumeration (l=3, r=6, n=96)", a == b, f"w=16, s=24: {a} vs {b}")
     merged = TestFunction.from_callable(lambda v: int(any(v)), (0, 1, 2), (0, 1), 6)
-    event = (SystemParams(3, 6, 24), merged, (20, 3, 1), (8, 4))
-    a, b = _genfunc.general_ensemble_event_probability(*event), enumeration_fraction_general(*event)
-    name = "merged-OR formula vs per-test enumeration (l=3, r=6, n=24)"
-    checks.record(name, a == b, f"input types (20, 3, 1), output types (8, 4): {a} vs {b}")
+    pair = TestFunction.from_callable(  # the OR outcomes of x and of x', coded x + 2x'
+        lambda v: int(any(x & 1 for x in v)) + 2 * int(any(x & 2 for x in v)), range(4), range(4), 6
+    )
+    for label, event in (
+        ("merged-OR", (SystemParams(3, 6, 24), merged, (20, 3, 1), (8, 4))),
+        ("pair-OR", (params, pair, (87, 1, 1, 7), (36, 0, 0, 12))),
+    ):
+        a, b = _genfunc.general_ensemble_event_probability(*event), enumeration_fraction_general(*event)
+        name = f"{label} formula vs per-test enumeration (l=3, r=6, n={event[0].n})"
+        checks.record(name, a == b, f"input types {event[2]}, output types {event[3]}: {a} vs {b}")
 
     for l, r, n in ((3, 6, 12), (2, 4, 4)):
         params = SystemParams(l, r, n)

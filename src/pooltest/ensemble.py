@@ -13,9 +13,9 @@ of the package uses as ground truth.  The outcome of a fixed input
 depends only on which symbol each right socket receives, every such
 labelling is hit by the same number of wirings, and prod_j
 multinomial(r; t_j) labellings give each test j its type t_j, its count
-of each symbol.  So a walk over the type sequences that give y has the
-exact fraction of all (nl)! wirings; flips ignore the wiring, so the
-noisy one is a binomial mixture of such walks, one per fired weight.
+of each symbol.  So a forward pass over the tests, one sum per vector of
+counts left, has the exact fraction of all (nl)! wirings; flips ignore the
+wiring, so the noisy one is a binomial mixture of passes, one per fired weight.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .bounds import _check_degrees
 from .errors import GuardError, InputError
 
-# The event oracles refuse past this many walk nodes, about a second's work.
+# The event oracles refuse past this many nodes, about a second's work.
 ORACLE_NODE_LIMIT = 2**17
 
 
@@ -384,8 +384,11 @@ def _multinomial(counts: Sequence[int]) -> int:
     return math.prod(math.comb(sum(counts[: i + 1]), c) for i, c in enumerate(counts))
 
 
-def _walk_refusal(m: int) -> GuardError:
-    return GuardError(f"oracle walk over {m} tests refused (limit {ORACLE_NODE_LIMIT} nodes)")
+def _charge(visited: int, nodes: int, m: int) -> int:
+    """The node count after `nodes` more; GuardError past ORACLE_NODE_LIMIT."""
+    if (visited := visited + nodes) > ORACLE_NODE_LIMIT:
+        raise GuardError(f"oracle walk over {m} tests refused (limit {ORACLE_NODE_LIMIT} nodes)")
+    return visited
 
 
 def _per_test_sum(
@@ -395,17 +398,15 @@ def _per_test_sum(
     """Sum of prod_j multinomial(r; t_j) over the type sequences (t_1, ..., t_m)
     with sizes[i] sockets of symbol i + 1, the rest symbol 0, and f(t_j) = y_j
     at every test, y canonical with output_counts[o] tests of output o; `types`
-    pairs each type's counts of symbols 1, 2, ... with f(t).  Depth first, the
-    path's product in one integer.  Also returns the node count, begun at
-    `visited` so a call's walks share one budget: each type examined at a test
-    is a node; reading one costs 1 + W^2, W the 64-bit words of r*ceil(log2(#symbols)) bits."""
+    pairs each type's counts of symbols 1, 2, ... with f(t).  Forward, one sum per
+    state (counts left).  Also returns the node count, begun at `visited` so a call's
+    passes share one budget: each (state, type) examined at a test is a node; reading
+    a type costs 1 + W^2, W the 64-bit words of r*ceil(log2(#symbols)) bits."""
     r, m = params.r, params.m
     # (sum(t), t, f(t), multinomial) for each type that fits, by sum(t)
     table: list[tuple[int, tuple[int, ...], int, int]] = []
     for t, out in types:
-        visited += 1 + (r * len(t).bit_length() // 64) ** 2  # W bounds its multinomial's words
-        if visited > ORACLE_NODE_LIMIT:
-            raise _walk_refusal(m)
+        visited = _charge(visited, 1 + (r * len(t).bit_length() // 64) ** 2, m)  # W: its words
         if all(map(le, t, sizes)):
             table.append((sum(t), t, out, _multinomial((r - sum(t), *t))))
     # an output asked of some test that no fitting type gives: no sequence
@@ -413,32 +414,20 @@ def _per_test_sum(
         return 0, visited
     table.sort(key=itemgetter(0))
     ends = [sum(output_counts[: o + 1]) for o in range(len(output_counts))]  # y_j = bisect(ends, j)
-    hits, weight = 0, 1
-    # stack[j]: the (counts left, multinomial) of the nodes with j tests
-    # placed that are left to visit, and their parent's multinomial
-    stack = [([(tuple(sizes), 1)], 1)]
-    while stack:
-        pending = stack[-1][0]
-        if not pending:
-            weight //= stack.pop()[1]
-            continue
-        left, count = pending.pop()
-        if (j := len(stack) - 1) == m:
-            hits += weight * count
-            continue
+    layer = {tuple(sizes): 1}  # counts left -> summed product; equal counts continue alike
+    for j in range(m):
         # the types giving y_j and leaving counts >= 0 that the sockets after test j can hold
-        y, total = bisect_right(ends, j), sum(left)
-        lo = bisect_left(table, total - r * (m - j - 1), key=itemgetter(0))
-        hi = bisect_right(table, total, key=itemgetter(0))
-        visited += hi - lo
-        if visited > ORACLE_NODE_LIMIT:
-            raise _walk_refusal(m)
-        weight *= count
-        stack.append(([
-            (rest, c) for _, t, out, c in table[lo:hi]
-            if out == y and min(rest := tuple(map(sub, left, t)), default=0) >= 0
-        ], count))
-    return hits, visited
+        y, after, nxt = bisect_right(ends, j), r * (m - j - 1), {}
+        for left, count in layer.items():
+            lo = bisect_left(table, sum(left) - after, key=itemgetter(0))
+            hi = bisect_right(table, sum(left), key=itemgetter(0))
+            visited = _charge(visited, hi - lo, m)
+            for _, t, out, c in table[lo:hi]:
+                if out == y and min(rest := tuple(map(sub, left, t)), default=0) >= 0:
+                    nxt[rest] = nxt.get(rest, 0) + count * c
+        if not (layer := nxt):
+            break
+    return sum(layer.values()), visited
 
 
 def enumeration_fraction_noiseless(params: SystemParams, w: int, s: int) -> Fraction:
@@ -455,9 +444,10 @@ def enumeration_fraction_noisy(params: SystemParams, w: int, s: int) -> Fraction
     _check_event(params, w, s)
     q = Fraction(params.q)  # exact for Fraction and for any float's binary value
     big_p, big_q, wl, m = q.numerator, q.denominator, w * params.l, params.m
-    types = tuple(((d,), int(d > 0)) for d in range(min(params.r, wl) + 1))
-    hits, visited = {}, 0  # every walk before any power, so a huge m is refused at once
+    # reducing over Q^m costs a node per pair of its 2048-bit blocks, charged before any pass
+    hits, visited = {}, (m * (big_q.bit_length() - 1) >> 11) ** 2
     for f in range(-(-wl // params.r), min(wl, m) + 1) if big_p else (s,):  # q = 0: only y
+        types = (((d,), int(d > 0)) for d in range(min(params.r, wl) + 1))
         hits[f], visited = _per_test_sum(params, types, (wl,), (m - f, f), visited)
     weight = sum(
         h * math.comb(s, b) * math.comb(m - s, f - s + b) * big_p ** (f - s + 2 * b)

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -557,9 +559,18 @@ class TestSimulateCommand:
         assert "--workers" in err
 
 
+@pytest.fixture(scope="module")
+def exact_suite():
+    # one unpatched run of the exact suite, shared by the tests that read it
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--suite", "exact"])
+    return code, out.getvalue()
+
+
 class TestVerifyCommand:
-    def test_exact_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "exact")
+    def test_exact_suite_passes(self, exact_suite):
+        code, out = exact_suite
         assert code == 0
         assert "[ok]" in out
         assert "FAIL" not in out
@@ -644,6 +655,35 @@ class TestVerifyCommand:
             "[FAIL] merged-OR formula vs per-test enumeration (l=3, r=6, n=24): input types"
             " (20, 3, 1), output types (8, 4): 1314953/3840821075364 vs 1314953/7681642150728"
         ]
+
+    N96_LINES = (
+        "noiseless formula vs per-test enumeration (l=3, r=6, n=96): w=16, s=24: ",
+        "pair-OR formula vs per-test enumeration (l=3, r=6, n=96): input types (87, 1, 1, 7),"
+        " output types (36, 0, 0, 12): ",
+    )
+
+    def test_per_test_lines_at_n_96_pass(self, exact_suite):
+        code, out = exact_suite
+        assert code == 0
+        for name in self.N96_LINES:
+            [line] = [line for line in out.splitlines() if name in line]
+            assert line.startswith("[ok] " + name)
+
+    def test_per_test_lines_at_n_96_can_fail(self, capsys, monkeypatch):
+        # both formulas doubled at n=96: each of the two lines fails alone
+        for name in ("ensemble_event_probability", "general_ensemble_event_probability"):
+            true = getattr(pooltest.genfunc, name)
+
+            def wrong(params, *args, true=true):
+                return true(params, *args) * (2 if params.n == 96 else 1)
+
+            monkeypatch.setattr(pooltest.genfunc, name, wrong)
+        code, out, _ = run(capsys, "verify", "--suite", "exact")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert len(failed) == 2
+        for line, name in zip(failed, self.N96_LINES):
+            assert line.startswith("[FAIL] " + name)
 
     def test_noisy_per_test_line_can_fail(self, capsys, monkeypatch):
         # the n=24 line holds the noisy formula to the per-test oracle at w=2

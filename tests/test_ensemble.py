@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -326,6 +327,13 @@ class TestEnumerationFractions:
         assert enumeration_fraction_general(params, constant, (4, 4, 8), (7, 1)) == 0
         assert general_ensemble_event_probability(params, constant, (4, 4, 8), (7, 1)) == 0
 
+    def test_every_wiring_giving_y_is_counted_within_budget(self):
+        # every type gives output 0, so every wiring gives the all-0 outcome;
+        # a walk that kept each path ran out of budget before it had counted them
+        params = SystemParams(2, 2, 8)
+        constant = PoolFunction((0, 1, 2), (0, 1), 2, {t: 0 for t in compositions(2, 3)})
+        assert enumeration_fraction_general(params, constant, (2, 2, 4), (8, 0)) == 1
+
 
 # Every system with at most 7 sockets, and four 8-socket systems, among them
 # the two of the exact benchmark.  A brute-force pass over 8! wirings costs
@@ -458,17 +466,16 @@ class TestOracleRefusals:
             call()
 
     def test_over_budget_walk_is_refused_on_its_nodes(self):
-        # OR at (3,6,48), w=8, s=12 sums over about 6.3 million type sequences,
-        # and noisy it walks once per fired weight under the same budget;
+        # OR at (3,6,960), w=160, s=240 keeps thousands of counts-left states
+        # per test, and noisy with float q=0.1 at (3,6,120), w=24, s=30 it
+        # passes once per fired weight under the same budget;
         # the sum mod 4 at (3,12,48) reads a table of 455 types at every test;
         # at r = 5000 to 2^30 the types' multinomials run to hundreds or
         # thousands of 64-bit words, and forming them all takes seconds to minutes
         mod4 = PoolFunction.from_callable(lambda v: sum(v) % 4, (0, 1, 2, 3), (0, 1, 2, 3), 12)
         calls = [
-            (24, lambda: enumeration_fraction_noiseless(SystemParams(3, 6, 48), 8, 12)),
-            (24, lambda: enumeration_fraction_noisy(
-                SystemParams(3, 6, 48, q=Fraction(1, 10)), 8, 12
-            )),
+            (480, lambda: enumeration_fraction_noiseless(SystemParams(3, 6, 960), 160, 240)),
+            (60, lambda: enumeration_fraction_noisy(SystemParams(3, 6, 120, q=0.1), 24, 30)),
             (12, lambda: enumeration_fraction_general(
                 SystemParams(3, 12, 48), mod4, (12, 12, 12, 12), (3, 3, 3, 3)
             )),
@@ -486,20 +493,47 @@ class TestOracleRefusals:
             assert time.perf_counter() - start < 10, case
 
     def test_one_budget_covers_every_walk_of_a_call(self, monkeypatch):
-        # the noisy oracle walks once per fired weight f = 2, ..., 9; the eight
-        # walks visit 85 to 1,025 nodes each and 4,840 in all
+        # the noisy oracle passes once per fired weight f = 2, ..., 9; the eight
+        # passes count 85 to 190 nodes each and 1,264 in all
         params = SystemParams(3, 6, 24, q=Fraction(1, 10))
-        monkeypatch.setattr(ensemble_module, "ORACLE_NODE_LIMIT", 4839)
-        refusal = r"^oracle walk over 12 tests refused \(limit 4839 nodes\)$"
+        monkeypatch.setattr(ensemble_module, "ORACLE_NODE_LIMIT", 1263)
+        refusal = r"^oracle walk over 12 tests refused \(limit 1263 nodes\)$"
         with pytest.raises(GuardError, match=refusal):
             enumeration_fraction_noisy(params, 3, 6)
-        monkeypatch.setattr(ensemble_module, "ORACLE_NODE_LIMIT", 4840)
+        monkeypatch.setattr(ensemble_module, "ORACLE_NODE_LIMIT", 1264)
         exact = noisy_ensemble_event_probability(params, 3, 6)
         assert enumeration_fraction_noisy(params, 3, 6) == exact
 
+    def test_type_table_is_refused_as_it_is_read(self):
+        # 2^20 + 1 types of 2^21 sockets: the first one read is over budget,
+        # so none of the others is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match=r"^oracle walk over 1 tests refused"):
+                enumeration_fraction_noiseless(SystemParams(1, 2**21, 2**21), 2**20, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_result_reduced_over_a_huge_power_of_q_is_refused(self):
+        # 10^5 tests, one node each, but the result would be reduced over
+        # Q^m = 2^5,500,000 for q = 0.1, one gcd of about half a minute
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match=r"^oracle walk over 100000 tests refused"):
+            enumeration_fraction_noisy(SystemParams(1, 2, 200000, q=0.1), 0, 50000)
+        assert time.perf_counter() - start < 10
+
+    def test_pass_stops_once_no_state_is_left(self):
+        # every object is defective, so no type of the first test gives y = 0,
+        # and the other 5e8 - 1 tests are not visited
+        start = time.perf_counter()
+        assert enumeration_fraction_noiseless(SystemParams(1, 2, 10**9), 10**9, 0) == 0
+        assert time.perf_counter() - start < 10
+
     @pytest.mark.parametrize("q", [0, Fraction(1, 10)], ids=["noiseless", "noisy"])
     def test_walk_over_many_tests_builds_nothing_per_test(self, q):
-        # 5e8 tests: nothing of size m is built before the walk, which does not
+        # 5e8 tests: nothing of size m is built before the pass, which does not
         # recurse, and it is refused once its node budget is spent
         params = SystemParams(1, 2, 10**9, q=q)
         oracle = enumeration_fraction_noisy if q else enumeration_fraction_noiseless

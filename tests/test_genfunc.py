@@ -178,14 +178,14 @@ class TestEventProbabilityOracles:
         [
             (SystemParams(2, 4, 8), range(9), range(9)),
             (SystemParams(1, 2, 16), range(17), range(17)),
-            (SystemParams(3, 6, 12), range(13), range(4)),
+            (SystemParams(3, 6, 12), range(13), range(13)),
             (SystemParams(3, 6, 24), range(4), range(4)),
+            (SystemParams(3, 6, 48), (4, 8, 12), ()),
         ],
-        ids=["2-4-8", "1-2-16", "3-6-12", "3-6-24"],
+        ids=["2-4-8", "1-2-16", "3-6-12", "3-6-24", "3-6-48"],
     )
     def test_oracles_past_the_wiring_ceiling(self, params, weights, noisy_weights):
-        # 16 to 72 sockets, beyond a walk over every wiring; noisy (3,6,12)
-        # stops at w = 3, since every w would cost about 0.6 s
+        # 16 to 144 sockets, beyond a walk over every wiring
         noisy = SystemParams(params.l, params.r, params.n, q=Fraction(1, 10))
         for s in range(params.m + 1):
             for w in weights:
@@ -564,15 +564,25 @@ class TestGeneralEventProbability:
             for w in (2, 6)
         ]
         + [
-            # past s = 5 the walk over the fired tests' types grows past a second
             pytest.param(
-                SystemParams(3, 6, 24), merged_or(6), (20, 3, 1), [(12 - s, s) for s in range(6)],
+                SystemParams(3, 6, 24), merged_or(6), (20, 3, 1), [(12 - s, s) for s in range(13)],
                 id="3-6-24-merged-or",
-            )
+            ),
+            pytest.param(
+                SystemParams(3, 6, 48), merged_or(6), (42, 4, 2), [(12, 12)],
+                id="3-6-48-merged-or",
+            ),
+            # x of weight 4 and x' with one object removed and one added:
+            # both tests fire, or one fires for x only and one for x' only
+            pytest.param(
+                SystemParams(3, 6, 48), pair_or(6), (43, 1, 1, 3),
+                [(21, 0, 0, 3), (12, 0, 0, 12), (16, 1, 1, 6)],
+                id="3-6-48-pair-or",
+            ),
         ],
     )
     def test_oracle_past_the_wiring_ceiling(self, params, f, input_counts, outputs):
-        # 36 and 72 sockets, beyond a walk over every wiring
+        # 36 to 144 sockets, beyond a walk over every wiring
         for oc in outputs:
             assert enumeration_fraction_general(params, f, input_counts, oc) == (
                 general_ensemble_event_probability(params, f, input_counts, oc)

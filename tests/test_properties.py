@@ -1,11 +1,13 @@
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pooltest import (
+    GuardError,
     SystemParams,
     TypicalSetSpec,
     binary_entropy,
@@ -13,6 +15,8 @@ from pooltest import (
     derive_seed,
     ensemble_event_probability,
     enumeration_fraction_general,
+    enumeration_fraction_noiseless,
+    enumeration_fraction_noisy,
     forward_or,
     general_ensemble_event_probability,
     noisy_converse_margin,
@@ -142,6 +146,35 @@ def test_oracle_matches_extraction_for_random_ternary_tests(params, data):
         assert enumeration_fraction_general(params, f, ic, oc) == (
             general_ensemble_event_probability(params, f, ic, oc)
         ), (params, ic, oc)
+
+
+@st.composite
+def binary_events(draw):
+    """A well-typed binary event anywhere in range: l and r up to 2^30, n up
+    to 10^9 with r | n*l, q exact or a float up to 1 - 1e-16, w and s in range."""
+    l, r = draw(st.integers(1, 2**30), label="l"), draw(st.integers(1, 2**30), label="r")
+    step = r // math.gcd(r, l)  # n*l/r is whole iff step divides n
+    assume(step <= 10**9)
+    n = step * draw(st.integers(1, 10**9 // step), label="n / step")
+    q = draw(st.sampled_from([0, Fraction(1, 10), 0.1, 1 - 1e-16]), label="q")
+    params = SystemParams(l, r, n, q=q)
+    return params, draw(st.integers(0, n), label="w"), draw(st.integers(0, params.m), label="s")
+
+
+@given(binary_events())
+@settings(max_examples=30, deadline=None)
+def test_binary_oracles_answer_or_refuse_in_time(event):
+    # an exact fraction in [0, 1], or the node budget's refusal, within 10 s
+    params, w, s = event
+    oracle = enumeration_fraction_noisy if params.q else enumeration_fraction_noiseless
+    start = time.perf_counter()
+    try:
+        value = oracle(params, w, s)
+    except GuardError:
+        pass
+    else:
+        assert isinstance(value, Fraction) and 0 <= value <= 1, value
+    assert time.perf_counter() - start < 10, (params, w, s)
 
 
 @given(
