@@ -18,6 +18,7 @@ optimized over z, which is the closed form up to the crossover
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -167,17 +168,46 @@ def _bisect_crossing(fn, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+# the scan grid THRESHOLD_SCAN_STEP, 2 steps, ... up to THRESHOLD_SEARCH_MAX,
+# each point the float sum of the one before and the step
+_GRID = tuple(itertools.takewhile(
+    lambda p: p <= THRESHOLD_SEARCH_MAX + 1e-15,
+    itertools.accumulate(itertools.repeat(THRESHOLD_SCAN_STEP)),
+))
+
+
 def _first_crossing(fn, what: str) -> float:
-    lo = THRESHOLD_TOL
-    if fn(lo) > 0:
-        raise InputError(f"{what} is already positive at p={lo}")
-    p = THRESHOLD_SCAN_STEP
-    while p <= THRESHOLD_SEARCH_MAX + 1e-15:
-        if fn(p) > 0:
-            return _bisect_crossing(fn, lo, p)
-        lo = p
-        p += THRESHOLD_SCAN_STEP
-    raise InputError(f"{what} has no sign change on ({THRESHOLD_TOL}, {THRESHOLD_SEARCH_MAX}]")
+    """Root of fn on (THRESHOLD_TOL, THRESHOLD_SEARCH_MAX]: the first gap of
+    the scan grid _GRID where fn turns positive, bisected to THRESHOLD_TOL.
+
+    fn(THRESHOLD_TOL) <= 0 stands for grid index -1, and one positive point
+    is taken to sit past the grid's end.  A galloping search (Bentley & Yao,
+    IPL 1976) probes indices i+1, i+2, i+4, ... from the last index i where
+    fn <= 0, capped at that end point, until fn > 0; the last gap is then
+    bisected down to two neighbouring points, the bracket _bisect_crossing
+    shrinks.  The search stays below the root until it brackets it, so few
+    of its evaluations land past the crossover, where _optimized_margin is
+    dearest.  When fn changes sign at most once on the grid, the bracket,
+    and so the root, is bit for bit the one a point-by-point scan of the
+    grid finds.  That is provable for the closed-form achievable margin
+    (convex in p and 0 at p = 0); for the converse and optimized margins
+    the tests check the search against that scan."""
+    if fn(THRESHOLD_TOL) > 0:
+        raise InputError(f"{what} is already positive at p={THRESHOLD_TOL}")
+    end = len(_GRID)
+    lo, hi, step = -1, 0, 1
+    while hi < end and fn(_GRID[hi]) <= 0:
+        lo, step = hi, 2 * step
+        hi = min(lo + step, end)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fn(_GRID[mid]) > 0:
+            hi = mid
+        else:
+            lo = mid
+    if hi == end:
+        raise InputError(f"{what} has no sign change on ({THRESHOLD_TOL}, {THRESHOLD_SEARCH_MAX}]")
+    return _bisect_crossing(fn, THRESHOLD_TOL if lo < 0 else _GRID[lo], _GRID[hi])
 
 
 def threshold_upper(l: int, r: int) -> float:
@@ -194,14 +224,19 @@ def _optimized_margin(l: int, r: int, p: float) -> float:
     the minimizer is the kink 2^(1/r) - 1 and the margin is the closed form
     achievable_margin.  Past it the minimizer lies past the kink, where the
     slope in ln z vanishes: z / ((1+z) (1 - (1+z)^-r)) = p.  Its left side
-    rises from the crossover at the kink toward 1, and exceeds 1/2 at
-    z = 1, so that equation is bisected in ln z, and the margin is the
-    collision exponent at sigma = l/r there, strictly below the closed
-    form.  No binomial is formed, so any r within the float range is fine.
-    (l, r) is not checked here: threshold_lower checks it once per scan."""
+    rises from the crossover at the kink toward 1, and is
+    1 / (2 (1 - 2^-r)) > 1/2 at z = 1, so that equation is bisected in ln z
+    on [ln(2^(1/r) - 1), 0]; for p at or past that value the bracket's
+    right end first moves to 1, 3, 7, ... until the left side exceeds p.
+    The margin is the collision exponent at sigma = l/r there, strictly
+    below the closed form.  No binomial is formed, so any r within the
+    float range is fine; p must lie in (0, 1).  (l, r) is not checked
+    here: threshold_lower checks it once per search."""
     if p <= -2 * math.expm1(-_LN2 / r):
         return _achievable(l, r, p)
     lo, hi = math.log(2 ** (1 / r) - 1), 0.0
+    while (z := math.exp(hi)) / ((1 + z) * -math.expm1(-r * math.log1p(z))) <= p:
+        lo, hi = hi, 2 * hi + 1
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         z = math.exp(mid)

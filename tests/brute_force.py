@@ -4,8 +4,8 @@ None of these is part of pooltest.  Each is the direct form of something
 the package computes by a faster route: every wiring of the ensemble,
 every input of the decoder, the exponent's inner infimum one sigma at a
 time, the decoding trials from the stdlib's own RNG calls, a gate's
-trials drawn one at a time.  The tests compare the two at toy
-sizes.
+trials drawn one at a time, a threshold's grid scanned point by point.
+The tests compare the two at toy sizes.
 """
 
 from __future__ import annotations
@@ -25,8 +25,19 @@ from pooltest import (
     SystemParams,
     TestFunction,
     TypicalSetSpec,
+    binary_entropy,
     forward_or,
+    general_ensemble_event_probability,
     typical_weight_set,
+)
+from pooltest.bounds import (
+    THRESHOLD_SCAN_STEP,
+    THRESHOLD_SEARCH_MAX,
+    THRESHOLD_TOL,
+    _bisect_crossing,
+    _check_degrees,
+    _converse,
+    _optimized_margin,
 )
 from pooltest.ensemble import (
     _check_arity,
@@ -198,6 +209,65 @@ def brute_force_scan(
         if (union ^ target).bit_count() in flips:
             members.append(support)
     return sorted(members)
+
+
+# ---------------------------------------------------------------------------
+# threshold roots, the scan grid walked one point at a time
+# ---------------------------------------------------------------------------
+
+
+def scan_first_crossing(fn, what: str) -> float:
+    """bounds._first_crossing as a linear scan: evaluate fn at every grid
+    point up from THRESHOLD_SCAN_STEP and bisect the first gap where it
+    turns positive."""
+    lo = THRESHOLD_TOL
+    if fn(lo) > 0:
+        raise InputError(f"{what} is already positive at p={lo}")
+    p = THRESHOLD_SCAN_STEP
+    while p <= THRESHOLD_SEARCH_MAX + 1e-15:
+        if fn(p) > 0:
+            return _bisect_crossing(fn, lo, p)
+        lo = p
+        p += THRESHOLD_SCAN_STEP
+    raise InputError(f"{what} has no sign change on ({THRESHOLD_TOL}, {THRESHOLD_SEARCH_MAX}]")
+
+
+def scan_threshold_lower(l: int, r: int) -> float:
+    """threshold_lower by the linear scan."""
+    _check_degrees(l, r)
+    return scan_first_crossing(lambda p: _optimized_margin(l, r, p), "achievable margin")
+
+
+def scan_threshold_upper(l: int, r: int) -> float:
+    """threshold_upper by the linear scan."""
+    _check_degrees(l, r)
+    return scan_first_crossing(lambda p: _converse(l, r, p, 0.0), "converse margin")
+
+
+# ---------------------------------------------------------------------------
+# a binary margin's finite-n counterpart
+# ---------------------------------------------------------------------------
+
+
+def finite_n_margin(f: TestFunction, l: int, r: int, n: int, w: int) -> tuple[float, float]:
+    """(f_n, delta_n) for a binary-input test function at n objects, input
+    weight w.  f_n is (1/n) log2 of the largest, over output types y, of
+    C(n, w) times the exact probability that a fixed input of weight w
+    gives an output of type y: the expected number of weight-w inputs
+    giving the likeliest type.  delta_n = (1/n) [log2 C(n, w)
+    - log2 C(nl, lw)] + (l - 1) h(w/n) is what separates f_n from the
+    binary direct margin at p = w/n in the rates of the binomials."""
+    params = SystemParams(l, r, n)
+    inputs = (n - w, w)
+    best = max(
+        general_ensemble_event_probability(params, f, inputs, y)
+        for y in compositions_recursive(params.m, f.num_outputs)
+    )
+    f_n = (math.log2(math.comb(n, w)) + math.log2(best)) / n
+    delta_n = (
+        math.log2(math.comb(n, w)) - math.log2(math.comb(n * l, l * w))
+    ) / n + (l - 1) * binary_entropy(w / n)
+    return f_n, delta_n
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from brute_force import scan_threshold_lower, scan_threshold_upper
 from pooltest import (
     InputError,
     achievable_margin,
@@ -217,10 +218,11 @@ class TestThresholds:
         assert exponent(lo - 1e-6) <= 0 < exponent(lo + 1e-6)
 
     def test_optimized_margin_is_the_direct_exponent(self):
-        for l, r in ((1, 2), (3, 6), (10, 10), (30, 30), (60, 20), (5, 1)):
+        for l, r in ((1, 2), (3, 6), (4, 8), (10, 10), (30, 30), (60, 20), (5, 1), (6, 100)):
             crossover = 2 - 2 ** ((r - 1) / r)
-            for p in (0.01, 0.1, 0.3, 0.4, 0.49, crossover - 1e-6, crossover + 1e-6):
-                if 0 < p < 0.5:
+            for p in (0.01, 0.1, 0.3, 0.4, 0.49, 0.6, 0.75, 0.9, 0.99,
+                      crossover - 1e-6, crossover + 1e-6):
+                if 0 < p < 1:
                     assert _optimized_margin(l, r, p) == pytest.approx(
                         noiseless_direct_exponent(l, r, p).value, abs=1e-12
                     ), (l, r, p)
@@ -252,8 +254,48 @@ class TestThresholds:
         assert pair.p_lower == pytest.approx(threshold_lower(3, 6), abs=1e-12)
         assert pair.p_upper == pytest.approx(threshold_upper(3, 6), abs=1e-12)
 
+    def test_search_finds_the_scans_roots_and_refusals(self):
+        # the galloping search returns the root of the point-by-point scan
+        # of the same grid, bit for bit, whenever the margin changes sign at
+        # most once there; a sparse cut of the degrees, refusals included
+        def outcome(search, l, r):
+            try:
+                return search(l, r)
+            except InputError as ex:
+                return str(ex)
+
+        pairs = [(l, r) for l in range(3, 61, 3) for r in range(l, 61, 3)]
+        pairs += [(1, r) for r in range(1, 61, 3)]
+        pairs += [(5, 1), (7, 2), (30, 3), (60, 20), (10**5, 10**5)]
+        refusals = 0
+        for l, r in pairs:
+            for search, scan in ((threshold_lower, scan_threshold_lower),
+                                 (threshold_upper, scan_threshold_upper)):
+                found = outcome(search, l, r)
+                assert found == outcome(scan, l, r), (l, r, search.__name__)
+                refusals += isinstance(found, str)
+        assert refusals == 46
+
+    def test_search_evaluates_each_margin_a_few_dozen_times(self, monkeypatch):
+        # the scan evaluates each margin 132 times at (3, 6): 111 grid
+        # points, the check at THRESHOLD_TOL and 20 bisection steps
+        counts = {"converse": 0, "optimized": 0}
+
+        def counted(name, fn):
+            def margin(*args):
+                counts[name] += 1
+                return fn(*args)
+            return margin
+
+        monkeypatch.setattr(bounds, "_converse", counted("converse", bounds._converse))
+        monkeypatch.setattr(
+            bounds, "_optimized_margin", counted("optimized", bounds._optimized_margin)
+        )
+        threshold_pair(3, 6)
+        assert 0 < counts["converse"] <= 34 and 0 < counts["optimized"] <= 34
+
     def test_each_threshold_checks_its_degrees_once(self, monkeypatch):
-        # the scan and bisection evaluate the margins hundreds of times on
+        # the search and bisection evaluate the margins dozens of times on
         # the one (l, r) that was checked up front
         calls = []
         check = bounds._check_degrees

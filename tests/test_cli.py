@@ -97,6 +97,15 @@ class TestThresholdsCommand:
             "1,1,,,achievable margin has no sign change on (1e-09, 0.5]"
         )
 
+    def test_readme_example_prints_what_it_says(self, capsys):
+        # the README quotes the output of this command, one "# " line each
+        command = "pooltest thresholds --pairs 3:6 2:4 30:30 --precision 6"
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        quoted = readme.split(f"\n{command}\n", 1)[1].split("\n\n", 1)[0]
+        code, out, _ = run(capsys, *command.split()[1:])
+        assert code == 0
+        assert out == "".join(line.removeprefix("# ") + "\n" for line in quoted.splitlines())
+
     def test_negative_precision_is_usage_error(self, capsys):
         code, out, err = run(capsys, "thresholds", "--pairs", "3:6", "--precision", "-1")
         assert code == 2

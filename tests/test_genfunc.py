@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from brute_force import exponent_infimum, threshold_function
+from brute_force import exponent_infimum, finite_n_margin, threshold_function
 from pooltest import TestFunction as PoolFunction
 from pooltest import genfunc
 from pooltest.bounds import _optimized_margin
@@ -994,6 +994,28 @@ class TestBinaryDirectMargin:
         const = PoolFunction((0, 1), (0,), 2, {(2, 0): 0, (1, 1): 0, (0, 2): 0})
         m = binary_direct_margin(const, 2, 2, 0.1)
         assert m.value == pytest.approx(binary_entropy(0.1), abs=1e-12)
+
+    # (l, r, n, w) of the finite-n witnesses: every exact probability fits a toy size
+    WITNESSES = ((2, 4, 24, 5), (1, 2, 12, 3), (2, 3, 18, 4), (3, 6, 12, 2))
+
+    @pytest.mark.parametrize("l,r,n,w", WITNESSES)
+    def test_count_margin_is_its_finite_n_counterpart(self, l, r, n, w):
+        # a count test's output type fixes its enumerator's monomial, so the
+        # exact expected count of inputs giving the likeliest type and the
+        # margin at p = w/n differ only in the rates of the binomials
+        f = count_function(r)
+        f_n, delta_n = finite_n_margin(f, l, r, n, w)
+        margin = binary_direct_margin(f, l, r, w / n).value
+        assert abs(f_n - (margin + delta_n)) <= 1e-12
+
+    @pytest.mark.parametrize("l,r,n,w", WITNESSES)
+    def test_or_margin_bounds_its_finite_n_counterpart(self, l, r, n, w):
+        # an OR enumerator is a sum of monomials, so the margin only bounds
+        # the exact count, here with 0.06 to 0.14 bits to spare
+        f = or_function(r)
+        f_n, delta_n = finite_n_margin(f, l, r, n, w)
+        margin = binary_direct_margin(f, l, r, w / n).value
+        assert 0.05 <= margin + delta_n - f_n <= 0.15
 
     def test_probability_validated(self):
         with pytest.raises(InputError):
