@@ -214,7 +214,7 @@ def _verify_exact(checks: _Checks) -> None:
         (1, 2, 2, Fraction(1, 4), None),
         (1, 2, 2, Fraction(1, 2), None),
         (2, 4, 4, Fraction(1, 10), None),
-        (3, 6, 24, Fraction(1, 10), 2),  # one per-test pass per fired weight, not (nl)! wirings
+        (3, 6, 24, Fraction(1, 10), 2),  # one weighted per-test pass, not (nl)! wirings
     ):
         checks.all_events_equal(
             f"noisy formula vs enumeration (l={l}, r={r}, n={n}, q={q})",
@@ -224,22 +224,21 @@ def _verify_exact(checks: _Checks) -> None:
             w,
         )
 
-    # at w=60 neither power is stable, so the float is the recurrence's exact
-    # numerator rounded; at w=24 quiet's power is a certified bound; both are
-    # compared with the Fraction route's exact truncated powers
+    # one event on each float-q route, its float held to the Fraction route's exact
+    # truncated powers and to the oracle's Fraction, each rounded once
     for n, w, s, route in (
-        (120, 60, 15, " via the recurrence in (1+z)^r"),
-        (240, 24, 30, " via certified power bounds"),
+        (48, 4, 12, "certified bounds on both powers"),
+        (120, 60, 15, "the recurrence in (1+z)^r"),
+        (240, 24, 30, "a certified bound on one power"),
     ):
         rounded = _genfunc.noisy_ensemble_event_probability(SystemParams(3, 6, n, q=0.1), w, s)
-        exact = _genfunc.noisy_ensemble_event_probability(
-            SystemParams(3, 6, n, q=Fraction(0.1)), w, s
-        )
+        exact = _genfunc.noisy_ensemble_event_probability(SystemParams(3, 6, n, q=Fraction(0.1)), w, s)
+        counted = float(enumeration_fraction_noisy(SystemParams(3, 6, n, q=0.1), w, s))
         checks.record(
-            f"float-q noisy formula{route} is the exact value rounded once"
+            f"float-q noisy formula via {route} is the exact value rounded once"
             f" (l=3, r=6, n={n}, q=0.1)",
-            rounded == float(exact),
-            f"w={w}, s={s}: {rounded!r} vs {float(exact)!r}",
+            rounded == float(exact) == counted,
+            f"w={w}, s={s}: {rounded!r} vs {float(exact)!r} and the oracle's {counted!r}",
         )
 
     # the rounded float hides a numerator error below half an ulp, so the

@@ -14,8 +14,8 @@ depends only on which symbol each right socket receives, every such
 labelling is hit by the same number of wirings, and prod_j
 multinomial(r; t_j) labellings give each test j its type t_j, its count
 of each symbol.  So a forward pass over the tests, one sum per vector of
-counts left, has the exact fraction of all (nl)! wirings; flips ignore the
-wiring, so the noisy one is a binomial mixture of passes, one per fired weight.
+counts left, has the exact fraction of all (nl)! wirings; flips are independent
+per test, so the noisy pass weighs each test's type by its chance to show y_j.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter, le, or_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -393,15 +394,15 @@ def _charge(visited: int, nodes: int, m: int) -> int:
 
 def _per_test_sum(
     params: SystemParams, types: Iterable[tuple[tuple[int, ...], int]], sizes: Sequence[int],
-    output_counts: Sequence[int], visited: int,
-) -> tuple[int, int]:
-    """Sum of prod_j multinomial(r; t_j) over the type sequences (t_1, ..., t_m)
-    with sizes[i] sockets of symbol i + 1, the rest symbol 0, and f(t_j) = y_j
-    at every test, y canonical with output_counts[o] tests of output o; `types`
-    pairs each type's counts of symbols 1, 2, ... with f(t).  Forward, one sum per
-    state (counts left).  Also returns the node count, begun at `visited` so a call's
-    passes share one budget: each (state, type) examined at a test is a node; reading
-    a type costs 1 + W^2, W the 64-bit words of r*ceil(log2(#symbols)) bits."""
+    output_counts: Sequence[int], weights: Mapping[int, Mapping[int, int]], visited: int,
+) -> int:
+    """Sum of prod_j multinomial(r; t_j) weights[y_j][f(t_j)] over the type sequences
+    (t_1, ..., t_m) with sizes[i] sockets of symbol i + 1, the rest symbol 0, y canonical with
+    output_counts[o] tests of output o; `types` pairs each type's counts of symbols 1, 2, ...
+    with f(t), and weights[y], for each y some test asks, holds only nonzero weights.  Forward,
+    one sum per state (counts left).  GuardError once the nodes, counted from `visited`, pass
+    ORACLE_NODE_LIMIT: each (state, type) examined at a test is a node; reading a type costs
+    1 + W^2, W the 64-bit words of r*ceil(log2(#symbols)) bits."""
     r, m = params.r, params.m
     # (sum(t), t, f(t), multinomial) for each type that fits, by sum(t)
     table: list[tuple[int, tuple[int, ...], int, int]] = []
@@ -409,25 +410,27 @@ def _per_test_sum(
         visited = _charge(visited, 1 + (r * len(t).bit_length() // 64) ** 2, m)  # W: its words
         if all(map(le, t, sizes)):
             table.append((sum(t), t, out, _multinomial((r - sum(t), *t))))
-    # an output asked of some test that no fitting type gives: no sequence
-    if {o for o, c in enumerate(output_counts) if c} - {out for _, _, out, _ in table}:
-        return 0, visited
+    # an output asked of some test that no fitting type weighs nonzero for: no sequence
+    fits = {out for _, _, out, _ in table}
+    if any(c and fits.isdisjoint(weights[o]) for o, c in enumerate(output_counts)):
+        return 0
     table.sort(key=itemgetter(0))
-    ends = [sum(output_counts[: o + 1]) for o in range(len(output_counts))]  # y_j = bisect(ends, j)
+    sums = [k for k, _, _, _ in table]
+    ends = list(accumulate(output_counts))  # y_j = bisect(ends, j)
     layer = {tuple(sizes): 1}  # counts left -> summed product; equal counts continue alike
     for j in range(m):
-        # the types giving y_j and leaving counts >= 0 that the sockets after test j can hold
-        y, after, nxt = bisect_right(ends, j), r * (m - j - 1), {}
+        # types weighing nonzero for y_j and leaving counts >= 0 the sockets after test j can hold
+        row, after, nxt = weights[bisect_right(ends, j)], r * (m - j - 1), {}
         for left, count in layer.items():
-            lo = bisect_left(table, sum(left) - after, key=itemgetter(0))
-            hi = bisect_right(table, sum(left), key=itemgetter(0))
+            lo = bisect_left(sums, sum(left) - after)
+            hi = bisect_right(sums, sum(left))
             visited = _charge(visited, hi - lo, m)
             for _, t, out, c in table[lo:hi]:
-                if out == y and min(rest := tuple(map(sub, left, t)), default=0) >= 0:
-                    nxt[rest] = nxt.get(rest, 0) + count * c
+                if (v := row.get(out)) and min(rest := tuple(map(sub, left, t)), default=0) >= 0:
+                    nxt[rest] = nxt.get(rest, 0) + count * c * v
         if not (layer := nxt):
             break
-    return sum(layer.values()), visited
+    return sum(layer.values())
 
 
 def enumeration_fraction_noiseless(params: SystemParams, w: int, s: int) -> Fraction:
@@ -439,22 +442,19 @@ def enumeration_fraction_noiseless(params: SystemParams, w: int, s: int) -> Frac
 def enumeration_fraction_noisy(params: SystemParams, w: int, s: int) -> Fraction:
     """Exact probability that the flipped outcome F_G(x) xor e equals canonical y,
     averaged over wirings and over e ~ Bernoulli(q)^m, as a rational number.
-    Test relabelling makes F_G(x) take each weight-f outcome alike; C(s, b) C(m - s, a)
-    of them, a = f - s + b, flip into y with chance P^(a+b) (Q - P)^(m-a-b) / Q^m, q = P/Q."""
+    Flips are independent per test, so with q = P/Q each test weighs a type whose
+    OR outcome is y_j by Q - P and any other by P, and one pass sums over Q^m."""
     _check_event(params, w, s)
     q = Fraction(params.q)  # exact for Fraction and for any float's binary value
-    big_p, big_q, wl, m = q.numerator, q.denominator, w * params.l, params.m
-    # reducing over Q^m costs a node per pair of its 2048-bit blocks, charged before any pass
-    hits, visited = {}, (m * (big_q.bit_length() - 1) >> 11) ** 2
-    for f in range(-(-wl // params.r), min(wl, m) + 1) if big_p else (s,):  # q = 0: only y
-        types = (((d,), int(d > 0)) for d in range(min(params.r, wl) + 1))
-        hits[f], visited = _per_test_sum(params, types, (wl,), (m - f, f), visited)
-    weight = sum(
-        h * math.comb(s, b) * math.comb(m - s, f - s + b) * big_p ** (f - s + 2 * b)
-        * (big_q - big_p) ** (m - f + s - 2 * b)
-        for f, h in hits.items() if h for b in range(max(0, s - f), min(s, m - f) + 1)
-    )
-    return Fraction(weight, big_q**m * math.comb(params.num_sockets, wl))
+    flip, big_q, wl, m = q.numerator, q.denominator, w * params.l, params.m
+    types = (((d,), int(d > 0)) for d in range(min(params.r, wl) + 1))
+    # [y_j][OR outcome] less its zero weights: at q = 0 only the outcome y_j is weighed
+    rows = ((big_q - flip, flip), (flip, big_q - flip))
+    weights = {y: {o: v for o, v in enumerate(row) if v} for y, row in enumerate(rows)}
+    # reducing over Q^m costs a node per pair of its 2048-bit blocks, charged before the pass
+    charge = (m * (big_q.bit_length() - 1) >> 11) ** 2
+    numer = _per_test_sum(params, types, (wl,), (m - s, s), weights, charge)
+    return Fraction(numer, big_q**m * math.comb(params.num_sockets, wl))
 
 
 def enumeration_fraction_general(
@@ -468,5 +468,6 @@ def enumeration_fraction_general(
     _check_types(params, f, input_counts, output_counts)
     sizes = [params.l * c for c in input_counts]
     types = ((t[1:], out) for t, out in f.table.items())
-    hits, _ = _per_test_sum(params, types, sizes[1:], output_counts, 0)
+    identity = {o: {o: 1} for o, c in enumerate(output_counts) if c}  # an asked y weighs y alone
+    hits = _per_test_sum(params, types, sizes[1:], output_counts, identity, 0)
     return Fraction(hits, _multinomial(sizes))

@@ -649,6 +649,61 @@ class TestVerifyCommand:
             " powers (l=3, r=6, n=120, q=0.1): "
         )
 
+    FLOAT_Q_ROUTES = {
+        # for each float-q line in order: whether each power, fire's then quiet's,
+        # has certified bounds, and whether the recurrence numerator or the
+        # rounding from the bounds gives the float
+        "certified bounds on both powers": [
+            ("_power_bounds", True), ("_power_bounds", True), ("_round_from_bounds", True)
+        ],
+        "the recurrence in (1+z)^r": [
+            ("_power_bounds", False), ("_power_bounds", False), ("_noisy_numerator", True)
+        ],
+        "a certified bound on one power": [
+            ("_power_bounds", False), ("_power_bounds", True), ("_round_from_bounds", True)
+        ],
+    }
+
+    def test_float_q_lines_take_their_routes(self, capsys, monkeypatch):
+        # only float q reaches these three, so in the exact suite they see the
+        # float-q lines and then the numerator line's own recurrence call
+        seen = []
+        for name in ("_power_bounds", "_round_from_bounds", "_noisy_numerator"):
+            true = getattr(pooltest.genfunc, name)
+
+            def spy(*args, name=name, true=true):
+                value = true(*args)
+                seen.append((name, value is not None))
+                return value
+
+            monkeypatch.setattr(pooltest.genfunc, name, spy)
+        code, out, _ = run(capsys, "verify", "--suite", "exact")
+        prefix = "[ok] float-q noisy formula via "
+        routes = [
+            line[len(prefix):].split(" is the exact value")[0]
+            for line in out.splitlines() if line.startswith(prefix)
+        ]
+        assert code == 0 and routes == list(self.FLOAT_Q_ROUTES)
+        steps = [step for route in routes for step in self.FLOAT_Q_ROUTES[route]]
+        assert seen == steps + [("_noisy_numerator", True)]
+
+    def test_float_q_lines_hold_the_oracle(self, capsys, monkeypatch):
+        # the oracle doubled at float q: each float-q line fails, and no other
+        true = pooltest.cli.enumeration_fraction_noisy
+
+        def wrong(params, *args):
+            return true(params, *args) * (2 if isinstance(params.q, float) else 1)
+
+        monkeypatch.setattr(pooltest.cli, "enumeration_fraction_noisy", wrong)
+        code, out, _ = run(capsys, "verify", "--suite", "exact")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert [line.split(":")[0] for line in failed] == [
+            f"[FAIL] float-q noisy formula via {route} is the exact value rounded once"
+            f" (l=3, r=6, n={n}, q=0.1)"
+            for n, route in zip((48, 120, 240), self.FLOAT_Q_ROUTES)
+        ]
+
     def test_merged_or_line_can_fail(self, capsys, monkeypatch):
         # the n=24 line holds the general formula to the per-test oracle
         true = pooltest.genfunc.general_ensemble_event_probability

@@ -467,15 +467,15 @@ class TestOracleRefusals:
 
     def test_over_budget_walk_is_refused_on_its_nodes(self):
         # OR at (3,6,960), w=160, s=240 keeps thousands of counts-left states
-        # per test, and noisy with float q=0.1 at (3,6,120), w=24, s=30 it
-        # passes once per fired weight under the same budget;
+        # per test, and so does noisy with float q=0.1 at (3,6,480), w=48, s=60,
+        # whose every test weighs both outcomes;
         # the sum mod 4 at (3,12,48) reads a table of 455 types at every test;
         # at r = 5000 to 2^30 the types' multinomials run to hundreds or
         # thousands of 64-bit words, and forming them all takes seconds to minutes
         mod4 = PoolFunction.from_callable(lambda v: sum(v) % 4, (0, 1, 2, 3), (0, 1, 2, 3), 12)
         calls = [
             (480, lambda: enumeration_fraction_noiseless(SystemParams(3, 6, 960), 160, 240)),
-            (60, lambda: enumeration_fraction_noisy(SystemParams(3, 6, 120, q=0.1), 24, 30)),
+            (240, lambda: enumeration_fraction_noisy(SystemParams(3, 6, 480, q=0.1), 48, 60)),
             (12, lambda: enumeration_fraction_general(
                 SystemParams(3, 12, 48), mod4, (12, 12, 12, 12), (3, 3, 3, 3)
             )),
@@ -492,17 +492,17 @@ class TestOracleRefusals:
                 call()
             assert time.perf_counter() - start < 10, case
 
-    def test_one_budget_covers_every_walk_of_a_call(self, monkeypatch):
-        # the noisy oracle passes once per fired weight f = 2, ..., 9; the eight
-        # passes count 85 to 190 nodes each and 1,264 in all
-        params = SystemParams(3, 6, 24, q=Fraction(1, 10))
-        monkeypatch.setattr(ensemble_module, "ORACLE_NODE_LIMIT", 1263)
-        refusal = r"^oracle walk over 12 tests refused \(limit 1263 nodes\)$"
+    def test_reduction_charge_and_pass_share_one_budget(self, monkeypatch):
+        # float q=0.1 is P/2^55, so reducing over Q^200 is charged 25 nodes before
+        # the pass, whose 1,197 nodes bring the call to 1,222
+        params = SystemParams(1, 2, 400, q=0.1)
+        monkeypatch.setattr(ensemble_module, "ORACLE_NODE_LIMIT", 1221)
+        refusal = r"^oracle walk over 200 tests refused \(limit 1221 nodes\)$"
         with pytest.raises(GuardError, match=refusal):
-            enumeration_fraction_noisy(params, 3, 6)
-        monkeypatch.setattr(ensemble_module, "ORACLE_NODE_LIMIT", 1264)
-        exact = noisy_ensemble_event_probability(params, 3, 6)
-        assert enumeration_fraction_noisy(params, 3, 6) == exact
+            enumeration_fraction_noisy(params, 2, 2)
+        monkeypatch.setattr(ensemble_module, "ORACLE_NODE_LIMIT", 1222)
+        exact = noisy_ensemble_event_probability(SystemParams(1, 2, 400, q=Fraction(0.1)), 2, 2)
+        assert enumeration_fraction_noisy(params, 2, 2) == exact
 
     def test_type_table_is_refused_as_it_is_read(self):
         # 2^20 + 1 types of 2^21 sockets: the first one read is over budget,

@@ -180,7 +180,7 @@ class TestEventProbabilityOracles:
             (SystemParams(1, 2, 16), range(17), range(17)),
             (SystemParams(3, 6, 12), range(13), range(13)),
             (SystemParams(3, 6, 24), range(4), range(4)),
-            (SystemParams(3, 6, 48), (4, 8, 12), ()),
+            (SystemParams(3, 6, 48), (4, 8, 12), (4, 8, 12)),
         ],
         ids=["2-4-8", "1-2-16", "3-6-12", "3-6-24", "3-6-48"],
     )

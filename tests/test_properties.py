@@ -3,7 +3,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pooltest import (
@@ -162,6 +162,7 @@ def binary_events(draw):
 
 
 @given(binary_events())
+@example((SystemParams(1, 1, 6000, q=0.1), 3000, 3000))
 @settings(max_examples=30, deadline=None)
 def test_binary_oracles_answer_or_refuse_in_time(event):
     # an exact fraction in [0, 1], or the node budget's refusal, within 10 s
